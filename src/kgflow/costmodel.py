@@ -11,8 +11,11 @@ Two fitted relations drive scheduling decisions:
 
 From a fitted curve and a preference ``eta`` the optimal unit price point is
 closed-form: ``x0 = sqrt((b / a) * (eta / (1 - eta))) + c``. Procurement then
-picks the instance multiset whose total unit price is closest to ``x0``
-(a small unbounded-knapsack search).
+picks the instance multiset whose total unit price is closest to ``x0``:
+an unbounded knapsack with a target price, solved exactly by a dynamic
+program over integer price units (the gcd of the catalog prices on a 10**-6
+grid), in O((bound/unit) * (gpus + 1) * (cpus + 1)) per VM type for a price
+bound of about 2 * x0 and a demand of that many GPU cards and cores.
 
 Unit warning: processing time is in seconds and money in currency units, so
 the weighted objective mixes incommensurate quantities. ``objective`` applies
@@ -54,6 +57,10 @@ class VmType:
             raise CostModelError(f"{self.name}: gpu_cards must be >= 0")
         if self.unit_price <= 0:
             raise CostModelError(f"{self.name}: unit_price must be > 0")
+        if self.gpu_cards > self.cpu_cores:
+            raise CostModelError(
+                f"{self.name}: gpu_cards ({self.gpu_cards}) exceed cpu_cores "
+                f"({self.cpu_cores}); each GPU needs a data-loader core")
 
     @property
     def cpu_headroom(self) -> int:
@@ -323,63 +330,139 @@ def procure(catalog: Sequence[VmType], x0: float,
     (cores minus one per GPU card) >= demand.cpus. Ties on |price - x0| fall
     to the plan with fewer instances, then the larger single-instance GPU
     count (high-end instances beat stacks of divided low-end ones), then
-    lexicographic names. The search enumerates plans up to a price bound of
-    max(2*x0, cheapest feasible), growing the bound if nothing fits.
+    lexicographic names.
+
+    Exact unbounded-knapsack dynamic program over integer prices. The price
+    unit is the gcd of the catalog prices, which must lie on a 10**-6 grid:
+    0.002 USD for g4dn, 11.98 CNY for qCloud. Entry ``[p, g, c]`` of the
+    table holds the fewest instances priced exactly ``p`` units with at
+    least ``g`` GPU cards and ``c`` headroom cores, g and c capped at the
+    demand. Plans are searched up to a price bound of max(2*x0, dearest
+    unit price), doubled while nothing fits; one pass costs
+    O((bound/unit) * (demand.gpus + 1) * (demand.cpus + 1)) per VM type.
     """
     if not catalog:
         raise CostModelError("empty catalog")
+    if not math.isfinite(x0):
+        raise CostModelError(f"target price x0 must be finite, got {x0}")
     types = sorted(catalog, key=lambda v: v.name)
+    names = [v.name for v in types]
+    if ((demand.gpus and not any(v.gpu_cards for v in types))
+            or (demand.cpus and not any(v.cpu_headroom for v in types))):
+        raise CostModelError(f"demand {demand} infeasible with catalog "
+                             f"{names}: no VM type supplies it")
+    micros = _micro_prices(types)
+    unit = math.gcd(*micros)
+    weights = [m // unit for m in micros]
     bound = max(2.0 * x0, max(v.unit_price for v in types))
     for _ in range(16):
-        best = _search_plans(types, x0, demand, bound)
+        # The epsilon keeps a plan priced exactly at the bound in range.
+        rows = int(bound * 1e6 / unit + 1e-9)
+        table = _fewest_instances(types, weights, demand, rows)
+        best = _closest_plan(types, weights, demand, table, x0, unit / 1e6)
         if best is not None:
             return best
         bound *= 2.0
     raise CostModelError(
-        f"demand {demand} infeasible with catalog "
-        f"{[v.name for v in types]} (searched up to price {bound:.2f})")
+        f"demand {demand} infeasible with catalog {names} "
+        f"(searched up to price {bound:.2f})")
 
 
-def _search_plans(types: Sequence[VmType], x0: float, demand: ResourceDemand,
-                  bound: float) -> ProcurementPlan | None:
-    best_key: tuple | None = None
-    best_counts: tuple[int, ...] | None = None
+def _micro_prices(types: Sequence[VmType]) -> list[int]:
+    """Prices in millionths of the currency; a price off that grid is
+    rejected, since the search prices plans exactly."""
+    micros = [v.unit_price * 1e6 for v in types]
+    off = [v.name for v, m in zip(types, micros)
+           if abs(m - round(m)) > 1e-12 * m]
+    if off:
+        raise CostModelError(f"unit_price of {off} is not a multiple of 1e-6")
+    return [round(m) for m in micros]
 
-    counts = [0] * len(types)
 
-    def consider():
-        nonlocal best_key, best_counts
-        gpus = sum(v.gpu_cards * n for v, n in zip(types, counts))
-        cpus = sum(v.cpu_headroom * n for v, n in zip(types, counts))
-        if gpus < demand.gpus or cpus < demand.cpus:
-            return
-        price = sum(v.unit_price * n for v, n in zip(types, counts))
-        max_gpu = max((v.gpu_cards for v, n in zip(types, counts) if n > 0),
-                      default=0)
-        names = tuple(v.name for v, n in zip(types, counts) for _ in range(n))
-        # Price distances rounded so float ulps in equal-priced sums cannot
-        # mask a genuine tie (catalog prices have at most 2 decimals).
-        key = (round(abs(price - x0), 9), sum(counts), -max_gpu, names)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_counts = tuple(counts)
+_UNREACHED = 2 ** 30
 
-    def walk(idx: int, price_left: float):
-        if idx == len(types):
-            consider()
-            return
-        vm = types[idx]
-        max_n = int(price_left // vm.unit_price)
-        for n in range(max_n + 1):
-            counts[idx] = n
-            walk(idx + 1, price_left - n * vm.unit_price)
-        counts[idx] = 0
 
-    walk(0, bound)
-    if best_counts is None:
+def _fewest_instances(types: Sequence[VmType], weights: Sequence[int],
+                      demand: ResourceDemand, rows: int) -> np.ndarray:
+    """The (rows + 1, gpus + 1, cpus + 1) fewest-instances table."""
+    table = np.full((rows + 1, demand.gpus + 1, demand.cpus + 1),
+                    _UNREACHED, dtype=np.int32)
+    table[0, 0, 0] = 0
+    gpu_levels = np.arange(demand.gpus + 1)
+    cpu_levels = np.arange(demand.cpus + 1)
+    for vm, w in zip(types, weights):
+        # Requirement left after adding one instance of this type.
+        need_g = np.maximum(gpu_levels - vm.gpu_cards, 0)[:, None]
+        need_c = np.maximum(cpu_levels - vm.cpu_headroom, 0)[None, :]
+        # Rows [p, p + w) only read rows [p - w, p), which are final.
+        for p in range(w, rows + 1, w):
+            block = table[p:p + w]
+            src = table[p - w:p - w + len(block)][:, need_g, need_c]
+            np.minimum(block, src + 1, out=block)
+    return table
+
+
+def _closest_plan(types: Sequence[VmType], weights: Sequence[int],
+                  demand: ResourceDemand, table: np.ndarray, x0: float,
+                  unit: float) -> ProcurementPlan | None:
+    counts = table[:, demand.gpus, demand.cpus]
+    feasible = np.flatnonzero(counts < _UNREACHED)
+    if not len(feasible):
         return None
-    items = tuple((vm, n) for vm, n in zip(types, best_counts) if n > 0)
-    return ProcurementPlan(items)
+    gaps = np.abs(feasible * unit - x0)
+    # Rows whose rounded gap can tie the smallest one.
+    near = feasible[gaps <= gaps.min() + 2e-9]
+    row_keys = {p: (round(abs(p * unit - x0), 9), int(counts[p]))
+                for p in near.tolist()}
+    best_row_key = min(row_keys.values())
+    best_key = best_counts = None
+    for p, key in row_keys.items():
+        if key != best_row_key:
+            continue
+        for plan_counts in _optimal_multisets(table, types, weights, demand,
+                                              p, key[1]):
+            plan_key = _plan_key(types, plan_counts, x0)
+            if best_key is None or plan_key < best_key:
+                best_key, best_counts = plan_key, plan_counts
+    return ProcurementPlan(tuple((vm, n) for vm, n in zip(types, best_counts)
+                                 if n > 0))
+
+
+def _optimal_multisets(table: np.ndarray, types: Sequence[VmType],
+                       weights: Sequence[int], demand: ResourceDemand,
+                       row: int, size: int) -> list[tuple[int, ...]]:
+    """Per-type counts of every multiset of ``size`` instances priced
+    ``row`` units that meets the demand.
+
+    Walks back from the table entry with an explicit stack, adding types in
+    non-increasing index order so each multiset appears once. A prefix of an
+    optimal multiset is itself optimal for what it covers, so a step is
+    taken only onto an entry equal to the instances still to place.
+    """
+    found = []
+    stack = [(row, demand.gpus, demand.cpus, size, len(types) - 1, ())]
+    while stack:
+        p, g, c, left, top, picked = stack.pop()
+        if left == 0:
+            found.append(tuple(picked.count(t) for t in range(len(types))))
+            continue
+        for t in range(top + 1):
+            q = p - weights[t]
+            g2 = max(g - types[t].gpu_cards, 0)
+            c2 = max(c - types[t].cpu_headroom, 0)
+            if q >= 0 and table[q, g2, c2] == left - 1:
+                stack.append((q, g2, c2, left - 1, t, picked + (t,)))
+    return found
+
+
+def _plan_key(types: Sequence[VmType], counts: Sequence[int], x0: float):
+    """The tie key: price gap, instance count, -largest GPU count, names."""
+    price = sum(v.unit_price * n for v, n in zip(types, counts))
+    max_gpu = max((v.gpu_cards for v, n in zip(types, counts) if n > 0),
+                  default=0)
+    names = tuple(v.name for v, n in zip(types, counts) for _ in range(n))
+    # Gaps rounded so float ulps in equal-priced sums cannot mask a tie.
+    return (round(abs(price - x0), 9), sum(counts), -max_gpu, names)
 
 
 # --- catalog / observation I/O -------------------------------------------------

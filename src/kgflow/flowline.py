@@ -329,7 +329,6 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
                 violations.append(Violation(
                     "unknown-model", f"task {v.id!r}: model {func!r} not registered"))
         else:
-            func = v.config.get("function", v.id)
             if registry.operator_spec(_op_name(v)) is None:
                 violations.append(Violation(
                     "unknown-operator",

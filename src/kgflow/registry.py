@@ -2,8 +2,7 @@
 
 The registry is pure metadata: which columns a task consumes and produces,
 its operator family, and whether unconsumed columns pass through. Flowline
-validation uses it to check pipe compatibility; the runtime uses the same
-entries to drive column projection. Execution lives in ``kgflow.runtime``.
+validation uses it to check pipe compatibility.
 """
 
 from __future__ import annotations

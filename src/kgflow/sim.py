@@ -33,6 +33,7 @@ from .costmodel import (
     ProcurementPlan,
     ResourceDemand,
     VmType,
+    fit_price_makespan,
     normalized_objectives,
     procure,
 )
@@ -45,6 +46,7 @@ from .scheduler import (
     check_qualification,
     evaluate_plan,
     schedule,
+    synthesize_observations,
 )
 
 
@@ -328,7 +330,8 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     Each eta cell evaluates every candidate plan analytically, min-max
     normalizes (cost_com, cost_mon) over the whole cell, and weights them
     into J. The random row reports medians over ``config.random_plans``
-    seeded plans.
+    seeded plans. The price-to-makespan curve does not depend on eta, so it
+    is fitted once and shared by every cell.
     """
     if not etas:
         raise ValueError("empty eta list")
@@ -336,10 +339,14 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     list_plan = baseline_list(flowline, profile, catalog, net)
     random_plans = [baseline_random(flowline, catalog, config.seed + i, net)
                     for i in range(config.random_plans)]
+    fit = None
+    if flowline.model_ids():
+        fit = fit_price_makespan(synthesize_observations(flowline, profile,
+                                                         catalog, net))
 
     rows: list[SweepRow] = []
     for eta in etas:
-        heuristic = schedule(flowline, profile, catalog, eta, net,
+        heuristic = schedule(flowline, profile, catalog, eta, net, fit=fit,
                              corpus_size=config.corpus_size,
                              slice_size=config.slice_size)
         candidates = [heuristic, list_plan] + random_plans
