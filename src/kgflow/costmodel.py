@@ -14,8 +14,11 @@ closed-form: ``x0 = sqrt((b / a) * (eta / (1 - eta))) + c``. Procurement then
 picks the instance multiset whose total unit price is closest to ``x0``:
 an unbounded knapsack with a target price, solved exactly by a dynamic
 program over integer price units (the gcd of the catalog prices on a 10**-6
-grid), in O((bound/unit) * (gpus + 1) * (cpus + 1)) per VM type for a price
-bound of about 2 * x0 and a demand of that many GPU cards and cores.
+grid). Its table has a row per plan price that some multiset reaches under
+a bound of about 2 * x0: at most bound/unit rows, and never more than there
+are multisets. It costs O(rows * (gpus + 1) * (cpus + 1)) per VM type for a
+demand of that many GPU cards and cores, and stops with an error past a
+fixed memory budget.
 
 Unit warning: processing time is in seconds and money in currency units, so
 the weighted objective mixes incommensurate quantities. ``objective`` applies
@@ -334,12 +337,16 @@ def procure(catalog: Sequence[VmType], x0: float,
 
     Exact unbounded-knapsack dynamic program over integer prices. The price
     unit is the gcd of the catalog prices, which must lie on a 10**-6 grid:
-    0.002 USD for g4dn, 11.98 CNY for qCloud. Entry ``[p, g, c]`` of the
-    table holds the fewest instances priced exactly ``p`` units with at
-    least ``g`` GPU cards and ``c`` headroom cores, g and c capped at the
-    demand. Plans are searched up to a price bound of max(2*x0, dearest
-    unit price), doubled while nothing fits; one pass costs
-    O((bound/unit) * (demand.gpus + 1) * (demand.cpus + 1)) per VM type.
+    0.002 USD for g4dn, 11.98 CNY for qCloud. The table has one row per
+    plan price that some multiset reaches, so it never has more rows than
+    there are price units up to the bound, nor more than there are
+    multisets. Entry ``[r, g, c]`` holds the fewest instances priced
+    exactly at row r's price with at least ``g`` GPU cards and ``c``
+    headroom cores, g and c capped at the demand. Plans are searched up to
+    a price bound of max(2*x0, dearest unit price), doubled while nothing
+    fits; one pass costs O(rows * (demand.gpus + 1) * (demand.cpus + 1))
+    per VM type. A pass whose table would outgrow ``_MAX_TABLE_BYTES``
+    raises ``CostModelError`` instead.
     """
     if not catalog:
         raise CostModelError("empty catalog")
@@ -354,12 +361,24 @@ def procure(catalog: Sequence[VmType], x0: float,
     micros = _micro_prices(types)
     unit = math.gcd(*micros)
     weights = [m // unit for m in micros]
+    # A table row: its entries plus one predecessor index per VM type.
+    row_bytes = 4 * (demand.gpus + 1) * (demand.cpus + 1) + 8 * len(types)
+    max_rows = _MAX_TABLE_BYTES // row_bytes
     bound = max(2.0 * x0, max(v.unit_price for v in types))
     for _ in range(16):
         # The epsilon keeps a plan priced exactly at the bound in range.
-        rows = int(bound * 1e6 / unit + 1e-9)
-        table = _fewest_instances(types, weights, demand, rows)
-        best = _closest_plan(types, weights, demand, table, x0, unit / 1e6)
+        prices = _reachable_prices(weights, int(bound * 1e6 / unit + 1e-9),
+                                   max_rows)
+        if prices is None:
+            raise CostModelError(
+                f"procurement table for demand {demand} outgrows "
+                f"{_MAX_TABLE_BYTES >> 20} MB: more than {max_rows} distinct "
+                f"plan prices up to {bound:.2f} at a price unit of "
+                f"{unit / 1e6:g} {types[0].currency}; lower x0 or quote "
+                "prices on a coarser grid")
+        table, preds = _fewest_instances(types, weights, demand, prices)
+        best = _closest_plan(types, demand, prices, table, preds, x0,
+                             unit / 1e6)
         if best is not None:
             return best
         bound *= 2.0
@@ -380,47 +399,82 @@ def _micro_prices(types: Sequence[VmType]) -> list[int]:
 
 
 _UNREACHED = 2 ** 30
+# Memory budget of one search pass: its table and predecessor rows.
+_MAX_TABLE_BYTES = 1 << 27
+
+
+def _reachable_prices(weights: Sequence[int], limit: int,
+                      max_rows: int) -> np.ndarray | None:
+    """Sorted distinct sums of weights, each used any number of times, up
+    to ``limit``; None once there are more than ``max_rows`` of them."""
+    sums = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        # Sums using up to k copies of w become sums using up to 2k + 1.
+        step = w
+        while step <= limit:
+            shifted = sums[:np.searchsorted(sums, limit - step, "right")]
+            merged = np.concatenate([sums, shifted + step])
+            merged.sort(kind="stable")  # a merge of two sorted runs
+            sums = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+            if len(sums) > max_rows:
+                return None
+            step *= 2
+    return sums
 
 
 def _fewest_instances(types: Sequence[VmType], weights: Sequence[int],
-                      demand: ResourceDemand, rows: int) -> np.ndarray:
-    """The (rows + 1, gpus + 1, cpus + 1) fewest-instances table."""
+                      demand: ResourceDemand, prices: np.ndarray
+                      ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The (rows + 1, gpus + 1, cpus + 1) fewest-instances table and, per
+    VM type, the row of each price minus that type's price.
+
+    The extra last row is never reached; it is the predecessor of a price
+    from which no multiset reaches back by that type.
+    """
+    rows = len(prices)
     table = np.full((rows + 1, demand.gpus + 1, demand.cpus + 1),
                     _UNREACHED, dtype=np.int32)
     table[0, 0, 0] = 0
+    flat = table.reshape(rows + 1, -1)
     gpu_levels = np.arange(demand.gpus + 1)
     cpu_levels = np.arange(demand.cpus + 1)
+    preds = []
     for vm, w in zip(types, weights):
-        # Requirement left after adding one instance of this type.
+        pred = np.searchsorted(prices, prices - w)
+        pred[prices[np.minimum(pred, rows - 1)] != prices - w] = rows
+        preds.append(pred)
+        # Flat (g, c) cell of the requirement left after adding one
+        # instance of this type.
         need_g = np.maximum(gpu_levels - vm.gpu_cards, 0)[:, None]
         need_c = np.maximum(cpu_levels - vm.cpu_headroom, 0)[None, :]
-        # Rows [p, p + w) only read rows [p - w, p), which are final.
-        for p in range(w, rows + 1, w):
-            block = table[p:p + w]
-            src = table[p - w:p - w + len(block)][:, need_g, need_c]
+        need = (need_g * (demand.cpus + 1) + need_c).ravel()
+        # Rows priced in [k*w, (k+1)*w) only read rows priced in
+        # [(k-1)*w, k*w), which are final.
+        edges = np.searchsorted(prices, w * np.arange(1, prices[-1] // w + 2))
+        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            if lo == hi:
+                continue
+            block = flat[lo:hi]
+            src = flat.take(pred[lo:hi], axis=0).take(need, axis=1)
             np.minimum(block, src + 1, out=block)
-    return table
+    return table, preds
 
 
-def _closest_plan(types: Sequence[VmType], weights: Sequence[int],
-                  demand: ResourceDemand, table: np.ndarray, x0: float,
+def _closest_plan(types: Sequence[VmType], demand: ResourceDemand,
+                  prices: np.ndarray, table: np.ndarray,
+                  preds: Sequence[np.ndarray], x0: float,
                   unit: float) -> ProcurementPlan | None:
-    counts = table[:, demand.gpus, demand.cpus]
+    counts = table[:-1, demand.gpus, demand.cpus]
     feasible = np.flatnonzero(counts < _UNREACHED)
     if not len(feasible):
         return None
-    gaps = np.abs(feasible * unit - x0)
+    gaps = np.abs(prices[feasible] * unit - x0)
     # Rows whose rounded gap can tie the smallest one.
     near = feasible[gaps <= gaps.min() + 2e-9]
-    row_keys = {p: (round(abs(p * unit - x0), 9), int(counts[p]))
-                for p in near.tolist()}
-    best_row_key = min(row_keys.values())
     best_key = best_counts = None
-    for p, key in row_keys.items():
-        if key != best_row_key:
-            continue
-        for plan_counts in _optimal_multisets(table, types, weights, demand,
-                                              p, key[1]):
+    for r in near.tolist():
+        for plan_counts in _optimal_multisets(table, preds, types, demand, r,
+                                              int(counts[r])):
             plan_key = _plan_key(types, plan_counts, x0)
             if best_key is None or plan_key < best_key:
                 best_key, best_counts = plan_key, plan_counts
@@ -428,11 +482,11 @@ def _closest_plan(types: Sequence[VmType], weights: Sequence[int],
                                  if n > 0))
 
 
-def _optimal_multisets(table: np.ndarray, types: Sequence[VmType],
-                       weights: Sequence[int], demand: ResourceDemand,
+def _optimal_multisets(table: np.ndarray, preds: Sequence[np.ndarray],
+                       types: Sequence[VmType], demand: ResourceDemand,
                        row: int, size: int) -> list[tuple[int, ...]]:
-    """Per-type counts of every multiset of ``size`` instances priced
-    ``row`` units that meets the demand.
+    """Per-type counts of every multiset of ``size`` instances priced at
+    ``row`` that meets the demand.
 
     Walks back from the table entry with an explicit stack, adding types in
     non-increasing index order so each multiset appears once. A prefix of an
@@ -442,15 +496,15 @@ def _optimal_multisets(table: np.ndarray, types: Sequence[VmType],
     found = []
     stack = [(row, demand.gpus, demand.cpus, size, len(types) - 1, ())]
     while stack:
-        p, g, c, left, top, picked = stack.pop()
+        r, g, c, left, top, picked = stack.pop()
         if left == 0:
             found.append(tuple(picked.count(t) for t in range(len(types))))
             continue
         for t in range(top + 1):
-            q = p - weights[t]
+            q = int(preds[t][r])
             g2 = max(g - types[t].gpu_cards, 0)
             c2 = max(c - types[t].cpu_headroom, 0)
-            if q >= 0 and table[q, g2, c2] == left - 1:
+            if table[q, g2, c2] == left - 1:
                 stack.append((q, g2, c2, left - 1, t, picked + (t,)))
     return found
 

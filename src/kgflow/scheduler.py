@@ -309,6 +309,17 @@ def _plan_from_instances(instances: Iterable[VmType]) -> ProcurementPlan:
                                  for name in sorted(counts)))
 
 
+def synthesized_fit(flowline: Flowline, profile: TaskProfile,
+                    catalog: Sequence[VmType], net: NetParams
+                    ) -> MakespanPriceFit | None:
+    """The price-to-makespan curve ``schedule`` fits when given neither a
+    fit nor observations; None for a CPU-only flowline, which needs none."""
+    if not flowline.model_ids():
+        return None
+    return fit_price_makespan(synthesize_observations(flowline, profile,
+                                                      catalog, net))
+
+
 def schedule(flowline: Flowline, profile: TaskProfile,
              catalog: Sequence[VmType], eta: float, net: NetParams, *,
              fit: MakespanPriceFit | None = None,
@@ -340,10 +351,9 @@ def schedule(flowline: Flowline, profile: TaskProfile,
                             eta, net)
     else:
         if fit is None:
-            obs = (list(observations) if observations is not None
-                   else synthesize_observations(flowline, profile, catalog,
-                                                net))
-            fit = fit_price_makespan(obs)
+            fit = (fit_price_makespan(list(observations))
+                   if observations is not None
+                   else synthesized_fit(flowline, profile, catalog, net))
         x0 = optimal_unit_price(fit, Preference(eta))
         demand = ResourceDemand(gpus=len(model_ids), cpus=n_ops)
         procurement = procure(catalog, x0, demand)

@@ -33,7 +33,6 @@ from .costmodel import (
     ProcurementPlan,
     ResourceDemand,
     VmType,
-    fit_price_makespan,
     normalized_objectives,
     procure,
 )
@@ -46,7 +45,7 @@ from .scheduler import (
     check_qualification,
     evaluate_plan,
     schedule,
-    synthesize_observations,
+    synthesized_fit,
 )
 
 
@@ -339,10 +338,7 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     list_plan = baseline_list(flowline, profile, catalog, net)
     random_plans = [baseline_random(flowline, catalog, config.seed + i, net)
                     for i in range(config.random_plans)]
-    fit = None
-    if flowline.model_ids():
-        fit = fit_price_makespan(synthesize_observations(flowline, profile,
-                                                         catalog, net))
+    fit = synthesized_fit(flowline, profile, catalog, net)
 
     rows: list[SweepRow] = []
     for eta in etas:

@@ -121,6 +121,30 @@ def test_random_catalogs_match_oracle(catalog, gpus, cpus, x0_steps):
     assert plan == oracle_procure(catalog, x0, demand)
 
 
+@pytest.mark.parametrize("x0", [0.0, 2.0, 5.0, 9.0])
+def test_micro_unit_catalog_matches_oracle(x0):
+    # The prices' gcd is 1e-6 USD, so the bound spans ~10**7 price units,
+    # but only the few hundred sums some multiset reaches get a row.
+    catalog = [VmType("a", 4, 1, 0.526), VmType("b", 8, 1, 0.752001)]
+    demand = ResourceDemand(3, 7)
+    tracemalloc.start()
+    try:
+        plan = procure(catalog, x0, demand)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan == oracle_procure(catalog, x0, demand)
+    assert peak <= 1 << 20
+
+
+def test_oversized_table_raises_naming_the_unit():
+    # ~10**8 distinct plan prices up to 200 USD at a 1e-6 USD unit: the
+    # search gives up once they outgrow its table budget.
+    catalog = [VmType("a", 64, 8, 0.001), VmType("b", 64, 8, 0.001001)]
+    with pytest.raises(CostModelError, match="price unit of 1e-06 USD"):
+        procure(catalog, 100.0, ResourceDemand(3, 7))
+
+
 def test_unsupplied_demand_raises_before_searching():
     # No type has a spare core, so no bound fits; doubling the bound 16
     # times would size the table at ~10**9 price rows.
