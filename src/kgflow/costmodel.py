@@ -175,13 +175,11 @@ def relative_errors(catalog: Sequence[VmType], theta1: float,
     return out
 
 
-def fit_price_linear(catalog: Sequence[VmType], *,
-                     relative: bool = True) -> PriceFit:
+def fit_price_linear(catalog: Sequence[VmType]) -> PriceFit:
     """Least-squares fit of the linear CPU/GPU pricing model.
 
-    By default residuals are relative (each row scaled by its quoted price),
-    matching how catalog pricing errors are conventionally reported; pass
-    ``relative=False`` for plain absolute least squares. Coefficients are
+    Residuals are relative (each row scaled by its quoted price), matching
+    how catalog pricing errors are conventionally reported. Coefficients are
     constrained non-negative.
     """
     if len(catalog) < 2:
@@ -191,10 +189,7 @@ def fit_price_linear(catalog: Sequence[VmType], *,
     if np.linalg.matrix_rank(X) < 2:
         raise CostModelError("catalog rows are linearly dependent; add a row "
                              "with a different CPU:GPU ratio")
-    if relative:
-        theta, _ = nnls(X / y[:, None], np.ones_like(y))
-    else:
-        theta, _ = nnls(X, y)
+    theta, _ = nnls(X / y[:, None], np.ones_like(y))
     residuals = tuple(relative_errors(catalog, theta[0], theta[1]).items())
     return PriceFit(float(theta[0]), float(theta[1]), residuals)
 
@@ -234,11 +229,14 @@ def pareto_frontier(observations: Iterable[Observation]) -> list[Observation]:
     return frontier
 
 
-def fit_price_makespan(observations: Sequence[Observation], *,
-                       multistart: int = 64) -> MakespanPriceFit:
+# Profiled initializations of the pole c tried before the polishing fit.
+_MULTISTART = 64
+
+
+def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
     """Fit g(x) = a + b/(x - c) to the Pareto frontier of the observations.
 
-    Damped least squares polished from the best of ``multistart`` profiled
+    Damped least squares polished from the best of ``_MULTISTART`` profiled
     initializations of c (for fixed c the model is linear in a and b). The
     pole c is bounded above by the cheapest feasible price and, when any
     infeasible observation is present, by the largest infeasible price --
@@ -264,7 +262,7 @@ def fit_price_makespan(observations: Sequence[Observation], *,
         return float(ab[0]), float(ab[1]), float(r @ r)
 
     best = None
-    for c0 in np.linspace(c_cap * 1e-3, c_cap, multistart):
+    for c0 in np.linspace(c_cap * 1e-3, c_cap, _MULTISTART):
         a0, b0, ss = profiled(c0)
         if a0 > 0 and b0 > 0 and (best is None or ss < best[3]):
             best = (a0, b0, c0, ss)

@@ -9,7 +9,9 @@ is the finish time of the exit vertex:
     FT(v) = w(v) + max over precursors u (FT(u) + w(u->v))   otherwise
 
 which equals the weight of the heaviest entry->exit path. Total processing
-time for a corpus is (corpus_size / slice_size) * makespan.
+time for a corpus is (corpus_size / slice_size) * makespan. ``finish_times``
+is the one implementation of this recurrence: ``makespan``, the simulator
+and the list baseline's upward ranks all run on it.
 
 All types are immutable after construction and every operation is a pure
 function, so evaluation is safe from multiple threads.
@@ -18,6 +20,7 @@ function, so evaluation is safe from multiple threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
@@ -161,11 +164,13 @@ class TaskProfile:
 
     def __post_init__(self):
         for tid, w in self.vertex_weights.items():
-            if w < 0:
-                raise FlowlineError(f"negative weight for task {tid!r}: {w}")
+            if not 0 <= w < math.inf:
+                raise FlowlineError(
+                    f"weight for task {tid!r} must be finite and >= 0: {w}")
         for edge, size in self.edge_payloads.items():
-            if size < 0:
-                raise FlowlineError(f"negative payload for edge {edge}: {size}")
+            if not 0 <= size < math.inf:
+                raise FlowlineError(
+                    f"payload for edge {edge} must be finite and >= 0: {size}")
 
     def weight(self, task_id: str) -> float:
         try:
@@ -190,9 +195,15 @@ class NetParams:
     latency_s: float = 0.0
     bandwidth_Bps: float = 1.0e9
 
+    def __post_init__(self):
+        if not 0 <= self.latency_s < math.inf:
+            raise FlowlineError(
+                f"latency_s must be finite and >= 0: {self.latency_s}")
+        if not self.bandwidth_Bps > 0:
+            raise FlowlineError(
+                f"bandwidth_Bps must be > 0: {self.bandwidth_Bps}")
+
     def transfer_time(self, payload_bytes: float) -> float:
-        if self.bandwidth_Bps <= 0:
-            raise FlowlineError("zero bandwidth")
         return self.latency_s + payload_bytes / self.bandwidth_Bps
 
 
@@ -405,18 +416,35 @@ def _reachable(start: str, adjacency: Mapping[str, tuple[str, ...]]) -> set[str]
     return seen
 
 
+def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
+                 duration: Mapping[str, float],
+                 delay: Mapping[tuple[str, str], float], start: float = 0.0,
+                 after: Mapping[str, float] | None = None
+                 ) -> tuple[dict[str, float], dict[str, float]]:
+    """Start and finish times of the tasks in ``order``, a topological order
+    of the graph ``preds`` describes, with ``after`` (if given) each task's
+    earliest start and no delay on a pair missing from ``delay``:
+
+        ST(v) = max(start, after[v], FT(u) + delay[u, v] for u in preds[v])
+        FT(v) = ST(v) + duration[v]
+    """
+    st: dict[str, float] = {}
+    ft: dict[str, float] = {}
+    for v in order:
+        ready = start if after is None else max(start, after[v])
+        for u in preds[v]:
+            ready = max(ready, ft[u] + delay.get((u, v), 0.0))
+        st[v] = ready
+        ft[v] = ready + duration[v]
+    return st, ft
+
+
 def makespan(graph: ComputationGraph) -> float:
     """Finish time of the exit vertex (heaviest weighted entry->exit path)."""
     base = graph.base
     order = base.topological_order
-    ft: dict[str, float] = {}
-    for tid in order:
-        w = graph.vertex_weight(tid)
-        preds = base.predecessors[tid]
-        if not preds:
-            ft[tid] = w
-        else:
-            ft[tid] = w + max(ft[p] + graph.edge_weight((p, tid)) for p in preds)
+    weights = {tid: graph.vertex_weight(tid) for tid in order}
+    _, ft = finish_times(order, base.predecessors, weights, graph.edge_weights)
     return ft[base.exit]
 
 
@@ -433,8 +461,6 @@ def apply_partition(flowline: Flowline, profile: TaskProfile,
                     net: NetParams) -> ComputationGraph:
     """Weight edges per the partition: 0 if co-located, else latency + size/bw."""
     profile.check_covers(flowline)
-    if net.bandwidth_Bps <= 0:
-        raise FlowlineError("zero bandwidth")
     unassigned = sorted(v.id for v in flowline.vertices if v.id not in partition)
     if unassigned:
         raise FlowlineError(f"partition leaves tasks unassigned: {unassigned}")
@@ -457,13 +483,19 @@ def ideal_time(flowline: Flowline, profile: TaskProfile,
 def partitioned_time(graph: ComputationGraph,
                      corpus_size: float, slice_size: float) -> float:
     """Total processing time of the partitioned graph over a corpus."""
+    return _corpus_time(makespan(graph), corpus_size, slice_size)
+
+
+def _corpus_time(per_slice: float, corpus_size: float,
+                slice_size: float) -> float:
+    """Total processing time of a corpus at ``per_slice`` seconds a slice."""
     if slice_size <= 0:
         raise FlowlineError(f"slice size must be positive, got {slice_size}")
     if corpus_size < 0:
         raise FlowlineError(f"corpus size must be non-negative, got {corpus_size}")
     if corpus_size == 0:
         return 0.0
-    return (corpus_size / slice_size) * makespan(graph)
+    return (corpus_size / slice_size) * per_slice
 
 
 # --- JSON serialization (the schema consumed by the scheduler and simulator) ---

@@ -27,10 +27,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 from .costmodel import (
-    CostModelError,
     MakespanPriceFit,
     Observation,
     Preference,
@@ -43,13 +42,12 @@ from .costmodel import (
     procure,
 )
 from .flowline import (
-    ComputationGraph,
     Flowline,
     NetParams,
     TaskProfile,
+    _corpus_time,
     apply_partition,
     makespan,
-    partitioned_time,
 )
 
 
@@ -114,6 +112,28 @@ def _unit_neighbors(flowline: Flowline, members: Sequence[str]) -> set[str]:
     return out - inside
 
 
+def need(flowline: Flowline, tasks: Collection[str]) -> tuple[int, int]:
+    """(GPU cards, headroom cores) that ``tasks`` take on a VM: a model task
+    takes one GPU card, an operator one core of CPU headroom."""
+    cards = sum(1 for task in tasks if flowline.node(task).is_model)
+    return cards, len(tasks) - cards
+
+
+class Ledger:
+    """GPU cards and headroom cores left on each VM of ``vms``; ``room``
+    goes negative on a VM that was given more than it has."""
+
+    def __init__(self, vms: Sequence[VmType]):
+        self.room = [(vm.gpu_cards, vm.cpu_headroom) for vm in vms]
+
+    def fits(self, i: int, demand: tuple[int, int]) -> bool:
+        return demand[0] <= self.room[i][0] and demand[1] <= self.room[i][1]
+
+    def take(self, i: int, demand: tuple[int, int]) -> None:
+        cards, cores = self.room[i]
+        self.room[i] = (cards - demand[0], cores - demand[1])
+
+
 def greedy_partition(flowline: Flowline, compounding: CompoundingResult,
                      vms: Sequence[VmType]) -> dict[str, int]:
     """Assign every task to a VM index, maximizing neighbor overlap.
@@ -123,31 +143,25 @@ def greedy_partition(flowline: Flowline, compounding: CompoundingResult,
     by id; candidate VMs by descending overlap with lowest index breaking
     ties. Raises SchedulingError naming the unit when capacity runs out.
     """
-    used_gpu = [0] * len(vms)
-    used_cpu = [0] * len(vms)
+    ledger = Ledger(vms)
     placed: list[set[str]] = [set() for _ in vms]
     assignment: dict[str, int] = {}
 
     def place(members: Sequence[str], unit_name: str) -> None:
-        models = sum(1 for m in members if flowline.node(m).is_model)
-        ops = len(members) - models
+        unit = need(flowline, members)
         neighborhood = _unit_neighbors(flowline, members)
         overlaps = [len(placed[i] & neighborhood) for i in range(len(vms))]
         order = sorted(range(len(vms)), key=lambda i: (-overlaps[i], i))
         for i in order:
-            if used_gpu[i] + models > vms[i].gpu_cards:
-                continue
-            if used_cpu[i] + ops > vms[i].cpu_headroom:
-                continue
-            used_gpu[i] += models
-            used_cpu[i] += ops
-            placed[i].update(members)
-            for m in members:
-                assignment[m] = i
-            return
+            if ledger.fits(i, unit):
+                ledger.take(i, unit)
+                placed[i].update(members)
+                for m in members:
+                    assignment[m] = i
+                return
         raise SchedulingError(
-            f"no VM can host {unit_name} (needs {models} GPU card(s), "
-            f"{ops} CPU core(s); capacities "
+            f"no VM can host {unit_name} (needs {unit[0]} GPU card(s), "
+            f"{unit[1]} CPU core(s); capacities "
             f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
 
     for comp in compounding.compounds:
@@ -190,30 +204,27 @@ class SchedulePlan:
 def check_qualification(plan: SchedulePlan,
                         flowline: Flowline) -> QualificationReport:
     """Per-VM resource feasibility and full assignment coverage."""
-    violations: list[str] = []
-    models = [0] * len(plan.vms)
-    ops = [0] * len(plan.vms)
-    for task_id in sorted(plan.assignment, key=_natural_key):
-        idx = plan.assignment[task_id]
-        if not 0 <= idx < len(plan.vms):
-            violations.append(f"task {task_id!r} assigned to unknown VM {idx}")
-            continue
-        if flowline.node(task_id).is_model:
-            models[idx] += 1
+    ledger = Ledger(plan.vms)
+    unknown = []
+    for task_id, idx in plan.assignment.items():
+        if 0 <= idx < len(plan.vms):
+            ledger.take(idx, need(flowline, (task_id,)))
         else:
-            ops[idx] += 1
-    for v in sorted(flowline.vertices, key=lambda v: _natural_key(v.id)):
-        if v.id not in plan.assignment:
-            violations.append(f"uncovered task {v.id!r}")
-    for i, vm in enumerate(plan.vms):
-        if models[i] > vm.gpu_cards:
+            unknown.append(task_id)
+    uncovered = [v.id for v in flowline.vertices if v.id not in plan.assignment]
+    violations = [f"task {t!r} assigned to unknown VM {plan.assignment[t]}"
+                  for t in sorted(unknown, key=_natural_key)]
+    violations += [f"uncovered task {t!r}"
+                   for t in sorted(uncovered, key=_natural_key)]
+    for i, (vm, (cards, cores)) in enumerate(zip(plan.vms, ledger.room)):
+        if cards < 0:
             violations.append(
-                f"vm {i} ({vm.name}): {models[i]} model task(s) exceed "
-                f"{vm.gpu_cards} GPU card(s)")
-        if ops[i] > vm.cpu_headroom:
+                f"vm {i} ({vm.name}): {vm.gpu_cards - cards} model task(s) "
+                f"exceed {vm.gpu_cards} GPU card(s)")
+        if cores < 0:
             violations.append(
-                f"vm {i} ({vm.name}): {ops[i]} operator task(s) exceed "
-                f"{vm.cpu_headroom} spare CPU core(s)")
+                f"vm {i} ({vm.name}): {vm.cpu_headroom - cores} operator "
+                f"task(s) exceed {vm.cpu_headroom} spare CPU core(s)")
     return QualificationReport(tuple(violations))
 
 
@@ -222,7 +233,7 @@ def predict_costs(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
                   net: NetParams) -> dict[str, float]:
     graph = apply_partition(flowline, profile, dict(plan.assignment), net)
     per_slice = makespan(graph)
-    cost_com = partitioned_time(graph, corpus_size, slice_size)
+    cost_com = _corpus_time(per_slice, corpus_size, slice_size)
     cost_mon = plan.total_unit_price * cost_com / 3600.0
     return {
         "makespan_s": per_slice,
@@ -250,19 +261,16 @@ def evaluate_plan(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
 
 
 def synthesize_observations(flowline: Flowline, profile: TaskProfile,
-                            catalog: Sequence[VmType], net: NetParams,
-                            max_instances: int | None = None
+                            catalog: Sequence[VmType], net: NetParams
                             ) -> list[Observation]:
     """Warm-up-style (price, per-slice makespan) table.
 
-    Enumerates small procurement multisets, partitions the flowline onto
-    each, and records the analytic per-slice makespan; combinations that
-    cannot host the flowline become infeasible observations (they cap the
-    fitted curve's pole).
+    Enumerates procurement multisets of up to max(3, min(models, 4)) + 1
+    instances, partitions the flowline onto each, and records the analytic
+    per-slice makespan; combinations that cannot host the flowline become
+    infeasible observations (they cap the fitted curve's pole).
     """
-    n_models = len(flowline.model_ids())
-    if max_instances is None:
-        max_instances = max(3, min(n_models, 4)) + 1
+    max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
     types = sorted(catalog, key=lambda v: v.name)
     compounding = compound(flowline)
     observations: dict[tuple[float, float | None], Observation] = {}
@@ -334,15 +342,14 @@ def schedule(flowline: Flowline, profile: TaskProfile,
     """
     Preference(eta)
     profile.check_covers(flowline)
-    model_ids = flowline.model_ids()
-    n_ops = len(flowline.operator_ids())
+    cards, cores = need(flowline, flowline.by_id)
 
-    if not model_ids:
+    if not cards:
         # CPU-only corner case: keep the flowline whole on one adequate VM.
-        adequate = [vm for vm in catalog if vm.cpu_headroom >= n_ops]
+        adequate = [vm for vm in catalog if vm.cpu_headroom >= cores]
         if not adequate:
             raise SchedulingError(
-                f"no catalog VM has {n_ops} spare CPU cores for a CPU-only "
+                f"no catalog VM has {cores} spare CPU cores for a CPU-only "
                 "flowline")
         chosen = min(adequate, key=lambda v: (v.unit_price, v.name))
         procurement = ProcurementPlan(((chosen, 1),))
@@ -355,8 +362,7 @@ def schedule(flowline: Flowline, profile: TaskProfile,
                    if observations is not None
                    else synthesized_fit(flowline, profile, catalog, net))
         x0 = optimal_unit_price(fit, Preference(eta))
-        demand = ResourceDemand(gpus=len(model_ids), cpus=n_ops)
-        procurement = procure(catalog, x0, demand)
+        procurement = procure(catalog, x0, ResourceDemand(cards, cores))
         vms = procurement.expand()
         compounding = compound(flowline)
         assignment = greedy_partition(flowline, compounding, vms)

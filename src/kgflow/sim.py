@@ -4,11 +4,12 @@ A corpus is processed as micro-batch slices over the plan's VMs. In the
 default discipline one slice is in flight at a time: slice s is admitted
 once slice s-1 has left the exit task, and within a slice every task starts
 as soon as all precursors have finished and any cross-VM transfer delay has
-elapsed. With zero jitter this reproduces the analytic model exactly:
-total time = (corpus / slice) * makespan of the partitioned graph. The
-``overlap`` flag enables the experimentation mode where tasks run ahead
-across slices (per-task serial order still holds); throughput then exceeds
-the analytic model's, so only the default mode matches it.
+elapsed. Each slice runs on ``flowline.finish_times``, the recurrence behind
+``makespan``, so with zero jitter this reproduces the analytic model within
+float rounding: total time = (corpus / slice) * makespan of the partitioned
+graph. The ``overlap`` flag enables the experimentation mode where tasks run
+ahead across slices (per-task serial order still holds); throughput then
+exceeds the analytic model's, so only the default mode matches it.
 
 Task durations can be jittered with a multiplicative log-normal factor
 (mean 1, fractional std-dev ``jitter``), drawn deterministically from the
@@ -21,29 +22,29 @@ makespan/cost trade-off tables.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from .costmodel import (
     CostModelError,
-    ProcurementPlan,
     ResourceDemand,
     VmType,
     normalized_objectives,
     procure,
 )
-from .flowline import Flowline, NetParams, TaskProfile, apply_partition, makespan
+from .flowline import Flowline, NetParams, TaskProfile, apply_partition, finish_times
 from .scheduler import (
+    Ledger,
     SchedulePlan,
     SchedulingError,
     _natural_key,
     _plan_from_instances,
     check_qualification,
     evaluate_plan,
+    need,
     schedule,
     synthesized_fit,
 )
@@ -60,8 +61,7 @@ class SimConfig:
     overlap: bool = False
 
     def __post_init__(self):
-        if self.bandwidth_Bps <= 0:
-            raise ValueError("bandwidth must be positive")
+        self.net  # rejects a bad latency or bandwidth
         if self.slice_size < 1:
             raise ValueError("slice size must be >= 1")
         if self.jitter < 0:
@@ -93,21 +93,6 @@ class SimResult:
     timeline: tuple[TimelineEvent, ...]
 
 
-def _jitter_factors(flowline: Flowline, config: SimConfig
-                    ) -> dict[tuple[str, int], float]:
-    factors: dict[tuple[str, int], float] = {}
-    if config.jitter == 0:
-        return factors
-    rng = random.Random(config.seed)
-    sigma = config.jitter
-    mu = -0.5 * sigma * sigma  # mean-1 log-normal
-    order = flowline.topological_order
-    for s in range(config.n_slices):
-        for task in order:
-            factors[(task, s)] = rng.lognormvariate(mu, sigma)
-    return factors
-
-
 def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
              config: SimConfig) -> SimResult:
     """Event-driven run of the plan over the sliced corpus."""
@@ -115,43 +100,36 @@ def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
     if not report.ok:
         raise SchedulingError("plan fails qualification: "
                               + "; ".join(report.violations))
-    profile.check_covers(flowline)
-    net = config.net
     assignment = plan.assignment
+    delay = apply_partition(flowline, profile, assignment,
+                            config.net).edge_weights
     order = flowline.topological_order
-    factors = _jitter_factors(flowline, config)
+    weights = {task: profile.weight(task) for task in order}
+    rng = random.Random(config.seed)
+    sigma = config.jitter
+    mu = -0.5 * sigma * sigma  # mean-1 log-normal
 
-    def transfer(a: str, b: str) -> float:
-        if assignment[a] == assignment[b]:
-            return 0.0
-        return net.transfer_time(profile.payload((a, b)))
-
-    n = config.n_slices
-    finish: dict[tuple[str, int], float] = {}
     timeline: list[TimelineEvent] = []
     per_slice: list[float] = []
-    admitted = 0.0
-    for s in range(n):
-        for task in order:
-            duration = profile.weight(task) * factors.get((task, s), 1.0)
-            ready = admitted if not config.overlap else 0.0
-            if s > 0:
-                prev = finish[(task, s - 1)]
-                if config.overlap:
-                    ready = max(ready, prev)
-            for pred in flowline.predecessors[task]:
-                ready = max(ready, finish[(pred, s)] + transfer(pred, task))
-            end = ready + duration
-            finish[(task, s)] = end
-            timeline.append(TimelineEvent(task, s, assignment[task],
-                                          ready, end))
-        slice_end = finish[(flowline.exit, s)]
-        start_of_slice = admitted if not config.overlap else \
-            min(ev.start for ev in timeline[-len(order):])
-        per_slice.append(slice_end - start_of_slice)
-        admitted = slice_end
+    admitted = total = 0.0
+    finish = None
+    for s in range(config.n_slices):
+        duration = weights if not sigma else {
+            task: weights[task] * rng.lognormvariate(mu, sigma)
+            for task in order}
+        if config.overlap:
+            start, finish = finish_times(order, flowline.predecessors,
+                                         duration, delay, after=finish)
+            admitted = min(start.values())  # the slice's first start
+        else:
+            start, finish = finish_times(order, flowline.predecessors,
+                                         duration, delay, start=admitted)
+        timeline.extend(TimelineEvent(task, s, assignment[task], start[task],
+                                      finish[task]) for task in order)
+        total = finish[flowline.exit]
+        per_slice.append(total - admitted)
+        admitted = total
 
-    total = finish[(flowline.exit, n - 1)] if n > 0 else 0.0
     cost = plan.total_unit_price * total / 3600.0
     return SimResult(total, tuple(per_slice), cost, tuple(timeline))
 
@@ -175,9 +153,9 @@ def timeline_to_chrome_trace(result: SimResult) -> list[dict[str, Any]]:
 
 # --- baselines -----------------------------------------------------------------
 
-def _feasible(vms: Sequence[VmType], n_models: int, n_ops: int) -> bool:
-    return (sum(vm.gpu_cards for vm in vms) >= n_models
-            and sum(vm.cpu_headroom for vm in vms) >= n_ops)
+def _feasible(vms: Sequence[VmType], demand: tuple[int, int]) -> bool:
+    return (sum(vm.gpu_cards for vm in vms) >= demand[0]
+            and sum(vm.cpu_headroom for vm in vms) >= demand[1])
 
 
 def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
@@ -190,8 +168,9 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
         raise CostModelError("empty catalog")
     rng = random.Random(seed)
     types = sorted(catalog, key=lambda v: v.name)
-    n_models = len(flowline.model_ids())
-    n_ops = len(flowline.operator_ids())
+    tasks = sorted((v.id for v in flowline.vertices), key=_natural_key)
+    demand = need(flowline, tasks)
+    n_models = demand[0]
     min_gpu = max((vm.gpu_cards for vm in types), default=0)
     k_cap = max(2, n_models + 1, math.ceil(n_models / max(min_gpu, 1)) + 1)
 
@@ -199,7 +178,7 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
     for _ in range(10000):
         k = rng.randint(1, k_cap)
         candidate = [types[rng.randrange(len(types))] for _ in range(k)]
-        if _feasible(candidate, n_models, n_ops):
+        if _feasible(candidate, demand):
             combo = candidate
             break
     if combo is None:
@@ -208,25 +187,16 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
 
     procurement = _plan_from_instances(combo)
     vms = procurement.expand()
-    used_gpu = [0] * len(vms)
-    used_cpu = [0] * len(vms)
+    ledger = Ledger(vms)
     assignment: dict[str, int] = {}
-    tasks = sorted((v.id for v in flowline.vertices), key=_natural_key)
     rng.shuffle(tasks)
     for task in tasks:
-        if flowline.node(task).is_model:
-            options = [i for i, vm in enumerate(vms)
-                       if used_gpu[i] < vm.gpu_cards]
-        else:
-            options = [i for i, vm in enumerate(vms)
-                       if used_cpu[i] < vm.cpu_headroom]
+        unit = need(flowline, (task,))
+        options = [i for i in range(len(vms)) if ledger.fits(i, unit)]
         if not options:
             raise SchedulingError(f"random assignment stuck at {task!r}")
         pick = options[rng.randrange(len(options))]
-        if flowline.node(task).is_model:
-            used_gpu[pick] += 1
-        else:
-            used_cpu[pick] += 1
+        ledger.take(pick, unit)
         assignment[task] = pick
     return SchedulePlan(procurement, vms, assignment, eta=0.5, net=net,
                         scheduler="random")
@@ -234,15 +204,13 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
 
 def _upward_ranks(flowline: Flowline, profile: TaskProfile,
                   net: NetParams) -> dict[str, float]:
-    ranks: dict[str, float] = {}
-    for task in reversed(flowline.topological_order):
-        succs = flowline.successors[task]
-        tail = 0.0
-        for s in succs:
-            tail = max(tail, net.transfer_time(profile.payload((task, s)))
-                       + ranks[s])
-        ranks[task] = profile.weight(task) + tail
-    return ranks
+    """HEFT upward ranks: the finish-time recurrence run from the exit back
+    over ``successors``, with every edge paying its transfer time."""
+    order = flowline.topological_order[::-1]
+    weights = {task: profile.weight(task) for task in order}
+    delay = {(b, a): net.transfer_time(profile.payload((a, b)))
+             for a in order for b in flowline.successors[a]}
+    return finish_times(order, flowline.successors, weights, delay)[1]
 
 
 def baseline_list(flowline: Flowline, profile: TaskProfile,
@@ -252,25 +220,21 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
     over the cheapest feasible procurement."""
     net = net or NetParams()
     profile.check_covers(flowline)
-    demand = ResourceDemand(gpus=len(flowline.model_ids()),
-                            cpus=len(flowline.operator_ids()))
+    demand = ResourceDemand(*need(flowline, flowline.by_id))
     procurement = procure(catalog, 0.0, demand)
     vms = procurement.expand()
 
     ranks = _upward_ranks(flowline, profile, net)
     tasks = sorted((v.id for v in flowline.vertices),
                    key=lambda t: (-ranks[t], _natural_key(t)))
-    used_gpu = [0] * len(vms)
-    used_cpu = [0] * len(vms)
+    ledger = Ledger(vms)
     assignment: dict[str, int] = {}
     finish: dict[str, float] = {}
     for task in tasks:
-        is_model = flowline.node(task).is_model
+        unit = need(flowline, (task,))
         best: tuple[float, int] | None = None
-        for i, vm in enumerate(vms):
-            if is_model and used_gpu[i] >= vm.gpu_cards:
-                continue
-            if not is_model and used_cpu[i] >= vm.cpu_headroom:
+        for i in range(len(vms)):
+            if not ledger.fits(i, unit):
                 continue
             ready = 0.0
             for pred in flowline.predecessors[task]:
@@ -287,10 +251,7 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
         eft, idx = best
         assignment[task] = idx
         finish[task] = eft
-        if is_model:
-            used_gpu[idx] += 1
-        else:
-            used_cpu[idx] += 1
+        ledger.take(idx, unit)
     return SchedulePlan(procurement, vms, assignment, eta=0.5, net=net,
                         scheduler="list")
 
@@ -329,29 +290,30 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     Each eta cell evaluates every candidate plan analytically, min-max
     normalizes (cost_com, cost_mon) over the whole cell, and weights them
     into J. The random row reports medians over ``config.random_plans``
-    seeded plans. The price-to-makespan curve does not depend on eta, so it
-    is fitted once and shared by every cell.
+    seeded plans. The price-to-makespan curve and the baselines' costs do
+    not depend on eta, so they are computed once and shared by every cell.
     """
     if not etas:
         raise ValueError("empty eta list")
     net = config.net
-    list_plan = baseline_list(flowline, profile, catalog, net)
-    random_plans = [baseline_random(flowline, catalog, config.seed + i, net)
-                    for i in range(config.random_plans)]
+    baselines = [baseline_list(flowline, profile, catalog, net)]
+    baselines += [baseline_random(flowline, catalog, config.seed + i, net)
+                  for i in range(config.random_plans)]
     fit = synthesized_fit(flowline, profile, catalog, net)
 
+    def cost(plan: SchedulePlan, eta: float) -> tuple[float, float]:
+        metrics = evaluate_plan(plan, flowline, profile, config.corpus_size,
+                                config.slice_size, eta, net)
+        return metrics["cost_com_s"], metrics["cost_mon"]
+
+    # The eta passed here only weights the J that is not used.
+    baseline_costs = [cost(plan, etas[0]) for plan in baselines]
     rows: list[SweepRow] = []
     for eta in etas:
         heuristic = schedule(flowline, profile, catalog, eta, net, fit=fit,
                              corpus_size=config.corpus_size,
                              slice_size=config.slice_size)
-        candidates = [heuristic, list_plan] + random_plans
-        costs = []
-        for plan in candidates:
-            metrics = evaluate_plan(plan, flowline, profile,
-                                    config.corpus_size, config.slice_size,
-                                    eta, net)
-            costs.append((metrics["cost_com_s"], metrics["cost_mon"]))
+        costs = [cost(heuristic, eta)] + baseline_costs
         js = normalized_objectives(costs, eta)
 
         def row(name: str, idx: int) -> SweepRow:
@@ -361,7 +323,7 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
 
         rows.append(row("compound-greedy", 0))
         rows.append(row("list", 1))
-        random_rows = [row("random", 2 + i) for i in range(len(random_plans))]
+        random_rows = [row("random", 2 + i) for i in range(config.random_plans)]
         rows.append(SweepRow(
             eta, "random",
             statistics.median(r.makespan_s for r in random_rows),

@@ -7,6 +7,7 @@ the recursion must match the oracle bit-for-bit.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from kgflow.flowline import (
     TaskProfile,
     apply_partition,
     colocated,
+    finish_times,
     flowline_from_dict,
     flowline_to_dict,
     ideal_time,
@@ -186,6 +188,62 @@ class TestMakespan:
                 graph3 = ComputationGraph(fl, profile,
                                           {v.id: 0 for v in fl.vertices}, ew)
                 assert makespan(graph3) >= base
+
+
+def enumerate_paths_finish(fl, duration, delay, start, after):
+    """Oracle: FT(v) is the max over every path u0 -> ... -> v, starting at
+    any task u0, of max(start, after[u0]) plus its durations and delays."""
+    finish = {}
+
+    def walk(tid, acc):
+        acc += duration[tid]
+        finish[tid] = max(finish.get(tid, acc), acc)
+        for nxt in fl.successors[tid]:
+            walk(nxt, acc + delay[(tid, nxt)])
+
+    for v in fl.vertices:
+        walk(v.id, max(start, after[v.id]) if after else start)
+    return finish
+
+
+class TestFinishTimes:
+    def test_start_and_after_match_path_enumeration(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            fl, profile = random_dag(rng, max_vertices=9)
+            duration = dict(profile.vertex_weights)
+            delay = {e: rng.randint(0, 40) / 8 for e in fl.edges}
+            start = rng.randint(0, 80) / 8
+            after = rng.choice([None, {v.id: rng.randint(0, 200) / 8
+                                       for v in fl.vertices}])
+            st, ft = finish_times(fl.topological_order, fl.predecessors,
+                                  duration, delay, start=start, after=after)
+            assert ft == enumerate_paths_finish(fl, duration, delay, start,
+                                                after)
+            assert st == {t: ft[t] - duration[t] for t in ft}
+
+
+class TestRejectBadNumbers:
+    # A NaN weight on b in a -> b -> c, a -> c once gave a makespan of 2.0.
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_task_weight(self, weight):
+        with pytest.raises(FlowlineError, match="weight for task 'a'"):
+            TaskProfile({"a": weight})
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -1.0])
+    def test_edge_payload(self, size):
+        with pytest.raises(FlowlineError, match="payload for edge"):
+            TaskProfile({"a": 1.0, "b": 1.0}, {("a", "b"): size})
+
+    @pytest.mark.parametrize("latency", [-5.0, math.nan, math.inf])
+    def test_latency(self, latency):
+        with pytest.raises(FlowlineError, match="latency_s"):
+            NetParams(latency_s=latency)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan])
+    def test_bandwidth(self, bandwidth):
+        with pytest.raises(FlowlineError, match="bandwidth_Bps"):
+            NetParams(bandwidth_Bps=bandwidth)
 
 
 class TestIdealTime:

@@ -184,6 +184,29 @@ class TestCheckQualification:
         report = check_qualification(plan, fl)
         assert any("uncovered" in v for v in report.violations)
 
+    def test_violations_in_natural_key_order(self):
+        fl = Flowline.build(
+            [model("m1"), model("m2"), op("o2"), op("o10"), op("o11")],
+            [("m1", "m2"), ("m2", "o2"), ("o2", "o10"), ("o10", "o11")])
+        vms = tuple(qcloud_vms("2XLARGE40"))
+        plan = SchedulePlan(_procurement_of(vms), vms,
+                            {"o11": -1, "o10": 3, "o2": 7, "m1": 0, "m2": 0},
+                            eta=0.5)
+        assert check_qualification(plan, fl).violations == (
+            "task 'o2' assigned to unknown VM 7",
+            "task 'o10' assigned to unknown VM 3",
+            "task 'o11' assigned to unknown VM -1",
+            "vm 0 (2XLARGE40): 2 model task(s) exceed 1 GPU card(s)",
+        )
+        vms = (VmType(name="tiny", cpu_cores=2, gpu_cards=1, unit_price=1.0),)
+        plan = SchedulePlan(_procurement_of(vms), vms,
+                            {"o10": 0, "o2": 0, "m1": 0, "m2": 5}, eta=0.5)
+        assert check_qualification(plan, fl).violations == (
+            "task 'm2' assigned to unknown VM 5",
+            "uncovered task 'o11'",
+            "vm 0 (tiny): 2 operator task(s) exceed 1 spare CPU core(s)",
+        )
+
     def test_valid_plan_ok(self):
         fl = Flowline.build([model("a"), op("t")], [("a", "t")])
         vms = tuple(qcloud_vms("2XLARGE40"))

@@ -1,10 +1,13 @@
 """Simulator tests: analytic agreement, determinism, causality, baselines."""
 
+import random
+
 import pytest
 
 from kgflow.costmodel import bundled_qcloud_catalog
 from kgflow.flowline import (
     Flowline,
+    FlowlineError,
     NetParams,
     TaskNode,
     TaskProfile,
@@ -22,6 +25,7 @@ from kgflow.scheduler import (
 from kgflow.sim import (
     SimConfig,
     SweepConfig,
+    _upward_ranks,
     baseline_list,
     baseline_random,
     simulate,
@@ -31,6 +35,7 @@ from kgflow.sim import (
 )
 from kgflow.synth import synthetic_flowline
 
+from test_flowline import random_dag
 from test_scheduler import (  # fixtures shared with the scheduler suite
     NET,
     PAPER_CURVE,
@@ -158,6 +163,14 @@ class TestSimulate:
         assert all(ev["ph"] == "X" for ev in trace)
 
 
+class TestSimConfig:
+    def test_bad_bandwidth_is_rejected_by_the_net_check(self):
+        with pytest.raises(FlowlineError, match="bandwidth_Bps"):
+            SimConfig(bandwidth_Bps=0.0)
+        with pytest.raises(FlowlineError, match="latency_s"):
+            SimConfig(latency_s=-5.0)
+
+
 class TestBaselineRandom:
     def test_seed_reproducibility(self):
         fl = nine_task_flowline()
@@ -182,7 +195,25 @@ class TestBaselineRandom:
         assert set(plan.assignment) == {"m", "o"}
 
 
+def enumerate_paths_rank(fl, profile, net, task):
+    """Oracle: the heaviest task -> exit path, every edge paying its
+    transfer time."""
+    tail = max((net.transfer_time(profile.payload((task, s)))
+                + enumerate_paths_rank(fl, profile, net, s)
+                for s in fl.successors[task]), default=0.0)
+    return profile.weight(task) + tail
+
+
 class TestBaselineList:
+    def test_upward_ranks_match_path_enumeration(self):
+        rng = random.Random(11)
+        net = NetParams(0.125, 8000.0)
+        for _ in range(40):
+            fl, profile = random_dag(rng, max_vertices=9)
+            assert _upward_ranks(fl, profile, net) == {
+                v.id: enumerate_paths_rank(fl, profile, net, v.id)
+                for v in fl.vertices}
+
     def test_chain_stays_on_one_vm(self):
         fl = Flowline.build(
             [model("m"), op("o1", "filter"), op("o2", "integrate")],
