@@ -261,11 +261,18 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
         r = design @ ab - y
         return float(ab[0]), float(ab[1]), float(r @ r)
 
+    tiny = 1e-12
     best = None
     for c0 in np.linspace(c_cap * 1e-3, c_cap, _MULTISTART):
         a0, b0, ss = profiled(c0)
         if a0 > 0 and b0 > 0 and (best is None or ss < best[3]):
             best = (a0, b0, c0, ss)
+    # The frontier never rises with price; a flat one fits b = 0 at best.
+    if not y[-1] < y[0] or (best is not None and min(best[:2]) < tiny):
+        raise CostModelError(
+            "makespan does not fall with price, so no curve a + b/(x - c) "
+            f"with a, b >= {tiny} fits; frontier x={x.tolist()}, "
+            f"y={y.tolist()}")
     if best is None:
         raise CostModelError(
             "divergent fit: no initialization with positive coefficients; "
@@ -275,7 +282,6 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
         a, b, c = params
         return a + b / (x - c) - y
 
-    tiny = 1e-12
     solution = least_squares(
         model_residuals, x0=np.array(best[:3]),
         bounds=([tiny, tiny, tiny], [np.inf, np.inf, c_cap]), method="trf")

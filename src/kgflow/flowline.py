@@ -19,8 +19,10 @@ function, so evaluation is safe from multiple threads.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
@@ -87,8 +89,7 @@ class Flowline:
         eds = tuple((str(a), str(b)) for a, b in edges)
         ids = [v.id for v in verts]
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise FlowlineError(f"duplicate task ids: {dupes}")
+            raise FlowlineError(f"duplicate task ids: {_duplicates(ids)}")
         if entry is None or exit is None:
             targets = {b for _, b in eds}
             sources = {a for a, _ in eds}
@@ -151,8 +152,16 @@ class Flowline:
                      if not v.is_model)
 
     def neighbors(self, task_id: str) -> tuple[str, ...]:
-        return tuple(sorted(set(self.successors[task_id])
-                            | set(self.predecessors[task_id])))
+        return tuple(sorted(self._neighbor_sets[task_id]))
+
+    @cached_property
+    def _neighbor_sets(self) -> dict[str, frozenset[str]]:
+        return {k: frozenset(succ).union(self.predecessors[k])
+                for k, succ in self.successors.items()}
+
+    @cached_property
+    def _model_set(self) -> frozenset[str]:
+        return frozenset(v.id for v in self.vertices if v.is_model)
 
 
 @dataclass(frozen=True)
@@ -232,19 +241,16 @@ def _topo_sort(flowline: Flowline) -> tuple[str, ...] | None:
     for a, b in flowline.edges:
         if a in indeg and b in indeg:
             indeg[b] += 1
-    ready = sorted(i for i, d in indeg.items() if d == 0)
+    ready = [i for i, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order: list[str] = []
     while ready:
-        nxt = ready.pop(0)
+        nxt = heapq.heappop(ready)
         order.append(nxt)
-        changed = False
         for succ in flowline.successors[nxt]:
             indeg[succ] -= 1
             if indeg[succ] == 0:
-                ready.append(succ)
-                changed = True
-        if changed:
-            ready.sort()
+                heapq.heappush(ready, succ)
     if len(order) != len(flowline.vertices):
         return None
     return tuple(order)
@@ -290,8 +296,7 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     ids = [v.id for v in flowline.vertices]
     known = set(ids)
 
-    dupes = sorted({i for i in ids if ids.count(i) > 1})
-    for d in dupes:
+    for d in _duplicates(ids):
         violations.append(Violation("duplicate-id", f"task id {d!r} repeats"))
 
     for a, b in flowline.edges:
@@ -355,6 +360,10 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
                     "zero-weight-model", f"model task {v.id!r} has weight 0"))
 
     return ValidationReport(tuple(violations), tuple(warnings))
+
+
+def _duplicates(ids: Iterable[str]) -> list[str]:
+    return sorted(i for i, n in Counter(ids).items() if n > 1)
 
 
 def _op_name(node: TaskNode) -> str:

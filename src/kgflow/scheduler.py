@@ -14,7 +14,8 @@ The pipeline:
 3. *Greedy partition*: place compounds first, then orphans, each onto the
    VM (GPU capacity descending) with the largest neighbor overlap that still
    has capacity: GPU cards for models, CPU headroom (cores minus one per
-   GPU card) for operators.
+   GPU card) for operators. Overlap is counted once per unit from the
+   neighbours already placed; the placement rule is unchanged.
 
 CPU-only flowlines skip all of this and buy one VM with adequate cores.
 
@@ -24,6 +25,7 @@ JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -43,6 +45,7 @@ from .costmodel import (
 )
 from .flowline import (
     Flowline,
+    FlowlineError,
     NetParams,
     TaskProfile,
     _corpus_time,
@@ -73,6 +76,7 @@ class CompoundingResult:
     orphans: tuple[str, ...]
 
 
+@functools.lru_cache(maxsize=4096)
 def _natural_key(text: str):
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", text))
@@ -105,17 +109,23 @@ def compound(flowline: Flowline) -> CompoundingResult:
 
 
 def _unit_neighbors(flowline: Flowline, members: Sequence[str]) -> set[str]:
-    inside = set(members)
+    sets = flowline._neighbor_sets
     out: set[str] = set()
     for m in members:
-        out |= set(flowline.neighbors(m))
-    return out - inside
+        out |= sets[m]
+    return out.difference(members)
 
 
 def need(flowline: Flowline, tasks: Collection[str]) -> tuple[int, int]:
     """(GPU cards, headroom cores) that ``tasks`` take on a VM: a model task
     takes one GPU card, an operator one core of CPU headroom."""
-    cards = sum(1 for task in tasks if flowline.node(task).is_model)
+    models = flowline._model_set
+    cards = 0
+    for task in tasks:
+        if task in models:
+            cards += 1
+        elif task not in flowline.by_id:
+            raise FlowlineError(f"no such task: {task!r}")
     return cards, len(tasks) - cards
 
 
@@ -144,30 +154,39 @@ def greedy_partition(flowline: Flowline, compounding: CompoundingResult,
     ties. Raises SchedulingError naming the unit when capacity runs out.
     """
     ledger = Ledger(vms)
-    placed: list[set[str]] = [set() for _ in vms]
     assignment: dict[str, int] = {}
 
-    def place(members: Sequence[str], unit_name: str) -> None:
+    def place(members: Sequence[str]) -> bool:
         unit = need(flowline, members)
-        neighborhood = _unit_neighbors(flowline, members)
-        overlaps = [len(placed[i] & neighborhood) for i in range(len(vms))]
-        order = sorted(range(len(vms)), key=lambda i: (-overlaps[i], i))
-        for i in order:
-            if ledger.fits(i, unit):
-                ledger.take(i, unit)
-                placed[i].update(members)
-                for m in members:
-                    assignment[m] = i
-                return
-        raise SchedulingError(
+        overlap = [0] * len(vms)
+        for task in _unit_neighbors(flowline, members):
+            i = assignment.get(task)
+            if i is not None:
+                overlap[i] += 1
+        best = -1
+        for i in range(len(vms)):
+            if ledger.fits(i, unit) and (best < 0 or overlap[i] > overlap[best]):
+                best = i
+        if best < 0:
+            return False
+        ledger.take(best, unit)
+        for m in members:
+            assignment[m] = best
+        return True
+
+    def no_room(members: Sequence[str], unit_name: str) -> SchedulingError:
+        unit = need(flowline, members)
+        return SchedulingError(
             f"no VM can host {unit_name} (needs {unit[0]} GPU card(s), "
             f"{unit[1]} CPU core(s); capacities "
             f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
 
     for comp in compounding.compounds:
-        place(comp.members, f"compound[{comp.anchor}]")
+        if not place(comp.members):
+            raise no_room(comp.members, f"compound[{comp.anchor}]")
     for orphan in compounding.orphans:
-        place([orphan], f"task {orphan!r}")
+        if not place((orphan,)):
+            raise no_room((orphan,), f"task {orphan!r}")
     return assignment
 
 
@@ -203,17 +222,25 @@ class SchedulePlan:
 
 def check_qualification(plan: SchedulePlan,
                         flowline: Flowline) -> QualificationReport:
-    """Per-VM resource feasibility and full assignment coverage."""
+    """Per-VM resource feasibility and full assignment coverage.
+
+    An assigned id the flowline lacks is reported, not charged to its VM.
+    """
     ledger = Ledger(plan.vms)
     unknown = []
+    foreign = []
     for task_id, idx in plan.assignment.items():
-        if 0 <= idx < len(plan.vms):
+        if task_id not in flowline.by_id:
+            foreign.append(task_id)
+        elif 0 <= idx < len(plan.vms):
             ledger.take(idx, need(flowline, (task_id,)))
         else:
             unknown.append(task_id)
     uncovered = [v.id for v in flowline.vertices if v.id not in plan.assignment]
     violations = [f"task {t!r} assigned to unknown VM {plan.assignment[t]}"
                   for t in sorted(unknown, key=_natural_key)]
+    violations += [f"task {t!r} is not in the flowline"
+                   for t in sorted(foreign, key=_natural_key)]
     violations += [f"uncovered task {t!r}"
                    for t in sorted(uncovered, key=_natural_key)]
     for i, (vm, (cards, cores)) in enumerate(zip(plan.vms, ledger.room)):
@@ -274,6 +301,9 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     types = sorted(catalog, key=lambda v: v.name)
     compounding = compound(flowline)
     observations: dict[tuple[float, float | None], Observation] = {}
+    # The makespan depends only on the edges an assignment cuts, and the
+    # enumerated procurements collapse onto a few distinct assignments.
+    makespans: dict[tuple[tuple[str, int], ...], float] = {}
 
     def visit(combo: list[VmType]) -> None:
         if not combo:
@@ -287,8 +317,11 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
             key = (round(price, 9), None)
             observations.setdefault(key, Observation(price, None))
             return
-        graph = apply_partition(flowline, profile, assignment, net)
-        mk = makespan(graph)
+        placement = tuple(assignment.items())
+        mk = makespans.get(placement)
+        if mk is None:
+            mk = makespans[placement] = makespan(
+                apply_partition(flowline, profile, assignment, net))
         key = (round(price, 9), round(mk, 12))
         observations.setdefault(key, Observation(price, mk))
 

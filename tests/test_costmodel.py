@@ -145,6 +145,20 @@ class TestFitPriceMakespan:
         fit = fit_price_makespan(obs)
         assert fit.a == pytest.approx(a, abs=1e-6)
 
+    def test_flat_frontier_raises_typed_error(self):
+        obs = [Observation(x, 2.3334) for x in (47.92, 59.9, 71.88, 83.86)]
+        with pytest.raises(CostModelError,
+                           match="makespan does not fall with price"):
+            fit_price_makespan(obs)
+
+    def test_near_flat_frontier_raises_typed_error(self):
+        # Falls, but so little that the best start has b below the bound.
+        xs = [6.0, 8.0, 12.0, 20.0, 40.0]
+        obs = [Observation(x, 2.0 + 1e-14 / (x - 5.0)) for x in xs]
+        with pytest.raises(CostModelError,
+                           match="makespan does not fall with price"):
+            fit_price_makespan(obs)
+
     def test_curve_is_decreasing_and_convex(self):
         fit = fit_price_makespan(bundled_qcloud_observations())
         xs = [fit.c + 0.5 + i * 2.0 for i in range(40)]

@@ -19,6 +19,7 @@ from kgflow.flowline import (
     NetParams,
     TaskNode,
     TaskProfile,
+    _topo_sort,
     apply_partition,
     colocated,
     finish_times,
@@ -358,6 +359,62 @@ class TestSerialization:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(FlowlineError, match="duplicate"):
             Flowline.build([op("a"), op("a")], [])
+        with pytest.raises(FlowlineError,
+                           match=r"duplicate task ids: \['a', 'b'\]"):
+            Flowline.build([op("b"), op("a"), op("c"), op("b"), op("a")], [])
+
+
+def reference_topo_sort(flowline):
+    """Sorted-list Kahn's algorithm: pop the smallest ready id each step."""
+    indeg = {v.id: 0 for v in flowline.vertices}
+    for a, b in flowline.edges:
+        if a in indeg and b in indeg:
+            indeg[b] += 1
+    ready = sorted(i for i, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        nxt = ready.pop(0)
+        order.append(nxt)
+        for succ in flowline.successors[nxt]:
+            indeg[succ] -= 1
+            if indeg[succ] == 0:
+                ready.append(succ)
+        ready.sort()
+    if len(order) != len(flowline.vertices):
+        return None
+    return tuple(order)
+
+
+class TestTopologicalSort:
+    def test_matches_reference_on_random_dags(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            fl, _ = random_dag(rng, max_vertices=30)
+            assert _topo_sort(fl) == reference_topo_sort(fl)
+
+    def test_matches_reference_on_random_graphs(self):
+        # Shuffled vertex order, arbitrary edges: cycles give None in both.
+        rng = random.Random(12)
+        cyclic = 0
+        for _ in range(300):
+            ids = [f"v{rng.randrange(100)}" for _ in range(rng.randint(1, 15))]
+            ids = list(dict.fromkeys(ids))
+            rng.shuffle(ids)
+            edges = [(rng.choice(ids), rng.choice(ids))
+                     for _ in range(rng.randint(0, 2 * len(ids)))]
+            fl = Flowline(tuple(op(i) for i in ids), tuple(edges),
+                          ids[0], ids[-1])
+            want = reference_topo_sort(fl)
+            cyclic += want is None
+            assert _topo_sort(fl) == want
+        assert 0 < cyclic < 300
+
+    def test_validate_reports_duplicates_sorted(self):
+        fl = Flowline(vertices=(op("b"), op("a"), op("b"), op("a")),
+                      edges=(), entry="a", exit="b")
+        dupes = [v.detail for v in validate(fl).violations
+                 if v.code == "duplicate-id"]
+        assert dupes == ["task id 'a' repeats", "task id 'b' repeats"]
 
 
 def fig5_flowline() -> Flowline:

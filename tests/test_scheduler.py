@@ -207,6 +207,35 @@ class TestCheckQualification:
             "vm 0 (tiny): 2 operator task(s) exceed 1 spare CPU core(s)",
         )
 
+    def test_tasks_missing_from_flowline_reported(self):
+        fl = Flowline.build([model("a"), op("t")], [("a", "t")])
+        vms = tuple(qcloud_vms("2XLARGE40"))
+        plan = SchedulePlan(_procurement_of(vms), vms,
+                            {"ghost10": 0, "t": 3, "ghost2": 0, "x": 9,
+                             "a": 0}, eta=0.5)
+        assert check_qualification(plan, fl).violations == (
+            "task 't' assigned to unknown VM 3",
+            "task 'ghost2' is not in the flowline",
+            "task 'ghost10' is not in the flowline",
+            "task 'x' is not in the flowline",
+        )
+
+    def test_tasks_missing_from_flowline_fail_evaluation(self):
+        from kgflow.sim import SimConfig, simulate
+        from kgflow.synth import synthetic_flowline
+        fl, profile = synthetic_flowline(3, 11)
+        plan = schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET,
+                        fit=PAPER_CURVE)
+        ghost = SchedulePlan(plan.procurement, plan.vms,
+                             {**plan.assignment, "ghost": 0}, eta=0.5,
+                             net=NET)
+        message = ("plan fails qualification: "
+                   "task 'ghost' is not in the flowline")
+        with pytest.raises(SchedulingError, match=message):
+            evaluate_plan(ghost, fl, profile, 8000, 200, 0.5)
+        with pytest.raises(SchedulingError, match=message):
+            simulate(ghost, fl, profile, SimConfig())
+
     def test_valid_plan_ok(self):
         fl = Flowline.build([model("a"), op("t")], [("a", "t")])
         vms = tuple(qcloud_vms("2XLARGE40"))
