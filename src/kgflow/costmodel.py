@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 
 class CostModelError(ValueError):
@@ -180,7 +179,7 @@ def fit_price_linear(catalog: Sequence[VmType]) -> PriceFit:
 
     Residuals are relative (each row scaled by its quoted price), matching
     how catalog pricing errors are conventionally reported. Coefficients are
-    constrained non-negative.
+    constrained non-negative, by the exact two-column ``_bounded_lstsq2``.
     """
     if len(catalog) < 2:
         raise CostModelError("need at least 2 catalog rows to fit prices")
@@ -189,9 +188,44 @@ def fit_price_linear(catalog: Sequence[VmType]) -> PriceFit:
     if np.linalg.matrix_rank(X) < 2:
         raise CostModelError("catalog rows are linearly dependent; add a row "
                              "with a different CPU:GPU ratio")
-    theta, _ = nnls(X / y[:, None], np.ones_like(y))
+    theta, _ = _bounded_lstsq2(X[:, 0] / y, X[:, 1] / y, np.ones_like(y), 0.0)
     residuals = tuple(relative_errors(catalog, theta[0], theta[1]).items())
     return PriceFit(float(theta[0]), float(theta[1]), residuals)
+
+
+def _bounded_lstsq2(p: np.ndarray, q: np.ndarray, y: np.ndarray, lo: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise ||t1 * p + t2 * q - y|| over t1, t2 >= lo (-inf: unbounded)
+    for a batch of designs, columns p and q broadcast to (..., n); returns
+    (t1, t2) on a last axis and the residual sums of squares. The free
+    solution projects q off p, centring q when p is all ones. Where it
+    breaks the bound, the better edge (one coefficient held at lo, the
+    other fitted and clipped) is the exact optimum (Lawson & Hanson 1974)."""
+    def dot(a, b):
+        return np.einsum("...i,...i->...", a, b)
+
+    def ssr(t1, t2):
+        r = t1[..., None] * p
+        r += t2[..., None] * q
+        r -= y
+        return dot(r, r)
+
+    pp, pq, py = dot(p, p), dot(p, q), dot(p, y)
+    q_off_p = q - (pq / pp)[..., None] * p
+    t2 = dot(q_off_p, y) / dot(q_off_p, q_off_p)
+    t1 = (py - t2 * pq) / pp
+    best = ssr(t1, t2)
+    free = (t1 >= lo) & (t2 >= lo)
+    if not np.all(free):
+        held = np.full_like(t1, lo)
+        fit2 = np.maximum(dot(q, y - lo * p) / dot(q, q), lo)
+        fit1 = np.maximum((py - lo * pq) / pp, lo)
+        edge2, edge1 = ssr(held, fit2), ssr(fit1, held)
+        on2 = edge2 <= edge1  # t1 held at lo
+        t1 = np.where(free, t1, np.where(on2, lo, fit1))
+        t2 = np.where(free, t2, np.where(on2, fit2, lo))
+        best = np.where(free, best, np.where(on2, edge2, edge1))
+    return np.stack([t1, t2], -1), best
 
 
 @dataclass(frozen=True)
@@ -229,18 +263,16 @@ def pareto_frontier(observations: Iterable[Observation]) -> list[Observation]:
     return frontier
 
 
-# Profiled initializations of the pole c tried before the polishing fit.
-_MULTISTART = 64
-
-
 def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
     """Fit g(x) = a + b/(x - c) to the Pareto frontier of the observations.
 
-    Damped least squares polished from the best of ``_MULTISTART`` profiled
-    initializations of c (for fixed c the model is linear in a and b). The
-    pole c is bounded above by the cheapest feasible price and, when any
-    infeasible observation is present, by the largest infeasible price --
-    the curve must blow up there.
+    Variable projection (Golub & Pereyra, 1973): for a fixed pole c the
+    model is linear in (a, b), solved exactly with a, b >= 1e-12 by
+    ``_bounded_lstsq2``, so the fit is a 1-D search over c. The best of 64
+    poles on [c_cap * 1e-3, c_cap] is bracketed by its grid neighbours,
+    which are re-gridded and narrowed the same way, never widened, to
+    1e-13 * c_cap. c_cap lies just under the cheapest feasible price, and
+    at most at the largest infeasible one: the curve must blow up there.
     """
     frontier = pareto_frontier(observations)
     if len(frontier) < 3:
@@ -255,41 +287,42 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
     if infeasible and max(infeasible) < x.min():
         c_cap = min(c_cap, max(infeasible))
 
-    def profiled(c: float) -> tuple[float, float, float]:
-        design = np.column_stack([np.ones_like(x), 1.0 / (x - c)])
-        ab, *_ = np.linalg.lstsq(design, y, rcond=None)
-        r = design @ ab - y
-        return float(ab[0]), float(ab[1]), float(r @ r)
+    def profile(poles: np.ndarray, lo: float):
+        return _bounded_lstsq2(np.ones_like(x), 1.0 / (x - poles[:, None]),
+                               y, lo)
 
     tiny = 1e-12
-    best = None
-    for c0 in np.linspace(c_cap * 1e-3, c_cap, _MULTISTART):
-        a0, b0, ss = profiled(c0)
-        if a0 > 0 and b0 > 0 and (best is None or ss < best[3]):
-            best = (a0, b0, c0, ss)
+    poles = np.linspace(c_cap * 1e-3, c_cap, 64)
+    # The typed errors come from the plain least-squares (a, b).
+    free_ab, free_ssr = profile(poles, -np.inf)
+    free_ssr[(free_ab <= 0).any(-1)] = np.inf
+    start = int(free_ssr.argmin())
     # The frontier never rises with price; a flat one fits b = 0 at best.
-    if not y[-1] < y[0] or (best is not None and min(best[:2]) < tiny):
+    if not y[-1] < y[0] or (np.isfinite(free_ssr[start])
+                            and free_ab[start].min() < tiny):
         raise CostModelError(
             "makespan does not fall with price, so no curve a + b/(x - c) "
             f"with a, b >= {tiny} fits; frontier x={x.tolist()}, "
             f"y={y.tolist()}")
-    if best is None:
+    if not np.isfinite(free_ssr[start]):
         raise CostModelError(
             "divergent fit: no initialization with positive coefficients; "
             f"frontier x={x.tolist()}, y={y.tolist()}")
 
-    def model_residuals(params):
-        a, b, c = params
-        return a + b / (x - c) - y
-
-    solution = least_squares(
-        model_residuals, x0=np.array(best[:3]),
-        bounds=([tiny, tiny, tiny], [np.inf, np.inf, c_cap]), method="trf")
-    if not solution.success:
-        raise CostModelError(f"divergent fit: {solution.message}; "
-                             f"start={best[:3]}")
-    a, b, c = (float(v) for v in solution.x)
-    return MakespanPriceFit(a, b, c, tuple(float(r) for r in solution.fun))
+    lo, hi = tiny, c_cap
+    ab, ssr = profile(poles, tiny)
+    best = int(ssr.argmin())
+    for _ in range(12):
+        if hi - lo < 1e-13 * c_cap:
+            break
+        lo = poles[best - 1] if best > 0 else lo
+        hi = poles[best + 1] if best + 1 < len(poles) else hi
+        poles = np.linspace(lo, hi, 64)
+        ab, ssr = profile(poles, tiny)
+        best = int(ssr.argmin())
+    a, b = (float(v) for v in ab[best])
+    c = float(poles[best])
+    return MakespanPriceFit(a, b, c, tuple((a + b / (x - c) - y).tolist()))
 
 
 def optimal_unit_price(fit: MakespanPriceFit, preference: Preference) -> float:
@@ -576,8 +609,3 @@ def bundled_qcloud_observations() -> list[Observation]:
 def fit_to_dict(fit: MakespanPriceFit) -> dict[str, Any]:
     return {"a": fit.a, "b": fit.b, "c": fit.c,
             "residuals": list(fit.residuals)}
-
-
-def fit_from_dict(doc: Mapping[str, Any]) -> MakespanPriceFit:
-    return MakespanPriceFit(float(doc["a"]), float(doc["b"]), float(doc["c"]),
-                            tuple(float(r) for r in doc.get("residuals", ())))

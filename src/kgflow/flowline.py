@@ -147,13 +147,6 @@ class Flowline:
         return tuple(v.id for v in sorted(self.vertices, key=lambda v: v.id)
                      if v.is_model)
 
-    def operator_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in sorted(self.vertices, key=lambda v: v.id)
-                     if not v.is_model)
-
-    def neighbors(self, task_id: str) -> tuple[str, ...]:
-        return tuple(sorted(self._neighbor_sets[task_id]))
-
     @cached_property
     def _neighbor_sets(self) -> dict[str, frozenset[str]]:
         return {k: frozenset(succ).union(self.predecessors[k])
@@ -575,9 +568,3 @@ def load_flowline(path: str) -> tuple[Flowline, TaskProfile | None]:
     with open(path, "r", encoding="utf-8") as fh:
         return flowline_from_dict(json.load(fh))
 
-
-def save_flowline(path: str, flowline: Flowline,
-                  profile: TaskProfile | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(flowline_to_dict(flowline, profile), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -354,8 +354,7 @@ def parse_document(text: str) -> GflDocument:
             continue
         stripped = raw.lstrip(" ")
         indent = len(raw) - len(stripped)
-        if "\t" in raw[:indent + len(stripped) - len(stripped.lstrip("\t"))] \
-                or stripped.startswith("\t"):
+        if stripped.startswith("\t"):
             raise GflError("tabs are not allowed in indentation", lineno, 1)
         if not seen_root:
             if indent != 0:
@@ -562,8 +561,6 @@ def _format_literal(value) -> str:
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace("'", "\\'")
         return f"'{escaped}'"
-    if isinstance(value, float) and value.is_integer():
-        return repr(value)
     return repr(value)
 
 

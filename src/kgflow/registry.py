@@ -7,7 +7,7 @@ validation uses it to check pipe compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Canonical column names carried by records.
 SAMPLE = "sample"
@@ -15,8 +15,6 @@ ENTITY = "entity"
 ENTITY_TYPE = "entity_type"
 ENTITY_PAIR = "entity_pair"
 RELATION = "relation_category"
-ATTRIBUTE = "attribute"
-ATTRIBUTE_VALUE = "attribute_value"
 TRIPLE = "triple"
 SCORE = "meta.score"
 
@@ -33,8 +31,6 @@ CONTROLLER = "controller"
 # (a set of spans per row).
 TASK_CC = "cc"
 TASK_CE = "ce"
-
-NO_RELATION = "no_relation"
 
 
 @dataclass(frozen=True)
@@ -81,10 +77,6 @@ def operator_spec(name: str) -> OpSpec | None:
     return _OPERATORS.get(name)
 
 
-def operator_names() -> tuple[str, ...]:
-    return tuple(sorted(_OPERATORS))
-
-
 # The corpus feed passes raw rows through the start controller, so besides
 # `sample` it may supply arbitrary pre-extracted columns (wildcard).
 for _spec in [
@@ -114,12 +106,10 @@ for _spec in [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Column contract of a model paradigm, keyed by registered model name."""
+    """A registered model name and its paradigm (columns: ``task_io``)."""
 
     name: str
     task: str  # TASK_CC | TASK_CE
-    inputs: tuple[str, ...] = field(default=())
-    outputs: tuple[str, ...] = field(default=())
 
 
 _CE_IO = ((SAMPLE,), (ENTITY, ENTITY_TYPE))
@@ -132,18 +122,13 @@ def register_model(name: str, task: str) -> ModelSpec:
     """Register a model name under a paradigm; returns the entry."""
     if task not in (TASK_CC, TASK_CE):
         raise ValueError(f"unknown model task: {task!r}")
-    inputs, outputs = _CC_IO if task == TASK_CC else _CE_IO
-    spec = ModelSpec(name, task, inputs, outputs)
+    spec = ModelSpec(name, task)
     _MODELS[name] = spec
     return spec
 
 
 def model_spec(name: str) -> ModelSpec | None:
     return _MODELS.get(name)
-
-
-def model_names() -> tuple[str, ...]:
-    return tuple(sorted(_MODELS))
 
 
 for _name, _task in [

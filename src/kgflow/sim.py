@@ -310,10 +310,12 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     baseline_costs = [cost(plan, etas[0]) for plan in baselines]
     rows: list[SweepRow] = []
     for eta in etas:
-        heuristic = schedule(flowline, profile, catalog, eta, net, fit=fit,
+        # schedule() qualified and costed its plan on this corpus and net.
+        predicted = schedule(flowline, profile, catalog, eta, net, fit=fit,
                              corpus_size=config.corpus_size,
-                             slice_size=config.slice_size)
-        costs = [cost(heuristic, eta)] + baseline_costs
+                             slice_size=config.slice_size).predictions
+        costs = ([(predicted["cost_com_s"], predicted["cost_mon"])]
+                 + baseline_costs)
         js = normalized_objectives(costs, eta)
 
         def row(name: str, idx: int) -> SweepRow:
