@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .flowline import (  # noqa: F401
-    ComputationGraph,
     Flowline,
     FlowlineError,
     NetParams,
@@ -13,6 +12,6 @@ from .flowline import (  # noqa: F401
     apply_partition,
     ideal_time,
     makespan,
-    partitioned_time,
+    n_slices,
     validate,
 )

@@ -558,13 +558,21 @@ def _plan_key(types: Sequence[VmType], counts: Sequence[int], x0: float):
 
 # --- catalog / observation I/O -------------------------------------------------
 
+def vm_type_from_dict(row: Mapping[str, Any],
+                      currency: str = "USD") -> VmType:
+    """One catalog row; a missing field raises CostModelError."""
+    try:
+        return VmType(name=row["name"], cpu_cores=int(row["cpu_cores"]),
+                      gpu_cards=int(row["gpu_cards"]),
+                      unit_price=float(row["unit_price"]),
+                      currency=row.get("currency", currency))
+    except KeyError as exc:
+        raise CostModelError(f"VM row {dict(row)} has no {exc} field") from None
+
+
 def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
     currency = doc.get("currency", "USD")
-    return [VmType(name=row["name"], cpu_cores=int(row["cpu_cores"]),
-                   gpu_cards=int(row["gpu_cards"]),
-                   unit_price=float(row["unit_price"]),
-                   currency=row.get("currency", currency))
-            for row in doc["vm_types"]]
+    return [vm_type_from_dict(row, currency) for row in doc["vm_types"]]
 
 
 def load_catalog(path: str) -> list[VmType]:

@@ -8,10 +8,13 @@ is the finish time of the exit vertex:
     FT(v) = w(v)                                        if v is the entry
     FT(v) = w(v) + max over precursors u (FT(u) + w(u->v))   otherwise
 
-which equals the weight of the heaviest entry->exit path. Total processing
-time for a corpus is (corpus_size / slice_size) * makespan. ``finish_times``
-is the one implementation of this recurrence: ``makespan``, the simulator
-and the list baseline's upward ranks all run on it.
+which equals the weight of the heaviest entry->exit path. A corpus runs as
+whole slices, the last one timed as a full slice even when it is short, so
+its total processing time is ``n_slices(corpus_size, slice_size)`` (that
+is, ceil(corpus_size / slice_size)) times the makespan; ``n_slices`` is the
+one place that rule is written. ``finish_times`` is the one implementation
+of the recurrence: ``makespan``, the simulator and the list baseline's
+upward ranks all run on it.
 
 All types are immutable after construction and every operation is a pure
 function, so evaluation is safe from multiple threads.
@@ -207,26 +210,6 @@ class NetParams:
 
     def transfer_time(self, payload_bytes: float) -> float:
         return self.latency_s + payload_bytes / self.bandwidth_Bps
-
-
-@dataclass(frozen=True)
-class ComputationGraph:
-    """A flowline under a VM assignment, with cross-VM edge weights filled in.
-
-    Edge weight is exactly 0 when both endpoints share a VM, otherwise
-    latency + payload / bandwidth (always > 0 for positive latency).
-    """
-
-    base: Flowline
-    profile: TaskProfile
-    assignment: Mapping[str, int]
-    edge_weights: Mapping[tuple[str, str], float]
-
-    def vertex_weight(self, task_id: str) -> float:
-        return self.profile.weight(task_id)
-
-    def edge_weight(self, edge: tuple[str, str]) -> float:
-        return float(self.edge_weights.get(edge, 0.0))
 
 
 def _topo_sort(flowline: Flowline) -> tuple[str, ...] | None:
@@ -441,63 +424,44 @@ def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
     return st, ft
 
 
-def makespan(graph: ComputationGraph) -> float:
-    """Finish time of the exit vertex (heaviest weighted entry->exit path)."""
-    base = graph.base
-    order = base.topological_order
-    weights = {tid: graph.vertex_weight(tid) for tid in order}
-    _, ft = finish_times(order, base.predecessors, weights, graph.edge_weights)
-    return ft[base.exit]
-
-
-def colocated(flowline: Flowline, profile: TaskProfile) -> ComputationGraph:
-    """Computation graph with every task on one VM (all edge weights 0)."""
-    profile.check_covers(flowline)
-    assignment = {v.id: 0 for v in flowline.vertices}
-    return ComputationGraph(flowline, profile, assignment,
-                            {e: 0.0 for e in flowline.edges})
+def makespan(flowline: Flowline, profile: TaskProfile,
+             delay: Mapping[tuple[str, str], float] | None = None) -> float:
+    """Finish time of one slice at the exit task: the heaviest entry->exit
+    path, each edge in ``delay`` paying its transfer time; None (no delay
+    anywhere) is every task on one VM."""
+    order = flowline.topological_order
+    weights = {tid: profile.weight(tid) for tid in order}
+    _, ft = finish_times(order, flowline.predecessors, weights, delay or {})
+    return ft[flowline.exit]
 
 
 def apply_partition(flowline: Flowline, profile: TaskProfile,
                     partition: Mapping[str, int],
-                    net: NetParams) -> ComputationGraph:
-    """Weight edges per the partition: 0 if co-located, else latency + size/bw."""
+                    net: NetParams) -> dict[tuple[str, str], float]:
+    """Transfer time, latency + size / bandwidth, of every edge whose ends
+    ``partition`` puts on different VMs; co-located edges are left out."""
     profile.check_covers(flowline)
     unassigned = sorted(v.id for v in flowline.vertices if v.id not in partition)
     if unassigned:
         raise FlowlineError(f"partition leaves tasks unassigned: {unassigned}")
-    weights: dict[tuple[str, str], float] = {}
-    for a, b in flowline.edges:
-        if partition[a] == partition[b]:
-            weights[(a, b)] = 0.0
-        else:
-            weights[(a, b)] = net.transfer_time(profile.payload((a, b)))
-    return ComputationGraph(flowline, profile,
-                            {k: int(v) for k, v in partition.items()}, weights)
+    return {(a, b): net.transfer_time(profile.payload((a, b)))
+            for a, b in flowline.edges if partition[a] != partition[b]}
+
+
+def n_slices(corpus_size: float, slice_size: float) -> int:
+    """Whole slices a corpus of ``corpus_size`` rows runs as."""
+    if not 0 < slice_size < math.inf:
+        raise FlowlineError(f"slice_size must be finite and > 0: {slice_size}")
+    if not 0 <= corpus_size < math.inf:
+        raise FlowlineError(
+            f"corpus_size must be finite and >= 0: {corpus_size}")
+    return math.ceil(corpus_size / slice_size)
 
 
 def ideal_time(flowline: Flowline, profile: TaskProfile,
                corpus_size: float, slice_size: float) -> float:
     """Total processing time with all tasks co-located."""
-    return partitioned_time(colocated(flowline, profile), corpus_size, slice_size)
-
-
-def partitioned_time(graph: ComputationGraph,
-                     corpus_size: float, slice_size: float) -> float:
-    """Total processing time of the partitioned graph over a corpus."""
-    return _corpus_time(makespan(graph), corpus_size, slice_size)
-
-
-def _corpus_time(per_slice: float, corpus_size: float,
-                slice_size: float) -> float:
-    """Total processing time of a corpus at ``per_slice`` seconds a slice."""
-    if slice_size <= 0:
-        raise FlowlineError(f"slice size must be positive, got {slice_size}")
-    if corpus_size < 0:
-        raise FlowlineError(f"corpus size must be non-negative, got {corpus_size}")
-    if corpus_size == 0:
-        return 0.0
-    return (corpus_size / slice_size) * per_slice
+    return n_slices(corpus_size, slice_size) * makespan(flowline, profile)
 
 
 # --- JSON serialization (the schema consumed by the scheduler and simulator) ---

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
 from .costmodel import (
+    CostModelError,
     MakespanPriceFit,
     Observation,
     Preference,
@@ -42,15 +43,16 @@ from .costmodel import (
     objective,
     optimal_unit_price,
     procure,
+    vm_type_from_dict,
 )
 from .flowline import (
     Flowline,
     FlowlineError,
     NetParams,
     TaskProfile,
-    _corpus_time,
     apply_partition,
     makespan,
+    n_slices,
 )
 
 
@@ -255,12 +257,21 @@ def check_qualification(plan: SchedulePlan,
     return QualificationReport(tuple(violations))
 
 
+def require_qualified(plan: SchedulePlan, flowline: Flowline) -> None:
+    """Raise SchedulingError listing the violations of a plan that fails
+    ``check_qualification``."""
+    report = check_qualification(plan, flowline)
+    if not report.ok:
+        raise SchedulingError("plan fails qualification: "
+                              + "; ".join(report.violations))
+
+
 def predict_costs(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
                   corpus_size: float, slice_size: float, eta: float,
                   net: NetParams) -> dict[str, float]:
-    graph = apply_partition(flowline, profile, dict(plan.assignment), net)
-    per_slice = makespan(graph)
-    cost_com = _corpus_time(per_slice, corpus_size, slice_size)
+    delay = apply_partition(flowline, profile, plan.assignment, net)
+    per_slice = makespan(flowline, profile, delay)
+    cost_com = n_slices(corpus_size, slice_size) * per_slice
     cost_mon = plan.total_unit_price * cost_com / 3600.0
     return {
         "makespan_s": per_slice,
@@ -274,10 +285,7 @@ def evaluate_plan(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
                   corpus_size: float, slice_size: float, eta: float,
                   net: NetParams | None = None) -> dict[str, float]:
     """Analytic cost of an existing plan (must pass qualification)."""
-    report = check_qualification(plan, flowline)
-    if not report.ok:
-        raise SchedulingError("plan fails qualification: "
-                              + "; ".join(report.violations))
+    require_qualified(plan, flowline)
     if net is None:
         net = plan.net
     if net is None:
@@ -321,6 +329,7 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
         mk = makespans.get(placement)
         if mk is None:
             mk = makespans[placement] = makespan(
+                flowline, profile,
                 apply_partition(flowline, profile, assignment, net))
         key = (round(price, 9), round(mk, 12))
         observations.setdefault(key, Observation(price, mk))
@@ -433,20 +442,31 @@ def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
 
 
 def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
-    vms = tuple(VmType(name=v["name"], cpu_cores=int(v["cpu_cores"]),
-                       gpu_cards=int(v["gpu_cards"]),
-                       unit_price=float(v["unit_price"]),
-                       currency=v.get("currency", "USD"))
-                for v in doc["vms"])
+    """Inverse of ``plan_to_dict``. A VM row the catalog rule rejects, a
+    procurement type missing from ``vms`` or ``vms`` other than the expanded
+    procurement raise SchedulingError."""
+    try:
+        vms = tuple(vm_type_from_dict(row) for row in doc["vms"])
+    except CostModelError as exc:
+        raise SchedulingError(f"bad plan vms: {exc}") from None
     by_name = {vm.name: vm for vm in vms}
-    items = tuple((by_name[row["type"]], int(row["count"]))
-                  for row in doc["procurement"])
+    items = []
+    for row in doc["procurement"]:
+        if row["type"] not in by_name:
+            raise SchedulingError(
+                f"procurement type {row['type']!r} is not among the plan's vms")
+        items.append((by_name[row["type"]], int(row["count"])))
+    procurement = ProcurementPlan(tuple(items))
+    if procurement.expand() != vms:
+        raise SchedulingError(
+            f"plan vms {[vm.name for vm in vms]} are not the procurement "
+            f"{procurement.describe()!r} expanded")
     net = None
     if "net" in doc:
         net = NetParams(float(doc["net"]["latency_s"]),
                         float(doc["net"]["bandwidth_Bps"]))
     return SchedulePlan(
-        ProcurementPlan(items), vms,
+        procurement, vms,
         {task: int(idx) for task, idx in doc["assignment"].items()},
         float(doc.get("eta", 0.5)), net,
         dict(doc.get("predictions", {})),

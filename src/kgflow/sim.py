@@ -4,12 +4,15 @@ A corpus is processed as micro-batch slices over the plan's VMs. In the
 default discipline one slice is in flight at a time: slice s is admitted
 once slice s-1 has left the exit task, and within a slice every task starts
 as soon as all precursors have finished and any cross-VM transfer delay has
-elapsed. Each slice runs on ``flowline.finish_times``, the recurrence behind
-``makespan``, so with zero jitter this reproduces the analytic model within
-float rounding: total time = (corpus / slice) * makespan of the partitioned
-graph. The ``overlap`` flag enables the experimentation mode where tasks run
-ahead across slices (per-task serial order still holds); throughput then
-exceeds the analytic model's, so only the default mode matches it.
+elapsed. The corpus runs as ``flowline.n_slices`` whole slices, the last one
+a full slice even when the corpus ends part-way through it, and each slice
+runs on ``flowline.finish_times``, the recurrence behind ``makespan``. So
+with zero jitter this reproduces the analytic model within float rounding:
+total time = n_slices(corpus, slice) * makespan of the partitioned graph,
+for every corpus and slice size. The ``overlap`` flag enables the
+experimentation mode where tasks run ahead across slices (per-task serial
+order still holds); throughput then exceeds the analytic model's, so only
+the default mode matches it.
 
 Task durations can be jittered with a multiplicative log-normal factor
 (mean 1, fractional std-dev ``jitter``), drawn deterministically from the
@@ -35,37 +38,43 @@ from .costmodel import (
     normalized_objectives,
     procure,
 )
-from .flowline import Flowline, NetParams, TaskProfile, apply_partition, finish_times
+from .flowline import (
+    Flowline,
+    FlowlineError,
+    NetParams,
+    TaskProfile,
+    apply_partition,
+    finish_times,
+    n_slices,
+)
 from .scheduler import (
     Ledger,
     SchedulePlan,
     SchedulingError,
     _natural_key,
     _plan_from_instances,
-    check_qualification,
     evaluate_plan,
     need,
+    require_qualified,
     schedule,
     synthesized_fit,
 )
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@dataclass(frozen=True, kw_only=True)
+class _RunConfig:
+    """The network and the sliced corpus of a run. A bad value raises
+    FlowlineError naming its field."""
+
     latency_s: float = 0.0
     bandwidth_Bps: float = 1.0e9
     slice_size: int = 200
     corpus_size: int = 8000
-    jitter: float = 0.0
     seed: int = 0
-    overlap: bool = False
 
     def __post_init__(self):
         self.net  # rejects a bad latency or bandwidth
-        if self.slice_size < 1:
-            raise ValueError("slice size must be >= 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        self.n_slices  # rejects a bad corpus or slice size
 
     @property
     def net(self) -> NetParams:
@@ -73,7 +82,19 @@ class SimConfig:
 
     @property
     def n_slices(self) -> int:
-        return math.ceil(self.corpus_size / self.slice_size)
+        return n_slices(self.corpus_size, self.slice_size)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(_RunConfig):
+    jitter: float = 0.0
+    overlap: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.jitter < math.inf:
+            raise FlowlineError(
+                f"jitter must be finite and >= 0: {self.jitter}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +117,9 @@ class SimResult:
 def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
              config: SimConfig) -> SimResult:
     """Event-driven run of the plan over the sliced corpus."""
-    report = check_qualification(plan, flowline)
-    if not report.ok:
-        raise SchedulingError("plan fails qualification: "
-                              + "; ".join(report.violations))
+    require_qualified(plan, flowline)
     assignment = plan.assignment
-    delay = apply_partition(flowline, profile, assignment,
-                            config.net).edge_weights
+    delay = apply_partition(flowline, profile, assignment, config.net)
     order = flowline.topological_order
     weights = {task: profile.weight(task) for task in order}
     rng = random.Random(config.seed)
@@ -153,11 +170,6 @@ def timeline_to_chrome_trace(result: SimResult) -> list[dict[str, Any]]:
 
 # --- baselines -----------------------------------------------------------------
 
-def _feasible(vms: Sequence[VmType], demand: tuple[int, int]) -> bool:
-    return (sum(vm.gpu_cards for vm in vms) >= demand[0]
-            and sum(vm.cpu_headroom for vm in vms) >= demand[1])
-
-
 def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
                     seed: int, net: NetParams | None = None) -> SchedulePlan:
     """Uniformly random feasible procurement and qualified assignment.
@@ -174,18 +186,17 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
     min_gpu = max((vm.gpu_cards for vm in types), default=0)
     k_cap = max(2, n_models + 1, math.ceil(n_models / max(min_gpu, 1)) + 1)
 
-    combo: list[VmType] | None = None
     for _ in range(10000):
         k = rng.randint(1, k_cap)
-        candidate = [types[rng.randrange(len(types))] for _ in range(k)]
-        if _feasible(candidate, demand):
-            combo = candidate
+        procurement = _plan_from_instances(
+            [types[rng.randrange(len(types))] for _ in range(k)])
+        if (procurement.total_gpus >= n_models
+                and procurement.total_cpu_headroom >= demand[1]):
             break
-    if combo is None:
+    else:
         raise CostModelError("could not sample a feasible procurement; "
                              "catalog cannot host the flowline")
 
-    procurement = _plan_from_instances(combo)
     vms = procurement.expand()
     ledger = Ledger(vms)
     assignment: dict[str, int] = {}
@@ -258,18 +269,17 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
 
 # --- eta sweep -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepConfig:
-    corpus_size: int = 8000
-    slice_size: int = 200
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig(_RunConfig):
     latency_s: float = 0.05
     bandwidth_Bps: float = 1.0e7
     random_plans: int = 50
-    seed: int = 0
 
-    @property
-    def net(self) -> NetParams:
-        return NetParams(self.latency_s, self.bandwidth_Bps)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.random_plans < 1:
+            raise FlowlineError(
+                f"random_plans must be >= 1: {self.random_plans}")
 
 
 @dataclass(frozen=True)
@@ -294,34 +304,31 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     not depend on eta, so they are computed once and shared by every cell.
     """
     if not etas:
-        raise ValueError("empty eta list")
+        raise CostModelError("empty eta list")
     net = config.net
     baselines = [baseline_list(flowline, profile, catalog, net)]
     baselines += [baseline_random(flowline, catalog, config.seed + i, net)
                   for i in range(config.random_plans)]
     fit = synthesized_fit(flowline, profile, catalog, net)
 
-    def cost(plan: SchedulePlan, eta: float) -> tuple[float, float]:
-        metrics = evaluate_plan(plan, flowline, profile, config.corpus_size,
-                                config.slice_size, eta, net)
-        return metrics["cost_com_s"], metrics["cost_mon"]
-
     # The eta passed here only weights the J that is not used.
-    baseline_costs = [cost(plan, etas[0]) for plan in baselines]
+    baseline_metrics = [evaluate_plan(plan, flowline, profile,
+                                      config.corpus_size, config.slice_size,
+                                      etas[0], net) for plan in baselines]
     rows: list[SweepRow] = []
     for eta in etas:
         # schedule() qualified and costed its plan on this corpus and net.
         predicted = schedule(flowline, profile, catalog, eta, net, fit=fit,
                              corpus_size=config.corpus_size,
                              slice_size=config.slice_size).predictions
-        costs = ([(predicted["cost_com_s"], predicted["cost_mon"])]
-                 + baseline_costs)
-        js = normalized_objectives(costs, eta)
+        metrics = [predicted] + baseline_metrics
+        js = normalized_objectives(
+            [(m["cost_com_s"], m["cost_mon"]) for m in metrics], eta)
 
         def row(name: str, idx: int) -> SweepRow:
-            com, mon = costs[idx]
-            per_slice = com / (config.corpus_size / config.slice_size)
-            return SweepRow(eta, name, per_slice, com, mon, js[idx])
+            m = metrics[idx]
+            return SweepRow(eta, name, m["makespan_s"], m["cost_com_s"],
+                            m["cost_mon"], js[idx])
 
         rows.append(row("compound-greedy", 0))
         rows.append(row("list", 1))

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from kgflow.flowline import (
-    ComputationGraph,
     Flowline,
     FlowlineError,
     NetParams,
@@ -21,13 +20,12 @@ from kgflow.flowline import (
     TaskProfile,
     _topo_sort,
     apply_partition,
-    colocated,
     finish_times,
     flowline_from_dict,
     flowline_to_dict,
     ideal_time,
     makespan,
-    partitioned_time,
+    n_slices,
     validate,
 )
 
@@ -49,21 +47,20 @@ def chain_flowline(weights):
     return Flowline.build(vertices, edges), profile
 
 
-def enumerate_paths_makespan(graph: ComputationGraph) -> float:
+def enumerate_paths_makespan(fl, profile, delay) -> float:
     """Oracle: max over all entry->exit paths of vertex + edge weight sums."""
-    base = graph.base
     best = None
 
     def walk(tid, acc):
         nonlocal best
-        acc = acc + graph.vertex_weight(tid)
-        if tid == base.exit:
+        acc = acc + profile.weight(tid)
+        if tid == fl.exit:
             best = acc if best is None else max(best, acc)
             return
-        for nxt in base.successors[tid]:
-            walk(nxt, acc + graph.edge_weight((tid, nxt)))
+        for nxt in fl.successors[tid]:
+            walk(nxt, acc + delay.get((tid, nxt), 0.0))
 
-    walk(base.entry, 0.0)
+    walk(fl.entry, 0.0)
     assert best is not None
     return best
 
@@ -141,54 +138,49 @@ class TestValidate:
 class TestMakespan:
     def test_single_vertex(self):
         fl = Flowline.build([op("v")], [])
-        graph = colocated(fl, TaskProfile({"v": 3.0}))
-        assert makespan(graph) == 3.0
+        assert makespan(fl, TaskProfile({"v": 3.0})) == 3.0
 
     def test_diamond(self):
         fl = Flowline.build(
             [op("e"), op("a"), op("b"), op("x")],
             [("e", "a"), ("e", "b"), ("a", "x"), ("b", "x")])
         profile = TaskProfile({"e": 1.0, "a": 2.0, "b": 5.0, "x": 1.0})
-        assert makespan(colocated(fl, profile)) == 7.0
+        assert makespan(fl, profile) == 7.0
 
     def test_two_vm_chain(self):
         fl, profile = chain_flowline([2.0, 3.0])
         profile = TaskProfile(profile.vertex_weights, {("t0", "t1"): 4000.0})
-        graph = apply_partition(fl, profile, {"t0": 0, "t1": 1},
+        delay = apply_partition(fl, profile, {"t0": 0, "t1": 1},
                                 NetParams(latency_s=0.1, bandwidth_Bps=10000.0))
-        expected = enumerate_paths_makespan(graph)
+        expected = enumerate_paths_makespan(fl, profile, delay)
         assert expected == 5.5
-        assert makespan(graph) == 5.5
+        assert makespan(fl, profile, delay) == 5.5
 
     def test_matches_path_enumeration_on_random_dags(self):
         rng = random.Random(20240811)
         for _ in range(60):
             fl, profile = random_dag(rng)
-            graph = colocated(fl, profile)
-            assert makespan(graph) == enumerate_paths_makespan(graph)
+            assert makespan(fl, profile) == enumerate_paths_makespan(
+                fl, profile, {})
             # And under a random partition with cross-VM edge weights.
             assignment = {v.id: rng.randrange(3) for v in fl.vertices}
-            graph2 = apply_partition(fl, profile, assignment,
-                                     NetParams(0.125, 8000.0))
-            assert makespan(graph2) == enumerate_paths_makespan(graph2)
+            delay = apply_partition(fl, profile, assignment,
+                                    NetParams(0.125, 8000.0))
+            assert makespan(fl, profile, delay) == enumerate_paths_makespan(
+                fl, profile, delay)
 
     def test_monotone_in_weights(self):
         rng = random.Random(7)
         for _ in range(25):
             fl, profile = random_dag(rng, max_vertices=8)
-            graph = colocated(fl, profile)
-            base = makespan(graph)
+            base = makespan(fl, profile)
             bumped_vertex = rng.choice([v.id for v in fl.vertices])
             weights = dict(profile.vertex_weights)
             weights[bumped_vertex] += 2.0
-            assert makespan(colocated(fl, TaskProfile(weights))) >= base
+            assert makespan(fl, TaskProfile(weights)) >= base
             if fl.edges:
                 bumped_edge = rng.choice(list(fl.edges))
-                ew = {e: 0.0 for e in fl.edges}
-                ew[bumped_edge] = 1.5
-                graph3 = ComputationGraph(fl, profile,
-                                          {v.id: 0 for v in fl.vertices}, ew)
-                assert makespan(graph3) >= base
+                assert makespan(fl, profile, {bumped_edge: 1.5}) >= base
 
 
 def enumerate_paths_finish(fl, duration, delay, start, after):
@@ -255,7 +247,7 @@ class TestIdealTime:
 
     def test_one_slice(self):
         fl, profile = chain_flowline([1.0, 2.5])
-        assert ideal_time(fl, profile, 200, 200) == makespan(colocated(fl, profile))
+        assert ideal_time(fl, profile, 200, 200) == makespan(fl, profile)
 
     def test_empty_corpus(self):
         fl, profile = chain_flowline([1.0])
@@ -263,23 +255,45 @@ class TestIdealTime:
 
     def test_zero_slice_rejected(self):
         fl, profile = chain_flowline([1.0])
-        with pytest.raises(FlowlineError):
+        with pytest.raises(FlowlineError, match="slice_size"):
             ideal_time(fl, profile, 100, 0)
+
+    def test_short_last_slice_runs_whole(self):
+        fl, profile = chain_flowline([1.0, 2.5])
+        assert ideal_time(fl, profile, 201, 200) == 2 * 3.5
+        assert ideal_time(fl, profile, 1, 200) == 3.5
+
+
+class TestNSlices:
+    @pytest.mark.parametrize("corpus, size, expected", [
+        (0, 200, 0), (1, 200, 1), (200, 200, 1), (201, 200, 2),
+        (8100, 200, 41), (8000, 200, 40), (2.5, 0.5, 5), (0.1, 700, 1)])
+    def test_ceil(self, corpus, size, expected):
+        assert n_slices(corpus, size) == expected
+
+    @pytest.mark.parametrize("corpus, size, field", [
+        (100, 0, "slice_size"), (100, -1, "slice_size"),
+        (100, math.nan, "slice_size"), (100, math.inf, "slice_size"),
+        (-1, 200, "corpus_size"), (math.nan, 200, "corpus_size"),
+        (math.inf, 200, "corpus_size")])
+    def test_rejects(self, corpus, size, field):
+        with pytest.raises(FlowlineError, match=field):
+            n_slices(corpus, size)
 
 
 class TestApplyPartition:
     def test_colocated_edges_zero(self):
         fl, profile = chain_flowline([1.0, 1.0, 1.0])
-        graph = apply_partition(fl, profile, {"t0": 0, "t1": 0, "t2": 0},
+        delay = apply_partition(fl, profile, {"t0": 0, "t1": 0, "t2": 0},
                                 NetParams(0.1, 10000.0))
-        assert all(w == 0.0 for w in graph.edge_weights.values())
+        assert delay == {}
 
     def test_cut_edge_weight(self):
         fl, profile = chain_flowline([1.0, 1.0])
         profile = TaskProfile(profile.vertex_weights, {("t0", "t1"): 4000.0})
-        graph = apply_partition(fl, profile, {"t0": 0, "t1": 1},
+        delay = apply_partition(fl, profile, {"t0": 0, "t1": 1},
                                 NetParams(0.1, 10000.0))
-        assert graph.edge_weights[("t0", "t1")] == pytest.approx(0.5)
+        assert delay == {("t0", "t1"): pytest.approx(0.5)}
 
     def test_zero_bandwidth_rejected(self):
         fl, profile = chain_flowline([1.0, 1.0])
@@ -304,25 +318,27 @@ class TestApplyPartition:
             for t in movable:
                 if rng.random() < 0.5:
                     fine[t] = 2
-            g_coarse = apply_partition(fl, profile, coarse, net)
-            g_fine = apply_partition(fl, profile, fine, net)
-            assert makespan(g_fine) >= makespan(g_coarse)
+            d_coarse = apply_partition(fl, profile, coarse, net)
+            d_fine = apply_partition(fl, profile, fine, net)
+            assert (makespan(fl, profile, d_fine)
+                    >= makespan(fl, profile, d_coarse))
 
 
 class TestPartitionedTime:
     def test_colocated_equals_ideal(self):
         fl, profile = chain_flowline([2.0, 3.0])
-        graph = apply_partition(fl, profile, {"t0": 0, "t1": 0},
+        delay = apply_partition(fl, profile, {"t0": 0, "t1": 0},
                                 NetParams(0.1, 1000.0))
-        assert partitioned_time(graph, 1000, 100) == ideal_time(fl, profile, 1000, 100)
+        assert (n_slices(1000, 100) * makespan(fl, profile, delay)
+                == ideal_time(fl, profile, 1000, 100))
 
     def test_two_vm_chain_two_slices(self):
         fl, profile = chain_flowline([2.0, 3.0])
         profile = TaskProfile(profile.vertex_weights, {("t0", "t1"): 4000.0})
-        graph = apply_partition(fl, profile, {"t0": 0, "t1": 1},
+        delay = apply_partition(fl, profile, {"t0": 0, "t1": 1},
                                 NetParams(0.1, 10000.0))
-        assert 2 * enumerate_paths_makespan(graph) == 11.0
-        assert partitioned_time(graph, 400, 200) == 11.0
+        assert 2 * enumerate_paths_makespan(fl, profile, delay) == 11.0
+        assert n_slices(400, 200) * makespan(fl, profile, delay) == 11.0
 
     def test_cutting_an_edge_never_decreases(self):
         rng = random.Random(4242)
@@ -334,11 +350,11 @@ class TestPartitionedTime:
             cut_vertex = rng.choice(ids)
             split = {t: (1 if t == cut_vertex else 0) for t in ids}
             apart = apply_partition(fl, profile, split, net)
-            before = enumerate_paths_makespan(together)
-            after = enumerate_paths_makespan(apart)
+            before = enumerate_paths_makespan(fl, profile, together)
+            after = enumerate_paths_makespan(fl, profile, apart)
             assert after >= before
-            assert partitioned_time(apart, 600, 200) >= partitioned_time(
-                together, 600, 200)
+            assert makespan(fl, profile, apart) >= makespan(fl, profile,
+                                                            together)
 
 
 class TestSerialization:

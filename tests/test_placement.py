@@ -89,7 +89,8 @@ def oracle_observations(flowline, profile, catalog, net):
             observations.setdefault((round(price, 9), None),
                                     Observation(price, None))
             return
-        mk = makespan(apply_partition(flowline, profile, assignment, net))
+        mk = makespan(flowline, profile,
+                      apply_partition(flowline, profile, assignment, net))
         observations.setdefault((round(price, 9), round(mk, 12)),
                                 Observation(price, mk))
 
@@ -186,10 +187,10 @@ class TestSynthesizeObservations:
             assignments.add(tuple(sorted(assignment.items())))
             return assignment
 
-        def counting_makespan(graph):
+        def counting_makespan(*args):
             nonlocal makespans
             makespans += 1
-            return makespan(graph)
+            return makespan(*args)
 
         monkeypatch.setattr(scheduler, "greedy_partition",
                             recording_partition)

@@ -392,3 +392,35 @@ class TestPlanSerialization:
         assert plan2.assignment == dict(plan.assignment)
         assert plan2.total_unit_price == pytest.approx(plan.total_unit_price)
         assert plan_to_dict(plan2)["procurement"] == doc["procurement"]
+        assert plan_to_json(plan2) == plan_to_json(plan)
+
+    @staticmethod
+    def plan_doc():
+        plan = schedule(nine_task_flowline(), nine_task_profile(),
+                        bundled_qcloud_catalog(), 0.5, NET, fit=PAPER_CURVE)
+        return json.loads(plan_to_json(plan))
+
+    def test_procurement_type_missing_from_vms(self):
+        doc = self.plan_doc()
+        doc["procurement"][0]["type"] = "ghost"
+        with pytest.raises(SchedulingError, match="'ghost' is not among"):
+            plan_from_dict(doc)
+
+    def test_vm_row_without_cores(self):
+        doc = self.plan_doc()
+        del doc["vms"][0]["cpu_cores"]
+        with pytest.raises(SchedulingError, match="'cpu_cores'"):
+            plan_from_dict(doc)
+
+    @pytest.mark.parametrize("edit", ["count", "drop-row", "swap"])
+    def test_vms_must_be_the_expanded_procurement(self, edit):
+        doc = self.plan_doc()
+        assert len(doc["vms"]) == len(doc["procurement"]) == 2
+        if edit == "count":
+            doc["procurement"][0]["count"] = 2
+        elif edit == "drop-row":
+            doc["procurement"].pop()
+        else:
+            doc["vms"].reverse()
+        with pytest.raises(SchedulingError, match="are not the procurement"):
+            plan_from_dict(doc)

@@ -1,10 +1,17 @@
 """Simulator tests: analytic agreement, determinism, causality, baselines."""
 
+import functools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kgflow.costmodel import bundled_qcloud_catalog
+from kgflow.costmodel import (
+    CostModelError,
+    bundled_g4dn_catalog,
+    bundled_qcloud_catalog,
+)
 from kgflow.flowline import (
     Flowline,
     FlowlineError,
@@ -13,13 +20,14 @@ from kgflow.flowline import (
     TaskProfile,
     apply_partition,
     makespan,
-    partitioned_time,
+    n_slices,
 )
 from kgflow.scheduler import (
     MakespanPriceFit,
     SchedulePlan,
     _plan_from_instances,
     check_qualification,
+    evaluate_plan,
     schedule,
 )
 from kgflow.sim import (
@@ -33,7 +41,7 @@ from kgflow.sim import (
     sweep_to_csv,
     timeline_to_chrome_trace,
 )
-from kgflow.synth import synthetic_flowline
+from kgflow.synth import EXPERIMENT_SHAPES, synthetic_flowline
 
 from test_flowline import random_dag
 from test_scheduler import (  # fixtures shared with the scheduler suite
@@ -95,10 +103,11 @@ class TestSimulate:
                            bandwidth_Bps=NET.bandwidth_Bps,
                            slice_size=200, corpus_size=8000)
         result = simulate(plan, fl, profile, config)
-        graph = apply_partition(fl, profile, dict(plan.assignment), NET)
-        expected = partitioned_time(graph, 8000, 200)
+        delay = apply_partition(fl, profile, plan.assignment, NET)
+        per_slice = makespan(fl, profile, delay)
+        expected = n_slices(8000, 200) * per_slice
         assert result.total_time == pytest.approx(expected, rel=1e-9)
-        assert result.per_slice_makespan[0] == pytest.approx(makespan(graph),
+        assert result.per_slice_makespan[0] == pytest.approx(per_slice,
                                                              rel=1e-12)
 
     def test_determinism_with_jitter(self):
@@ -169,6 +178,35 @@ class TestSimConfig:
             SimConfig(bandwidth_Bps=0.0)
         with pytest.raises(FlowlineError, match="latency_s"):
             SimConfig(latency_s=-5.0)
+
+    @pytest.mark.parametrize("call, error, field", [
+        (lambda: SimConfig(jitter=math.nan), FlowlineError, "jitter"),
+        (lambda: SimConfig(jitter=-0.1), FlowlineError, "jitter"),
+        (lambda: SimConfig(jitter=math.inf), FlowlineError, "jitter"),
+        (lambda: SimConfig(corpus_size=-1), FlowlineError, "corpus_size"),
+        (lambda: SimConfig(corpus_size=math.inf), FlowlineError,
+         "corpus_size"),
+        (lambda: SimConfig(corpus_size=math.nan), FlowlineError,
+         "corpus_size"),
+        (lambda: SimConfig(slice_size=0), FlowlineError, "slice_size"),
+        (lambda: SweepConfig(corpus_size=-1), FlowlineError, "corpus_size"),
+        (lambda: SweepConfig(slice_size=-5), FlowlineError, "slice_size"),
+        (lambda: SweepConfig(random_plans=0), FlowlineError, "random_plans"),
+        (lambda: SweepConfig(latency_s=math.nan), FlowlineError, "latency_s"),
+        (lambda: sweep_eta(nine_task_flowline(), nine_task_profile(),
+                           bundled_qcloud_catalog(), []),
+         CostModelError, "eta"),
+    ])
+    def test_bad_run_input_raises_typed_error(self, call, error, field):
+        with pytest.raises(error, match=field):
+            call()
+
+    def test_defaults_kept(self):
+        assert (SimConfig().net, SimConfig().n_slices) == (NetParams(), 40)
+        sweep = SweepConfig()
+        assert sweep.net == NetParams(0.05, 1.0e7)
+        assert (sweep.corpus_size, sweep.slice_size, sweep.random_plans,
+                sweep.seed) == (8000, 200, 50, 0)
 
 
 class TestBaselineRandom:
@@ -278,6 +316,21 @@ class TestSweep:
         makespans = {round(r.makespan_s, 9) for r in rows}
         assert len(makespans) == 1
 
+    @pytest.mark.parametrize("corpus", [0, 150, 2100])
+    def test_makespan_column_does_not_depend_on_corpus(self, corpus):
+        fl, profile = synthetic_flowline(3, 6, seed=1)
+        catalog = bundled_qcloud_catalog()
+        rows = sweep_eta(fl, profile, catalog, [0.5],
+                         SweepConfig(random_plans=4, corpus_size=corpus))
+        list_plan = baseline_list(fl, profile, catalog,
+                                  SweepConfig().net)
+        delay = apply_partition(fl, profile, list_plan.assignment,
+                                SweepConfig().net)
+        per_slice = makespan(fl, profile, delay)
+        (row,) = [r for r in rows if r.scheduler == "list"]
+        assert row.makespan_s == per_slice
+        assert row.cost_com_s == n_slices(corpus, 200) * per_slice
+
     def test_csv_shape(self):
         fl, profile = synthetic_flowline(3, 6, seed=1)
         rows = sweep_eta(fl, profile, bundled_qcloud_catalog(), [0.5],
@@ -288,7 +341,41 @@ class TestSweep:
         assert len(lines) == 4
 
 
+@functools.lru_cache(maxsize=None)
+def agreement_case(shape, catalog_name, scheduler):
+    fl, profile = synthetic_flowline(*shape)
+    catalog = {"qcloud": bundled_qcloud_catalog,
+               "g4dn": bundled_g4dn_catalog}[catalog_name]()
+    if scheduler == "list":
+        plan = baseline_list(fl, profile, catalog, NET)
+    else:
+        plan = baseline_random(fl, catalog, 0, NET)
+    return fl, profile, plan
+
+
 class TestSimulatorAgreementSuite:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(EXPERIMENT_SHAPES),
+           catalog_name=st.sampled_from(["qcloud", "g4dn"]),
+           scheduler=st.sampled_from(["list", "random"]),
+           corpus=st.integers(0, 5000), slice_size=st.integers(10, 700))
+    @example(shape=(3, 6), catalog_name="qcloud", scheduler="list",
+             corpus=150, slice_size=200)  # below one slice
+    @example(shape=(6, 29), catalog_name="g4dn", scheduler="random",
+             corpus=8100, slice_size=200)
+    @example(shape=(4, 8), catalog_name="qcloud", scheduler="list",
+             corpus=0, slice_size=200)
+    def test_zero_jitter_equals_analytic_cost(self, shape, catalog_name,
+                                              scheduler, corpus, slice_size):
+        fl, profile, plan = agreement_case(shape, catalog_name, scheduler)
+        config = SimConfig(latency_s=NET.latency_s,
+                           bandwidth_Bps=NET.bandwidth_Bps,
+                           slice_size=slice_size, corpus_size=corpus)
+        total = simulate(plan, fl, profile, config).total_time
+        analytic = evaluate_plan(plan, fl, profile, corpus, slice_size, 0.5,
+                                 NET)["cost_com_s"]
+        assert math.isclose(total, analytic, rel_tol=1e-12, abs_tol=0.0)
+
     def test_ten_plans_match_analytic(self):
         catalog = bundled_qcloud_catalog()
         fixtures = []
@@ -308,6 +395,6 @@ class TestSimulatorAgreementSuite:
                            slice_size=200, corpus_size=2000)
         for fl, profile, plan in fixtures:
             result = simulate(plan, fl, profile, config)
-            graph = apply_partition(fl, profile, dict(plan.assignment), NET)
-            expected = partitioned_time(graph, 2000, 200)
+            delay = apply_partition(fl, profile, plan.assignment, NET)
+            expected = n_slices(2000, 200) * makespan(fl, profile, delay)
             assert result.total_time == pytest.approx(expected, rel=1e-9)
