@@ -269,8 +269,9 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
     Variable projection (Golub & Pereyra, 1973): for a fixed pole c the
     model is linear in (a, b), solved exactly with a, b >= 1e-12 by
     ``_bounded_lstsq2``, so the fit is a 1-D search over c. The best of 64
-    poles on [c_cap * 1e-3, c_cap] is bracketed by its grid neighbours,
-    which are re-gridded and narrowed the same way, never widened, to
+    poles from c_cap * 1e-3 up to c_cap, spaced evenly in log(c_cap - c) so
+    that narrow basins near c_cap are seen, is bracketed by its neighbours;
+    the bracket is re-gridded evenly and narrowed, never widened, to
     1e-13 * c_cap. c_cap lies just under the cheapest feasible price, and
     at most at the largest infeasible one: the curve must blow up there.
     """
@@ -292,7 +293,7 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
                                y, lo)
 
     tiny = 1e-12
-    poles = np.linspace(c_cap * 1e-3, c_cap, 64)
+    poles = c_cap - np.geomspace(c_cap * (1 - 1e-3), c_cap * 1e-9, 64)
     # The typed errors come from the plain least-squares (a, b).
     free_ab, free_ssr = profile(poles, -np.inf)
     free_ssr[(free_ab <= 0).any(-1)] = np.inf

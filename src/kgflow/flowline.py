@@ -73,6 +73,12 @@ class TaskNode:
     def is_model(self) -> bool:
         return self.kind in MODEL_KINDS
 
+    @property
+    def function(self) -> str:
+        """Registry name of the task: the config's ``function``, else the id
+        up to any ``[label]`` instance tag (ids look like "filter[f_bert]")."""
+        return str(self.config.get("function") or self.id.split("[", 1)[0])
+
 
 @dataclass(frozen=True)
 class Flowline:
@@ -316,15 +322,14 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
 
     for v in sorted(flowline.vertices, key=lambda v: v.id):
         if v.is_model:
-            func = v.config.get("function", v.label)
-            if registry.model_spec(func) is None:
+            if registry.model_spec(v.function) is None:
                 violations.append(Violation(
-                    "unknown-model", f"task {v.id!r}: model {func!r} not registered"))
-        else:
-            if registry.operator_spec(_op_name(v)) is None:
-                violations.append(Violation(
-                    "unknown-operator",
-                    f"task {v.id!r}: operator {_op_name(v)!r} not registered"))
+                    "unknown-model",
+                    f"task {v.id!r}: model {v.function!r} not registered"))
+        elif registry.operator_spec(v.function) is None:
+            violations.append(Violation(
+                "unknown-operator",
+                f"task {v.id!r}: operator {v.function!r} not registered"))
 
     if order is not None and not violations:
         violations.extend(_check_pipes(flowline, order))
@@ -342,22 +347,14 @@ def _duplicates(ids: Iterable[str]) -> list[str]:
     return sorted(i for i, n in Counter(ids).items() if n > 1)
 
 
-def _op_name(node: TaskNode) -> str:
-    name = node.config.get("function")
-    if name:
-        return str(name)
-    # Ids of labeled operators look like "filter[f_bert]".
-    return node.id.split("[", 1)[0]
-
-
 def node_op_spec(node: TaskNode) -> registry.OpSpec | None:
     """Column contract for any task vertex (models get their paradigm's)."""
     if node.is_model:
         task = registry.TASK_CC if node.kind == KIND_MODEL_CC else registry.TASK_CE
         inputs, outputs = registry.task_io(task)
-        return registry.OpSpec(_op_name(node), "model", inputs, outputs,
+        return registry.OpSpec(node.function, "model", inputs, outputs,
                                carries=False, keeps=inputs)
-    return registry.operator_spec(_op_name(node))
+    return registry.operator_spec(node.function)
 
 
 def _check_pipes(flowline: Flowline, order: tuple[str, ...]) -> list[Violation]:
@@ -455,7 +452,11 @@ def n_slices(corpus_size: float, slice_size: float) -> int:
     if not 0 <= corpus_size < math.inf:
         raise FlowlineError(
             f"corpus_size must be finite and >= 0: {corpus_size}")
-    return math.ceil(corpus_size / slice_size)
+    count = corpus_size / slice_size
+    if count == math.inf:
+        raise FlowlineError(f"corpus_size / slice_size overflows: "
+                            f"{corpus_size} / {slice_size}")
+    return math.ceil(count)
 
 
 def ideal_time(flowline: Flowline, profile: TaskProfile,

@@ -12,12 +12,16 @@ re-opens the vertex to continue its pipeline.
 
 Indentation is significant: spaces only, one level per nesting step, using
 any consistent multiple of four spaces.
+
+``parse`` lexes every line before it builds the graph, so a lex error
+anywhere in the text is reported ahead of a graph error (an over-indented
+pipe, a label or outlet conflict, or a validation finding).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from . import registry
@@ -229,11 +233,11 @@ def eval_predicate(node, lookup: Callable[[str], Any]) -> bool:
     return bool(ev(node))
 
 
-# --- document model ----------------------------------------------------------
+# --- parsing -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CallNode:
-    """One call occurrence in the source text."""
+    """One call in the source text; ``parse`` keeps one per vertex."""
 
     namespace: str
     function: str
@@ -243,23 +247,12 @@ class CallNode:
     is_outlet: bool
     line: int
     col: int
-    depth: int
 
     @property
     def vertex_id(self) -> str:
         if self.instance_label:
             return f"{self.function}[{self.instance_label}]"
         return self.function
-
-
-@dataclass
-class GflDocument:
-    """Parsed source: bindings, the entry name, and call occurrences."""
-
-    definitions: dict[str, tuple] = field(default_factory=dict)
-    entry: str = ""
-    entry_line: int = 0
-    calls: list[CallNode] = field(default_factory=list)
 
 
 _CALL_RX = re.compile(
@@ -340,67 +333,7 @@ def _split_call(text: str, line: int, col: int) -> CallNode:
     elif rest:
         raise GflError(f"unexpected trailing text {rest!r}", line, col + offset)
 
-    return CallNode(ns, fn, label, predicate, outputs, is_outlet,
-                    line, col, depth=-1)
-
-
-def parse_document(text: str) -> GflDocument:
-    """Lex and structure GFL source without building the graph."""
-    doc = GflDocument()
-    indent_unit: int | None = None
-    seen_root = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        stripped = raw.lstrip(" ")
-        indent = len(raw) - len(stripped)
-        if stripped.startswith("\t"):
-            raise GflError("tabs are not allowed in indentation", lineno, 1)
-        if not seen_root:
-            if indent != 0:
-                raise GflError("indentation before the pipeline root",
-                               lineno, 1)
-            m = _BINDING_RX.match(stripped)
-            if m:
-                name = m.group("name")
-                if name in doc.definitions:
-                    raise GflError(f"duplicate binding {name!r}", lineno, 1)
-                doc.definitions[name] = _parse_literal_list(
-                    m.group("rest"), lineno, 1 + len(name))
-                continue
-            m = _ROOT_RX.match(stripped)
-            if m:
-                doc.entry = m.group("name")
-                doc.entry_line = lineno
-                seen_root = True
-                continue
-            raise GflError("expected a binding or the ':<entry>' root",
-                           lineno, 1)
-        # Pipeline body.
-        if indent == 0:
-            raise GflError("only one pipeline root is allowed", lineno, 1)
-        if indent_unit is None:
-            if indent % 4 != 0:
-                raise GflError("indentation must be a multiple of 4 spaces",
-                               lineno, 1)
-            indent_unit = indent
-        if indent % indent_unit != 0:
-            raise GflError(
-                f"inconsistent indentation (unit is {indent_unit} spaces)",
-                lineno, 1)
-        depth = indent // indent_unit
-        if not stripped.startswith("|"):
-            raise GflError("pipeline lines must start with '|'", lineno,
-                           indent + 1)
-        body = stripped[1:].strip()
-        call = _split_call(body, lineno, indent + 1 + (len(stripped) - len(stripped[1:].lstrip())))
-        doc.calls.append(CallNode(call.namespace, call.function,
-                                  call.instance_label, call.predicate,
-                                  call.outputs, call.is_outlet,
-                                  call.line, call.col, depth))
-    if not seen_root:
-        raise GflError("no ':<entry>' root found", 1, 1)
-    return doc
+    return CallNode(ns, fn, label, predicate, outputs, is_outlet, line, col)
 
 
 def _node_kind(namespace: str, function: str) -> tuple[str, str | None]:
@@ -419,114 +352,135 @@ def parse(text: str) -> Flowline:
     Raises GflError (with line/column) on lex errors, unknown namespaces,
     conflicting labels, or if the resulting graph fails flowline validation.
     """
-    doc = parse_document(text)
+    definitions: dict[str, tuple] = {}
+    entry: CallNode | None = None
+    lexed: list[tuple[int, CallNode]] = []  # (nesting depth, call)
+    indent_unit: int | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        stripped = raw.lstrip(" ")
+        indent = len(raw) - len(stripped)
+        if stripped.startswith("\t"):
+            raise GflError("tabs are not allowed in indentation", lineno, 1)
+        if entry is None:
+            if indent != 0:
+                raise GflError("indentation before the pipeline root",
+                               lineno, 1)
+            m = _BINDING_RX.match(stripped)
+            if m:
+                name = m.group("name")
+                if name in definitions:
+                    raise GflError(f"duplicate binding {name!r}", lineno, 1)
+                definitions[name] = _parse_literal_list(
+                    m.group("rest"), lineno, 1 + len(name))
+                continue
+            m = _ROOT_RX.match(stripped)
+            if m:
+                entry = CallNode(NAMESPACE_OPT, m.group("name"), None, None,
+                                 (), False, lineno, 1)
+                continue
+            raise GflError("expected a binding or the ':<entry>' root",
+                           lineno, 1)
+        # Pipeline body.
+        if indent == 0:
+            raise GflError("only one pipeline root is allowed", lineno, 1)
+        if indent_unit is None:
+            if indent % 4 != 0:
+                raise GflError("indentation must be a multiple of 4 spaces",
+                               lineno, 1)
+            indent_unit = indent
+        if indent % indent_unit != 0:
+            raise GflError(
+                f"inconsistent indentation (unit is {indent_unit} spaces)",
+                lineno, 1)
+        if not stripped.startswith("|"):
+            raise GflError("pipeline lines must start with '|'", lineno,
+                           indent + 1)
+        body = stripped[1:].strip()
+        col = indent + 1 + (len(stripped) - len(stripped[1:].lstrip()))
+        lexed.append((indent // indent_unit, _split_call(body, lineno, col)))
+    if entry is None:
+        raise GflError("no ':<entry>' root found", 1, 1)
 
-    vertices: dict[str, dict] = {}
-    vertex_order: list[str] = []
-    edges: list[tuple[str, str]] = []
-    edge_set: set[tuple[str, str]] = set()
-    spans: dict[str, tuple[int, int]] = {}
-
-    entry_id = doc.entry
-    vertices[entry_id] = {
-        "namespace": NAMESPACE_OPT,
-        "function": entry_id,
-        "label": None,
-        "predicate": None,
-        "outputs": (),
-        "line": doc.entry_line,
-    }
-    vertex_order.append(entry_id)
-    spans[entry_id] = (doc.entry_line, 1)
-
-    stack: list[str] = [entry_id]
+    # Each vertex's first call, with predicates and outputs merged in from
+    # its repetitions; edges in insertion order.
+    calls: dict[str, CallNode] = {entry.vertex_id: entry}
+    edges: dict[tuple[str, str], None] = {}
+    stack: list[str] = [entry.vertex_id]
     outlet: str | None = None
-
-    for call in doc.calls:
-        if call.depth > len(stack):
+    for depth, call in lexed:
+        if depth > len(stack):
             raise GflError("over-indented pipe (skips a nesting level)",
                            call.line, call.col)
-        parent = stack[call.depth - 1]
+        parent = stack[depth - 1]
         vid = call.vertex_id
-        existing = vertices.get(vid)
-        if existing is not None:
-            if existing["namespace"] != call.namespace:
+        first = calls.get(vid)
+        if first is None:
+            calls[vid] = call
+            edges[parent, vid] = None
+        else:
+            if first.namespace != call.namespace:
                 raise GflError(
                     f"label conflict: {vid!r} already defined in namespace "
-                    f"{existing['namespace']!r}", call.line, call.col)
+                    f"{first.namespace!r}", call.line, call.col)
             if call.predicate is not None and \
-                    existing["predicate"] not in (None, call.predicate):
+                    first.predicate not in (None, call.predicate):
                 raise GflError(
                     f"conflicting predicate for repeated call {vid!r}",
                     call.line, call.col)
-            if call.outputs and existing["outputs"] not in ((), call.outputs):
+            if call.outputs and first.outputs not in ((), call.outputs):
                 raise GflError(
                     f"conflicting output bindings for repeated call {vid!r}",
                     call.line, call.col)
-            if call.predicate is not None and existing["predicate"] is None:
-                existing["predicate"] = call.predicate
-            if call.outputs and not existing["outputs"]:
-                existing["outputs"] = call.outputs
+            calls[vid] = replace(first,
+                                 predicate=first.predicate or call.predicate,
+                                 outputs=first.outputs or call.outputs)
             # A repetition directly under the entry re-opens the vertex to
             # continue its pipeline; it does not pipe the corpus into it.
-            if parent != entry_id:
-                if (parent, vid) not in edge_set:
-                    edges.append((parent, vid))
-                    edge_set.add((parent, vid))
-        else:
-            vertices[vid] = {
-                "namespace": call.namespace,
-                "function": call.function,
-                "label": call.instance_label,
-                "predicate": call.predicate,
-                "outputs": call.outputs,
-                "line": call.line,
-            }
-            vertex_order.append(vid)
-            spans[vid] = (call.line, call.col)
-            if (parent, vid) not in edge_set:
-                edges.append((parent, vid))
-                edge_set.add((parent, vid))
+            if parent != entry.vertex_id:
+                edges[parent, vid] = None
         if call.is_outlet:
             if outlet is not None and outlet != vid:
                 raise GflError(
                     f"multiple outlets: {outlet!r} and {vid!r}",
                     call.line, call.col)
             outlet = vid
-        del stack[call.depth:]
+        del stack[depth:]
         stack.append(vid)
 
     if outlet is None:
         raise GflError("no outlet: exactly one call must end with ':'",
-                       doc.entry_line, 1)
+                       entry.line, 1)
 
     nodes = []
-    for vid in vertex_order:
-        info = vertices[vid]
-        kind, family = _node_kind(info["namespace"], info["function"])
+    for vid, call in calls.items():
+        kind, family = _node_kind(call.namespace, call.function)
         config: dict[str, Any] = {
-            "namespace": info["namespace"],
-            "function": info["function"],
+            "namespace": call.namespace,
+            "function": call.function,
         }
-        if info["label"]:
-            config["label"] = info["label"]
-        if info["predicate"] is not None:
-            config["predicate"] = info["predicate"]
-            referenced = _referenced_bindings(info["predicate"],
-                                              doc.definitions)
+        if call.instance_label:
+            config["label"] = call.instance_label
+        if call.predicate is not None:
+            config["predicate"] = call.predicate
+            referenced = _referenced_bindings(call.predicate, definitions)
             if referenced:
                 config["bindings"] = referenced
-        if info["outputs"]:
-            config["outputs"] = list(info["outputs"])
-        nodes.append(TaskNode(id=vid, label=info["function"], kind=kind,
+        if call.outputs:
+            config["outputs"] = list(call.outputs)
+        nodes.append(TaskNode(id=vid, label=call.function, kind=kind,
                               operator_family=family, config=config))
 
-    flowline = Flowline(tuple(nodes), tuple(edges), entry_id, outlet)
+    flowline = Flowline(tuple(nodes), tuple(edges), entry.vertex_id, outlet)
     report = validate(flowline)
     if not report.ok:
-        first = report.violations[0]
-        line, col = _violation_span(first, spans, doc.entry_line)
-        raise GflError(f"invalid flowline: {first}", line, col)
+        # Point at the first vertex the finding names, else at the entry.
+        finding = report.violations[0]
+        at = next((c for vid, c in calls.items()
+                   if f"{vid!r}" in finding.detail
+                   or f" {vid}" in finding.detail), entry)
+        raise GflError(f"invalid flowline: {finding}", at.line, at.col)
     return flowline
 
 
@@ -548,13 +502,6 @@ def _referenced_bindings(predicate: str,
     return {n: list(definitions[n]) for n in sorted(names)}
 
 
-def _violation_span(violation, spans, default_line):
-    for vid, span in spans.items():
-        if f"{vid!r}" in violation.detail or f" {vid}" in violation.detail:
-            return span
-    return (default_line, 1)
-
-
 # --- canonical formatting ----------------------------------------------------
 
 def _format_literal(value) -> str:
@@ -568,20 +515,13 @@ def _call_text(node: TaskNode, with_details: bool) -> str:
     config = node.config
     ns = config.get("namespace",
                     NAMESPACE_MODEL if node.is_model else NAMESPACE_OPT)
-    function = config.get("function")
+    function = node.function
     label = config.get("label")
-    if function is None:
-        # Programmatically built vertices: recover "fn[label]" from the id.
-        m = re.fullmatch(rf"(?P<fn>{_IDENT})\[(?P<label>{_IDENT})\]", node.id)
-        if m:
-            function, label = m.group("fn"), m.group("label")
-        else:
-            function = node.id
-    elif label is None:
+    if label is None:
+        # Programmatically built vertices: recover the label of "fn[label]".
         m = re.fullmatch(rf"{re.escape(function)}\[(?P<label>{_IDENT})\]",
                          node.id)
-        if m:
-            label = m.group("label")
+        label = m and m.group("label")
     text = f"{ns}.{function}"
     if label:
         text += f"[{label}]"

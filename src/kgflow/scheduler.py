@@ -442,35 +442,47 @@ def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
 
 
 def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
-    """Inverse of ``plan_to_dict``. A VM row the catalog rule rejects, a
-    procurement type missing from ``vms`` or ``vms`` other than the expanded
-    procurement raise SchedulingError."""
+    """Inverse of ``plan_to_dict``. A missing field, a non-integer count or
+    VM index, a VM row the catalog rule rejects, a procurement type missing
+    from ``vms`` or ``vms`` other than the expanded procurement raise
+    SchedulingError."""
     try:
         vms = tuple(vm_type_from_dict(row) for row in doc["vms"])
+        by_name = {vm.name: vm for vm in vms}
+        items = []
+        for row in doc["procurement"]:
+            if row["type"] not in by_name:
+                raise SchedulingError(f"procurement type {row['type']!r} "
+                                      "is not among the plan's vms")
+            items.append((by_name[row["type"]],
+                          _plan_int(row["count"], "procurement count")))
+        net = None
+        if "net" in doc:
+            net = NetParams(float(doc["net"]["latency_s"]),
+                            float(doc["net"]["bandwidth_Bps"]))
+        assignment = {task: _plan_int(idx, f"assignment of {task!r}")
+                      for task, idx in doc["assignment"].items()}
+    except KeyError as exc:
+        raise SchedulingError(f"plan has no field {exc.args[0]!r}") from None
     except CostModelError as exc:
         raise SchedulingError(f"bad plan vms: {exc}") from None
-    by_name = {vm.name: vm for vm in vms}
-    items = []
-    for row in doc["procurement"]:
-        if row["type"] not in by_name:
-            raise SchedulingError(
-                f"procurement type {row['type']!r} is not among the plan's vms")
-        items.append((by_name[row["type"]], int(row["count"])))
     procurement = ProcurementPlan(tuple(items))
     if procurement.expand() != vms:
         raise SchedulingError(
             f"plan vms {[vm.name for vm in vms]} are not the procurement "
             f"{procurement.describe()!r} expanded")
-    net = None
-    if "net" in doc:
-        net = NetParams(float(doc["net"]["latency_s"]),
-                        float(doc["net"]["bandwidth_Bps"]))
     return SchedulePlan(
-        procurement, vms,
-        {task: int(idx) for task, idx in doc["assignment"].items()},
-        float(doc.get("eta", 0.5)), net,
+        procurement, vms, assignment, float(doc.get("eta", 0.5)), net,
         dict(doc.get("predictions", {})),
         doc.get("scheduler", "compound-greedy"))
+
+
+def _plan_int(value: Any, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SchedulingError(f"plan {what} is not an integer: {value!r}"
+                              ) from None
 
 
 def plan_to_json(plan: SchedulePlan) -> str:

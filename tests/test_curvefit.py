@@ -183,6 +183,21 @@ class TestFitPriceMakespanOptimal:
         assert (_ssr(fit, observations)
                 <= (1 + 1e-9) * _dense_profile_minimum(observations))
 
+    def test_narrow_basin_near_the_cap(self):
+        # The best basin, at c = 11.709 just under c_cap = 12.138, is
+        # narrower than an even 64-pole grid's spacing; such a grid ends
+        # near c = 0 with SSR 96.738.
+        xs = [12.138004935688908, 12.483324945007858, 23.434457894900795,
+              38.19013506751483, 61.680386401022055]
+        ys = [41.91882233862563, 27.540141867504556, 20.832184941460287,
+              10.332937719172849, 6.684886418964925]
+        observations = [Observation(x, y) for x, y in zip(xs, ys)]
+        fit = fit_price_makespan(observations)
+        assert fit.c == pytest.approx(11.709, abs=1e-3)
+        assert _ssr(fit, observations) == pytest.approx(96.408, abs=1e-3)
+        assert (_ssr(fit, observations)
+                <= (1 + 1e-9) * _dense_profile_minimum(observations))
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.5, 20), st.floats(0.5, 100), st.floats(0.5, 50),
            st.lists(st.integers(1, 400), min_size=3, max_size=8,

@@ -83,6 +83,23 @@ def random_dag(rng, max_vertices=12):
     return fl, TaskProfile(weights, payloads)
 
 
+class TestTaskFunction:
+    @pytest.mark.parametrize("node, expected", [
+        (TaskNode(id="b0f0", config={"function": "filter"}), "filter"),
+        (TaskNode(id="merge"), "merge"),
+        (TaskNode(id="filter[f_bert]", label="keep"), "filter"),
+    ], ids=["config", "bare-id", "labeled-id"])
+    def test_function(self, node, expected):
+        assert node.function == expected
+
+    def test_model_without_config_function_is_looked_up_by_id(self):
+        ner = TaskNode(id="BertNER", label="ner", kind="model-CE")
+        assert validate(Flowline.build([ner], [])).ok
+        renamed = TaskNode(id="ner", label="BertNER", kind="model-CE")
+        report = validate(Flowline.build([renamed], []))
+        assert {v.code for v in report.violations} == {"unknown-model"}
+
+
 class TestValidate:
     def test_listing_shape_flowline_ok(self):
         fl = fig5_flowline()
@@ -279,6 +296,12 @@ class TestNSlices:
     def test_rejects(self, corpus, size, field):
         with pytest.raises(FlowlineError, match=field):
             n_slices(corpus, size)
+
+    def test_rejects_a_count_that_overflows(self):
+        with pytest.raises(FlowlineError) as err:
+            n_slices(1e308, 1e-10)
+        assert "corpus_size" in str(err.value)
+        assert "slice_size" in str(err.value)
 
 
 class TestApplyPartition:

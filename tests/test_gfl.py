@@ -1,5 +1,7 @@
 """GFL parsing, canonical formatting, and DOT export tests."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -136,10 +138,9 @@ class TestParse:
             gfl.parse(src)
 
     def test_unknown_function_fails_validation_not_grammar(self):
-        doc = gfl.parse_document(":data\n    | opt.frobnicate:\n")
-        assert doc.calls[0].function == "frobnicate"
-        with pytest.raises(gfl.GflError, match="unknown-operator"):
+        with pytest.raises(gfl.GflError, match="unknown-operator") as err:
             gfl.parse(":data\n    | opt.frobnicate:\n")
+        assert (err.value.line, err.value.col) == (2, 7)
 
     def test_binding_after_root_rejected(self):
         src = ":data\nxs := [1]\n    | opt.triple:"
@@ -270,3 +271,159 @@ class TestDot:
     def test_deterministic(self):
         fl = gfl.parse(PIPELINE_SRC)
         assert gfl.emit_dot(fl) == gfl.emit_dot(fl)
+
+
+# --- pinned parse outcomes ---------------------------------------------------
+#
+# A seeded corpus of valid and broken sources, each parsed and its outcome
+# hashed: the flowline (vertices with kind, label, family and config, then
+# edges, entry and exit) or the error (message, line, column). The digests
+# were generated before the parser kept one record per vertex, so any change
+# to what some source parses to, or to which error it reports first (a lex
+# error anywhere goes ahead of a graph error), shows here.
+
+SMALL_SOURCES = (
+    ":data\n    | opt.triple:",
+    ":data\n    | opt.integrate[a]\n        | opt.merge[m]\n"
+    "    | opt.integrate[b]\n        | opt.merge[m]\n"
+    "            | opt.triple:\n",
+    ":data\n    | opt.integrate[a]\n        | opt.integrate[b]\n"
+    "            | opt.integrate[a]\n                | opt.triple:\n",
+    ":data\n        | opt.integrate[a]\n                | opt.triple:\n",
+    "zs := ['z']\nnames := ['n', 'm']\n:data\n"
+    "    | opt.filter[a](x in names)\n"
+    "        | opt.filter[b](y in zs)\n            | opt.triple:\n",
+    ":start\n    | model.FastNER -> e, t\n        | opt.permutate\n"
+    "            | model.KeywordRE(score == 1 or t != 'X')\n"
+    "                | opt.triple:\n",
+    "xs := ['a']\n:data\n    | opt.filter[f](x in xs) -> a, b\n"
+    "        | opt.merge[m]\n    | opt.filter[f] -> a, b\n"
+    "        | opt.integrate[i]\n            | opt.merge[m]\n"
+    "                | opt.triple:\n",
+)
+
+# Fragments the mutator splices into lines; it also swaps one word for
+# another.
+_WORDS = ("opt.", "model.", "ops.", "filter", "merge", "integrate", "triple",
+          "permutate", "BertNER", "BERTRE", "LSTMRE", "frobnicate", "data")
+_TOKENS = _WORDS + (
+    "[a]", "[re]", "[1x]", "[]", "(ent_t in filtered_ent)",
+    "(x not in ['a', 'b'])", "(a in (b", "(a $ b)", " -> a, b",
+    " -> ent, ent_t", " -> 1x", "(x in xs)", " -> a", ":", "|", "    ", "\t",
+    "  ", ",", ")")
+_LINES = ("xs := [1, 'a', 2.5]", "filtered_ent := ['PER']", "ys := 3",
+          ":data", ":start", "    | opt.integrate[z]", "    | opt.triple:",
+          "        | opt.merge[re]", "            | model.LSTMRE",
+          "\t| opt.end", "", "   ")
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
+    """One random edit: insert a stock line; delete, copy or swap lines;
+    shift an indent; toggle the outlet colon; splice in a fragment or swap
+    a word; cut a few characters; flip the namespace; or add a predicate or
+    outputs to a call."""
+    lines = list(lines)
+    op = rng.randrange(11)
+    i = rng.randrange(len(lines)) if lines else 0
+    if not lines or op == 0:
+        lines.insert(i, rng.choice(_LINES))
+    elif op == 1:
+        del lines[i]
+    elif op == 2:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif op == 3:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 4:
+        shift = rng.choice((-4, 4, 2, -1, 8))
+        body = lines[i].lstrip(" ")
+        indent = len(lines[i]) - len(body)
+        lines[i] = " " * max(0, indent + shift) + body
+    elif op == 5:
+        lines[i] = (lines[i][:-1] if lines[i].endswith(":")
+                    else lines[i] + ":")
+    elif op == 6:
+        pos = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:pos] + rng.choice(_TOKENS) + lines[i][pos:]
+    elif op == 7:
+        old = rng.choice(_WORDS)
+        if old in lines[i]:
+            lines[i] = lines[i].replace(old, rng.choice(_WORDS), 1)
+        else:
+            lines[i] = lines[i].replace("[", "[x", 1)
+    elif op == 8:
+        pos = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:pos] + lines[i][pos + rng.randint(1, 4):]
+    elif op == 9:
+        lines[i] = (lines[i].replace("opt.", "model.") if "opt." in lines[i]
+                    else lines[i].replace("model.", "opt."))
+    else:
+        extra = rng.choice(("(x in xs)", "(y in xs)", " -> a", " -> b, a"))
+        pos = len(lines[i].rstrip(":"))
+        if extra.startswith("(") and "]" in lines[i]:
+            pos = lines[i].index("]") + 1
+        lines[i] = lines[i][:pos] + extra + lines[i][pos:]
+    return lines
+
+
+def gfl_corpus(seed: int = 7, mutants: int = 2000) -> list[str]:
+    """The running pipeline, small hand-written and formatted random
+    sources, and seeded one- to three-edit mutations of them."""
+    rng = random.Random(seed)
+    bases = [PIPELINE_SRC, *SMALL_SOURCES,
+             gfl.format_flowline(gfl.parse(PIPELINE_SRC))]
+    bases += [gfl.format_flowline(random_opt_flowline(rng, rng.randint(3, 9)))
+              for _ in range(24)]
+    corpus = list(bases)
+    for _ in range(mutants):
+        lines = rng.choice(bases[:9] if rng.random() < 0.6 else bases
+                           ).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            lines = _mutate(rng, lines)
+        corpus.append("\n".join(lines) + rng.choice(("\n", "")))
+    return corpus
+
+
+def _outcome(src: str) -> tuple[str, Flowline | None]:
+    try:
+        fl = gfl.parse(src)
+    except gfl.GflError as err:
+        return repr(("GflError", err.message, err.line, err.col)), None
+    except Exception as err:  # pinned too: parse should never raise these
+        return repr((type(err).__name__, str(err))), None
+    vertices = [(v.id, v.kind, v.label, v.operator_family, v.resource_class,
+                 json.dumps(v.config, sort_keys=True)) for v in fl.vertices]
+    return repr((vertices, fl.edges, fl.entry, fl.exit)), fl
+
+
+PINNED_COUNTS = (284, 1749)  # (accepted, rejected)
+PINNED_PARSE_DIGEST = \
+    "25e50d9ebcdfc7c309d1f92c708dfa9d3b8c82fac66a83808c4b41d383f69ab8"
+PINNED_TEXT_DIGEST = \
+    "693da6ea5f8aacf1aa86ea9b9ca10f9cf07f50bee68fa7cd2748fd628d3236ac"
+
+
+@pytest.fixture(scope="module")
+def corpus_outcomes():
+    return [_outcome(src) for src in gfl_corpus()]
+
+
+class TestPinnedCorpus:
+    def test_corpus_mixes_accepted_and_rejected(self, corpus_outcomes):
+        accepted = sum(fl is not None for _, fl in corpus_outcomes)
+        assert len(corpus_outcomes) >= 2000
+        assert (accepted, len(corpus_outcomes) - accepted) == PINNED_COUNTS
+
+    def test_parse_outcomes_pinned(self, corpus_outcomes):
+        h = hashlib.sha256()
+        for key, _ in corpus_outcomes:
+            h.update(key.encode() + b"\n")
+        assert h.hexdigest() == PINNED_PARSE_DIGEST
+
+    def test_format_and_dot_pinned(self, corpus_outcomes):
+        h = hashlib.sha256()
+        for _, fl in corpus_outcomes:
+            if fl is not None:
+                h.update(gfl.format_flowline(fl).encode())
+                h.update(gfl.emit_dot(fl).encode())
+        assert h.hexdigest() == PINNED_TEXT_DIGEST

@@ -424,3 +424,22 @@ class TestPlanSerialization:
             doc["vms"].reverse()
         with pytest.raises(SchedulingError, match="are not the procurement"):
             plan_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc.pop("vms"), "no field 'vms'"),
+        (lambda doc: doc.pop("procurement"), "no field 'procurement'"),
+        (lambda doc: doc.pop("assignment"), "no field 'assignment'"),
+        (lambda doc: doc["procurement"][0].pop("count"), "no field 'count'"),
+        (lambda doc: doc["net"].pop("bandwidth_Bps"),
+         "no field 'bandwidth_Bps'"),
+        (lambda doc: doc["procurement"][0].update(count="x"),
+         "procurement count is not an integer: 'x'"),
+        (lambda doc: doc["assignment"].update({"9": "x"}),
+         "assignment of '9' is not an integer: 'x'"),
+    ], ids=["no-vms", "no-procurement", "no-assignment", "no-count",
+            "no-bandwidth", "count-x", "index-x"])
+    def test_missing_or_non_integer_field_is_named(self, edit, match):
+        doc = self.plan_doc()
+        edit(doc)
+        with pytest.raises(SchedulingError, match=match):
+            plan_from_dict(doc)
