@@ -1,13 +1,10 @@
 """Economic models for cloud procurement.
 
-Two fitted relations drive scheduling decisions:
-
-* linear instance pricing, ``price = theta1 * cpu_cores + theta2 * gpu_cards``,
-  fitted over a VM catalog;
-* the price-to-minimum-makespan curve ``g(x) = a + b / (x - c)``, fitted over
-  (unit price, measured makespan) observations. ``c`` acts as the
-  infeasibility threshold: below it no procurement can run the workload, so
-  any observation with an infinite/absent makespan caps ``c`` from above.
+One fitted relation drives scheduling decisions: the price-to-minimum-
+makespan curve ``g(x) = a + b / (x - c)``, fitted over (unit price, measured
+makespan) observations. ``c`` acts as the infeasibility threshold: below it
+no procurement can run the workload, so any observation with an
+infinite/absent makespan caps ``c`` from above.
 
 From a fitted curve and a preference ``eta`` the optimal unit price point is
 closed-form: ``x0 = sqrt((b / a) * (eta / (1 - eta))) + c``. Procurement then
@@ -68,19 +65,6 @@ class VmType:
     def cpu_headroom(self) -> int:
         """Cores left for operators once each GPU's data loader takes one."""
         return self.cpu_cores - self.gpu_cards
-
-
-@dataclass(frozen=True)
-class PriceFit:
-    """Fitted linear price coefficients plus per-row relative errors."""
-
-    theta1: float  # currency per CPU-core-hour
-    theta2: float  # currency per GPU-hour
-    residuals: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        if self.theta1 < 0 or self.theta2 < 0:
-            raise CostModelError("price coefficients must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -157,75 +141,40 @@ class ProcurementPlan:
         return " + ".join(f"{vm.name} x{n}" for vm, n in self.items)
 
 
-def vm_price(cpu: float, gpu: float, fit: PriceFit) -> float:
-    """Estimated hourly price of a (cpu, gpu) shape under the linear model."""
-    if cpu < 0 or gpu < 0:
-        raise CostModelError("negative resource count")
-    return fit.theta1 * cpu + fit.theta2 * gpu
-
-
-def relative_errors(catalog: Sequence[VmType], theta1: float,
-                    theta2: float) -> dict[str, float]:
-    """Per-row relative error (fraction of the quoted price) at given thetas."""
-    out = {}
-    for vm in catalog:
-        predicted = theta1 * vm.cpu_cores + theta2 * vm.gpu_cards
-        out[vm.name] = (vm.unit_price - predicted) / vm.unit_price
-    return out
-
-
-def fit_price_linear(catalog: Sequence[VmType]) -> PriceFit:
-    """Least-squares fit of the linear CPU/GPU pricing model.
-
-    Residuals are relative (each row scaled by its quoted price), matching
-    how catalog pricing errors are conventionally reported. Coefficients are
-    constrained non-negative, by the exact two-column ``_bounded_lstsq2``.
-    """
-    if len(catalog) < 2:
-        raise CostModelError("need at least 2 catalog rows to fit prices")
-    X = np.array([[vm.cpu_cores, vm.gpu_cards] for vm in catalog], float)
-    y = np.array([vm.unit_price for vm in catalog], float)
-    if np.linalg.matrix_rank(X) < 2:
-        raise CostModelError("catalog rows are linearly dependent; add a row "
-                             "with a different CPU:GPU ratio")
-    theta, _ = _bounded_lstsq2(X[:, 0] / y, X[:, 1] / y, np.ones_like(y), 0.0)
-    residuals = tuple(relative_errors(catalog, theta[0], theta[1]).items())
-    return PriceFit(float(theta[0]), float(theta[1]), residuals)
-
-
-def _bounded_lstsq2(p: np.ndarray, q: np.ndarray, y: np.ndarray, lo: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimise ||t1 * p + t2 * q - y|| over t1, t2 >= lo (-inf: unbounded)
-    for a batch of designs, columns p and q broadcast to (..., n); returns
-    (t1, t2) on a last axis and the residual sums of squares. The free
-    solution projects q off p, centring q when p is all ones. Where it
+def _bounded_ab(u: np.ndarray, y: np.ndarray, lo: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise ||a + b * u - y|| over a, b >= lo (-inf: unbounded) for a
+    batch of designs u broadcast to (..., n); returns (a, b) on a last axis
+    and the residual sums of squares. The free solution centres u. Where it
     breaks the bound, the better edge (one coefficient held at lo, the
     other fitted and clipped) is the exact optimum (Lawson & Hanson 1974)."""
-    def dot(a, b):
-        return np.einsum("...i,...i->...", a, b)
+    def dot(p, q):
+        return np.einsum("...i,...i->...", p, q)
 
-    def ssr(t1, t2):
-        r = t1[..., None] * p
-        r += t2[..., None] * q
+    def ssr(a, b):
+        r = b[..., None] * u
+        r += a[..., None]
         r -= y
         return dot(r, r)
 
-    pp, pq, py = dot(p, p), dot(p, q), dot(p, y)
-    q_off_p = q - (pq / pp)[..., None] * p
-    t2 = dot(q_off_p, y) / dot(q_off_p, q_off_p)
-    t1 = (py - t2 * pq) / pp
-    best = ssr(t1, t2)
-    free = (t1 >= lo) & (t2 >= lo)
+    # Sums as dot products with ones: u.sum(-1) rounds differently.
+    ones = np.ones(u.shape[-1])
+    n, su, sy = dot(ones, ones), dot(ones, u), dot(ones, y)
+    centred = u - (su / n)[..., None]
+    b = dot(centred, y) / dot(centred, centred)
+    a = (sy - b * su) / n
+    best = ssr(a, b)
+    free = (a >= lo) & (b >= lo)
     if not np.all(free):
-        held = np.full_like(t1, lo)
-        fit2 = np.maximum(dot(q, y - lo * p) / dot(q, q), lo)
-        fit1 = np.maximum((py - lo * pq) / pp, lo)
-        edge2, edge1 = ssr(held, fit2), ssr(fit1, held)
-        on2 = edge2 <= edge1  # t1 held at lo
-        t1 = np.where(free, t1, np.where(on2, lo, fit1))
-        t2 = np.where(free, t2, np.where(on2, fit2, lo))
-        best = np.where(free, best, np.where(on2, edge2, edge1))
-    return np.stack([t1, t2], -1), best
+        held = np.full_like(a, lo)
+        fit_b = np.maximum(dot(u, y - lo) / dot(u, u), lo)
+        fit_a = np.maximum((sy - lo * su) / n, lo)
+        edge_b, edge_a = ssr(held, fit_b), ssr(fit_a, held)
+        on_b = edge_b <= edge_a  # a held at lo
+        a = np.where(free, a, np.where(on_b, lo, fit_a))
+        b = np.where(free, b, np.where(on_b, fit_b, lo))
+        best = np.where(free, best, np.where(on_b, edge_b, edge_a))
+    return np.stack([a, b], -1), best
 
 
 @dataclass(frozen=True)
@@ -268,7 +217,7 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
 
     Variable projection (Golub & Pereyra, 1973): for a fixed pole c the
     model is linear in (a, b), solved exactly with a, b >= 1e-12 by
-    ``_bounded_lstsq2``, so the fit is a 1-D search over c. The best of 64
+    ``_bounded_ab``, so the fit is a 1-D search over c. The best of 64
     poles from c_cap * 1e-3 up to c_cap, spaced evenly in log(c_cap - c) so
     that narrow basins near c_cap are seen, is bracketed by its neighbours;
     the bracket is re-gridded evenly and narrowed, never widened, to
@@ -289,8 +238,7 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
         c_cap = min(c_cap, max(infeasible))
 
     def profile(poles: np.ndarray, lo: float):
-        return _bounded_lstsq2(np.ones_like(x), 1.0 / (x - poles[:, None]),
-                               y, lo)
+        return _bounded_ab(1.0 / (x - poles[:, None]), y, lo)
 
     tiny = 1e-12
     poles = c_cap - np.geomspace(c_cap * (1 - 1e-3), c_cap * 1e-9, 64)
@@ -329,9 +277,6 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
 def optimal_unit_price(fit: MakespanPriceFit, preference: Preference) -> float:
     """Closed-form minimizer of J(x) = eta*g(x) + (1-eta)*x*g(x)."""
     eta = preference.eta
-    if eta >= 1.0:
-        raise CostModelError("eta = 1 is degenerate (pure-time preference); "
-                             "cap procurement in the scheduler instead")
     return math.sqrt((fit.b / fit.a) * (eta / (1.0 - eta))) + fit.c
 
 
@@ -561,11 +506,18 @@ def _plan_key(types: Sequence[VmType], counts: Sequence[int], x0: float):
 
 def vm_type_from_dict(row: Mapping[str, Any],
                       currency: str = "USD") -> VmType:
-    """One catalog row; a missing field raises CostModelError."""
+    """One catalog row; a missing or non-numeric field is a CostModelError."""
+    def number(key: str, kind: type):
+        try:
+            return kind(row[key])
+        except (TypeError, ValueError, OverflowError):
+            raise CostModelError(f"VM row {dict(row)} has a non-numeric "
+                                 f"{key}: {row[key]!r}") from None
+
     try:
-        return VmType(name=row["name"], cpu_cores=int(row["cpu_cores"]),
-                      gpu_cards=int(row["gpu_cards"]),
-                      unit_price=float(row["unit_price"]),
+        return VmType(name=row["name"], cpu_cores=number("cpu_cores", int),
+                      gpu_cards=number("gpu_cards", int),
+                      unit_price=number("unit_price", float),
                       currency=row.get("currency", currency))
     except KeyError as exc:
         raise CostModelError(f"VM row {dict(row)} has no {exc} field") from None
@@ -576,23 +528,11 @@ def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
     return [vm_type_from_dict(row, currency) for row in doc["vm_types"]]
 
 
-def load_catalog(path: str) -> list[VmType]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return catalog_from_dict(json.load(fh))
-
-
 def observations_from_dict(doc: Mapping[str, Any]) -> list[Observation]:
-    out = []
-    for row in doc["observations"]:
-        mk = row.get("makespan_s")
-        out.append(Observation(float(row["unit_price"]),
-                               None if mk is None else float(mk)))
-    return out
-
-
-def load_observations(path: str) -> list[Observation]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return observations_from_dict(json.load(fh))
+    return [Observation(float(row["unit_price"]),
+                        None if row.get("makespan_s") is None
+                        else float(row["makespan_s"]))
+            for row in doc["observations"]]
 
 
 def _bundled(name: str) -> dict:
@@ -614,7 +554,3 @@ def bundled_qcloud_observations() -> list[Observation]:
     """Price/makespan measurements of the example pipeline on qCloud."""
     return observations_from_dict(_bundled("qcloud_observations.json"))
 
-
-def fit_to_dict(fit: MakespanPriceFit) -> dict[str, Any]:
-    return {"a": fit.a, "b": fit.b, "c": fit.c,
-            "residuals": list(fit.residuals)}

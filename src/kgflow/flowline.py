@@ -23,7 +23,6 @@ function, so evaluation is safe from multiple threads.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -465,7 +464,7 @@ def ideal_time(flowline: Flowline, profile: TaskProfile,
     return n_slices(corpus_size, slice_size) * makespan(flowline, profile)
 
 
-# --- JSON serialization (the schema consumed by the scheduler and simulator) ---
+# --- dict serialization (a flowline built in code, with its profile) ----------
 
 def flowline_to_dict(flowline: Flowline,
                      profile: TaskProfile | None = None) -> dict[str, Any]:
@@ -527,9 +526,4 @@ def profile_from_dict(doc: Mapping[str, Any]) -> TaskProfile:
         payloads[(a, b)] = float(size)
     return TaskProfile({k: float(v) for k, v in doc.get("vertex_weights", {}).items()},
                        payloads)
-
-
-def load_flowline(path: str) -> tuple[Flowline, TaskProfile | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return flowline_from_dict(json.load(fh))
 

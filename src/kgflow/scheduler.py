@@ -442,53 +442,58 @@ def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
 
 
 def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
-    """Inverse of ``plan_to_dict``. A missing field, a non-integer count or
-    VM index, a VM row the catalog rule rejects, a procurement type missing
-    from ``vms`` or ``vms`` other than the expanded procurement raise
-    SchedulingError."""
+    """Inverse of ``plan_to_dict``. A missing or non-numeric field, a count
+    below 1, a type listed twice, a bad eta or VM row, or ``vms`` other than
+    the expanded procurement raise SchedulingError naming the field."""
     try:
         vms = tuple(vm_type_from_dict(row) for row in doc["vms"])
         by_name = {vm.name: vm for vm in vms}
-        items = []
+        items = {}
         for row in doc["procurement"]:
-            if row["type"] not in by_name:
-                raise SchedulingError(f"procurement type {row['type']!r} "
+            name = row["type"]
+            if name not in by_name:
+                raise SchedulingError(f"procurement type {name!r} "
                                       "is not among the plan's vms")
-            items.append((by_name[row["type"]],
-                          _plan_int(row["count"], "procurement count")))
-        net = None
-        if "net" in doc:
-            net = NetParams(float(doc["net"]["latency_s"]),
-                            float(doc["net"]["bandwidth_Bps"]))
-        assignment = {task: _plan_int(idx, f"assignment of {task!r}")
+            if name in items:
+                raise SchedulingError(f"plan procurement lists {name!r} twice")
+            count = _plan_number(row["count"], "procurement count")
+            if count < 1:
+                raise SchedulingError(f"plan procurement count of {name!r} "
+                                      f"is below 1: {count}")
+            items[name] = (by_name[name], count)
+        net = None if "net" not in doc else NetParams(*(
+            _plan_number(doc["net"][k], "net " + k, float)
+            for k in ("latency_s", "bandwidth_Bps")))
+        assignment = {task: _plan_number(idx, f"assignment of {task!r}")
                       for task, idx in doc["assignment"].items()}
     except KeyError as exc:
         raise SchedulingError(f"plan has no field {exc.args[0]!r}") from None
     except CostModelError as exc:
         raise SchedulingError(f"bad plan vms: {exc}") from None
-    procurement = ProcurementPlan(tuple(items))
+    eta = _plan_number(doc.get("eta", 0.5), "eta", float)
+    try:
+        Preference(eta)
+    except CostModelError as exc:
+        raise SchedulingError(f"bad plan eta: {exc}") from None
+    procurement = ProcurementPlan(tuple(items.values()))
     if procurement.expand() != vms:
         raise SchedulingError(
             f"plan vms {[vm.name for vm in vms]} are not the procurement "
             f"{procurement.describe()!r} expanded")
     return SchedulePlan(
-        procurement, vms, assignment, float(doc.get("eta", 0.5)), net,
+        procurement, vms, assignment, eta, net,
         dict(doc.get("predictions", {})),
         doc.get("scheduler", "compound-greedy"))
 
 
-def _plan_int(value: Any, what: str) -> int:
+def _plan_number(value: Any, what: str, kind: type = int):
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SchedulingError(f"plan {what} is not an integer: {value!r}"
-                              ) from None
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise SchedulingError(f"plan {what} is not {noun}: {value!r}") from None
 
 
 def plan_to_json(plan: SchedulePlan) -> str:
     return json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
 
-
-def load_plan(path: str) -> SchedulePlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return plan_from_dict(json.load(fh))

@@ -349,15 +349,3 @@ def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
                      f"{r.cost_com_s:.9g},{r.cost_mon:.9g},{r.J:.9g}")
     return "\n".join(lines) + "\n"
 
-
-def sim_result_to_dict(result: SimResult) -> dict[str, Any]:
-    return {
-        "total_time_s": result.total_time,
-        "per_slice_makespan_s": list(result.per_slice_makespan),
-        "monetary_cost": result.monetary_cost,
-        "timeline": [
-            {"task": ev.task, "slice": ev.slice_index, "vm": ev.vm,
-             "start_s": ev.start, "end_s": ev.end}
-            for ev in result.timeline
-        ],
-    }

@@ -1,4 +1,4 @@
-"""Cost model tests: pricing fit, curve fit, optimal price, procurement.
+"""Cost model tests: curve fit, optimal price, procurement.
 
 Expected values for the curve fit were derived by an independent check:
 profiling out (a, b) by linear least squares on a dense grid of pole
@@ -14,86 +14,22 @@ from kgflow.costmodel import (
     MakespanPriceFit,
     Observation,
     Preference,
-    PriceFit,
     ProcurementPlan,
     ResourceDemand,
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
     bundled_qcloud_observations,
-    fit_price_linear,
     fit_price_makespan,
     normalized_objectives,
     objective,
     optimal_unit_price,
     pareto_frontier,
     procure,
-    relative_errors,
-    vm_price,
+    vm_type_from_dict,
 )
 
-PAPER_THETA = (0.0565, 0.3)
 PAPER_CURVE = (4.17, 5.15, 23.96)
-
-
-class TestVmPrice:
-    def test_xlarge_shape(self):
-        fit = PriceFit(*PAPER_THETA)
-        assert vm_price(4, 1, fit) == pytest.approx(0.526)
-
-    def test_12xlarge_shape(self):
-        fit = PriceFit(*PAPER_THETA)
-        assert vm_price(48, 4, fit) == pytest.approx(3.912)
-
-    def test_empty_machine(self):
-        assert vm_price(0, 0, PriceFit(*PAPER_THETA)) == 0.0
-
-    def test_linearity(self):
-        fit = PriceFit(*PAPER_THETA)
-        for alpha in (2, 3, 10):
-            assert vm_price(4 * alpha, 1 * alpha, fit) == pytest.approx(
-                alpha * vm_price(4, 1, fit))
-
-
-class TestFitPriceLinear:
-    def test_exact_two_point_catalog(self):
-        catalog = [VmType("a", 4, 1, 0.526), VmType("b", 8, 1, 0.752)]
-        fit = fit_price_linear(catalog)
-        assert fit.theta1 == pytest.approx(0.0565, abs=1e-12)
-        assert fit.theta2 == pytest.approx(0.3, abs=1e-12)
-
-    def test_full_catalog_near_reference_coefficients(self):
-        fit = fit_price_linear(bundled_g4dn_catalog())
-        assert abs(fit.theta1 - PAPER_THETA[0]) / PAPER_THETA[0] < 0.10
-        assert abs(fit.theta2 - PAPER_THETA[1]) / PAPER_THETA[1] < 0.10
-
-    def test_error_column_at_reference_theta(self):
-        errors = relative_errors(bundled_g4dn_catalog(), *PAPER_THETA)
-        expected = {
-            "g4dn.xlarge": 0.0, "g4dn.2xlarge": 0.0, "g4dn.4xlarge": 0.0,
-            "g4dn.8xlarge": 0.0313, "g4dn.16xlarge": 0.1002,
-            "g4dn.12xlarge": 0.0, "g4dn.metal": 0.0,
-        }
-        for name, want in expected.items():
-            assert errors[name] == pytest.approx(want, abs=5e-4), name
-
-    def test_single_row_rejected(self):
-        with pytest.raises(CostModelError):
-            fit_price_linear([VmType("a", 4, 1, 0.526)])
-
-    def test_rank_deficient_rejected(self):
-        catalog = [VmType("a", 4, 1, 0.5), VmType("b", 8, 2, 1.0)]
-        with pytest.raises(CostModelError, match="dependent"):
-            fit_price_linear(catalog)
-
-    def test_recovers_exact_generated_prices(self):
-        theta = (0.05, 0.4)
-        shapes = [(4, 1), (8, 1), (16, 2), (32, 4), (10, 0)]
-        catalog = [VmType(f"vm{i}", c, g, theta[0] * c + theta[1] * g)
-                   for i, (c, g) in enumerate(shapes)]
-        fit = fit_price_linear(catalog)
-        assert fit.theta1 == pytest.approx(theta[0], abs=1e-10)
-        assert fit.theta2 == pytest.approx(theta[1], abs=1e-10)
 
 
 class TestParetoFrontier:
@@ -294,3 +230,14 @@ class TestBundledData:
         obs = bundled_qcloud_observations()
         assert len(obs) == 7
         assert sum(1 for o in obs if not o.feasible) == 1
+
+
+class TestVmTypeFromDict:
+    @pytest.mark.parametrize("key", ["cpu_cores", "gpu_cards", "unit_price"])
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_non_numeric_field_is_named(self, key, value):
+        row = {"name": "vm", "cpu_cores": 4, "gpu_cards": 1,
+               "unit_price": 0.5, key: value}
+        with pytest.raises(CostModelError,
+                           match=f"non-numeric {key}: {value!r}"):
+            vm_type_from_dict(row)

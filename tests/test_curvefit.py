@@ -1,4 +1,4 @@
-"""The numpy curve and price fits: the bounded two-coefficient solve, the
+"""The numpy curve fit: the bounded solve for a + b * u, the
 variable-projection fit of g(x) = a + b/(x - c), and the plans it leads to.
 
 The pinned plans below were produced by the earlier fit, which polished a
@@ -22,7 +22,7 @@ from kgflow import scheduler, synth
 from kgflow.costmodel import (
     CostModelError,
     Observation,
-    _bounded_lstsq2,
+    _bounded_ab,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
     bundled_qcloud_observations,
@@ -62,10 +62,11 @@ class TestBoundedLstsq2:
         design = np.array(data.draw(st.lists(
             values, min_size=batch * rows * 2,
             max_size=batch * rows * 2))).reshape(batch, rows, 2)
+        design[..., 0] = 1.0
         y = np.array(data.draw(st.lists(values, min_size=rows,
                                         max_size=rows)))
         assume(all(np.linalg.cond(d) < 1e6 for d in design))
-        theta, ssr = _bounded_lstsq2(design[..., 0], design[..., 1], y, lo)
+        theta, ssr = _bounded_ab(design[..., 1], y, lo)
         assert theta.shape == (batch, 2) and ssr.shape == (batch,)
         for d, t, s in zip(design, theta, ssr):
             assert (t >= lo).all()
@@ -75,11 +76,11 @@ class TestBoundedLstsq2:
                                       rel=1e-9, abs=1e-9)
 
     def test_single_design_is_plain_nnls(self):
-        # y = -1 + 2 * q: the free fit has theta[0] = -1, so theta[0] is
-        # held at 0 and theta[1] refitted alone.
+        # y = -1 + 2 * u: the free fit has a = -1, so a is held at 0 and b
+        # refitted alone.
         design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         y = np.array([1.0, 3.0, 5.0])
-        theta, ssr = _bounded_lstsq2(design[:, 0], design[:, 1], y, 0.0)
+        theta, ssr = _bounded_ab(design[:, 1], y, 0.0)
         assert theta[0] == 0.0
         assert theta[1] == pytest.approx(22.0 / 14.0)
         assert ssr == pytest.approx(_brute_force(design, y, 0.0))
@@ -87,8 +88,9 @@ class TestBoundedLstsq2:
     def test_minus_infinity_is_plain_least_squares(self):
         rng = np.random.default_rng(7)
         design = rng.normal(size=(5, 2))
+        design[:, 0] = 1.0
         y = rng.normal(size=5)
-        theta, _ = _bounded_lstsq2(design[:, 0], design[:, 1], y, -np.inf)
+        theta, _ = _bounded_ab(design[:, 1], y, -np.inf)
         want = np.linalg.lstsq(design, y, rcond=None)[0]
         assert theta == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -115,7 +117,7 @@ def _dense_profile_minimum(observations, poles=20001):
     y = np.array([o.makespan_s for o in frontier])
     cap = _c_cap(observations)
     u = 1.0 / (x - np.linspace(cap * 1e-3, cap, poles)[:, None])
-    _, ssr = _bounded_lstsq2(np.ones_like(x), u, y, 1e-12)
+    _, ssr = _bounded_ab(u, y, 1e-12)
     return float(ssr.min())
 
 

@@ -10,12 +10,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgflow.costmodel import (
     CostModelError,
     MakespanPriceFit,
     Observation,
     VmType,
+    bundled_g4dn_catalog,
     bundled_qcloud_catalog,
     fit_price_makespan,
 )
@@ -33,6 +35,8 @@ from kgflow.scheduler import (
     schedule,
     synthesize_observations,
 )
+from kgflow.sim import baseline_list, baseline_random
+from kgflow.synth import EXPERIMENT_SHAPES, synthetic_flowline
 
 PAPER_CURVE = MakespanPriceFit(4.17, 5.15, 23.96)
 NET = NetParams(latency_s=0.05, bandwidth_Bps=1.0e7)
@@ -436,10 +440,47 @@ class TestPlanSerialization:
          "procurement count is not an integer: 'x'"),
         (lambda doc: doc["assignment"].update({"9": "x"}),
          "assignment of '9' is not an integer: 'x'"),
+        (lambda doc: doc["procurement"][0].update(count=0),
+         "procurement count of '.*' is below 1: 0"),
+        (lambda doc: doc["procurement"].append(
+            {"type": doc["procurement"][0]["type"], "count": -1}),
+         "procurement lists '.*' twice"),
+        (lambda doc: doc.update(eta=3.0), r"bad plan eta: .*\[0, 1\): 3.0"),
+        (lambda doc: doc.update(eta="x"), "plan eta is not a number: 'x'"),
+        (lambda doc: doc["net"].update(latency_s="x"),
+         "plan net latency_s is not a number: 'x'"),
+        (lambda doc: doc["vms"][0].update(unit_price=None),
+         "bad plan vms: .*non-numeric unit_price: None"),
     ], ids=["no-vms", "no-procurement", "no-assignment", "no-count",
-            "no-bandwidth", "count-x", "index-x"])
+            "no-bandwidth", "count-x", "index-x", "count-0", "type-twice",
+            "eta-3", "eta-x", "latency-x", "price-null"])
     def test_missing_or_non_integer_field_is_named(self, edit, match):
         doc = self.plan_doc()
         edit(doc)
         with pytest.raises(SchedulingError, match=match):
             plan_from_dict(doc)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(EXPERIMENT_SHAPES),
+           st.sampled_from([bundled_qcloud_catalog, bundled_g4dn_catalog]),
+           st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2 ** 16))
+    def test_json_round_trip_keeps_text_and_costs(self, shape, make_catalog,
+                                                  eta, seed):
+        fl, profile = synthetic_flowline(*shape)
+        catalog = make_catalog()
+        plans = [baseline_list(fl, profile, catalog, NET),
+                 baseline_random(fl, catalog, seed)]  # the latter has no net
+        try:
+            plans.append(schedule(fl, profile, catalog, eta, NET))
+        except (CostModelError, SchedulingError):
+            pass
+
+        def costs(plan):
+            return evaluate_plan(plan, fl, profile, 8000, 200, plan.eta,
+                                 None if plan.net else NET)
+
+        for plan in plans:
+            text = plan_to_json(plan)
+            loaded = plan_from_dict(json.loads(text))
+            assert plan_to_json(loaded) == text
+            assert costs(loaded) == costs(plan)
