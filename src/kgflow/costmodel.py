@@ -54,8 +54,9 @@ class VmType:
             raise CostModelError(f"{self.name}: cpu_cores must be >= 1")
         if self.gpu_cards < 0:
             raise CostModelError(f"{self.name}: gpu_cards must be >= 0")
-        if self.unit_price <= 0:
-            raise CostModelError(f"{self.name}: unit_price must be > 0")
+        if not 0 < self.unit_price < math.inf:
+            raise CostModelError(f"{self.name}: unit_price must be finite "
+                                 f"and > 0: {self.unit_price}")
         if self.gpu_cards > self.cpu_cores:
             raise CostModelError(
                 f"{self.name}: gpu_cards ({self.gpu_cards}) exceed cpu_cores "
@@ -179,10 +180,19 @@ def _bounded_ab(u: np.ndarray, y: np.ndarray, lo: float
 
 @dataclass(frozen=True)
 class Observation:
-    """One (unit price, measured makespan) point; makespan None = infeasible."""
+    """One (unit price, measured makespan) point; makespan None or inf =
+    infeasible."""
 
     unit_price: float
     makespan_s: float | None = None
+
+    def __post_init__(self):
+        if not 0 < self.unit_price < math.inf:
+            raise CostModelError("observation unit_price must be finite and "
+                                 f"> 0: {self.unit_price}")
+        if self.makespan_s is not None and not self.makespan_s >= 0:
+            raise CostModelError("observation makespan_s must be >= 0, inf "
+                                 f"or None: {self.makespan_s}")
 
     @property
     def feasible(self) -> bool:
@@ -504,35 +514,40 @@ def _plan_key(types: Sequence[VmType], counts: Sequence[int], x0: float):
 
 # --- catalog / observation I/O -------------------------------------------------
 
+def _field(doc: Mapping[str, Any], key: str, what: str,
+           kind: type | None = None):
+    """``doc[key]``, through ``kind`` if given; a missing or non-numeric
+    field is a CostModelError naming it."""
+    if key not in doc:
+        raise CostModelError(f"{what} {dict(doc)} has no {key!r} field")
+    try:
+        return doc[key] if kind is None else kind(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise CostModelError(f"{what} {dict(doc)} has a non-numeric "
+                             f"{key}: {doc[key]!r}") from None
+
+
 def vm_type_from_dict(row: Mapping[str, Any],
                       currency: str = "USD") -> VmType:
     """One catalog row; a missing or non-numeric field is a CostModelError."""
-    def number(key: str, kind: type):
-        try:
-            return kind(row[key])
-        except (TypeError, ValueError, OverflowError):
-            raise CostModelError(f"VM row {dict(row)} has a non-numeric "
-                                 f"{key}: {row[key]!r}") from None
-
-    try:
-        return VmType(name=row["name"], cpu_cores=number("cpu_cores", int),
-                      gpu_cards=number("gpu_cards", int),
-                      unit_price=number("unit_price", float),
-                      currency=row.get("currency", currency))
-    except KeyError as exc:
-        raise CostModelError(f"VM row {dict(row)} has no {exc} field") from None
+    return VmType(_field(row, "name", "VM row"),
+                  _field(row, "cpu_cores", "VM row", int),
+                  _field(row, "gpu_cards", "VM row", int),
+                  _field(row, "unit_price", "VM row", float),
+                  row.get("currency", currency))
 
 
 def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
     currency = doc.get("currency", "USD")
-    return [vm_type_from_dict(row, currency) for row in doc["vm_types"]]
+    return [vm_type_from_dict(row, currency)
+            for row in _field(doc, "vm_types", "catalog")]
 
 
 def observations_from_dict(doc: Mapping[str, Any]) -> list[Observation]:
-    return [Observation(float(row["unit_price"]),
+    return [Observation(_field(row, "unit_price", "observation", float),
                         None if row.get("makespan_s") is None
-                        else float(row["makespan_s"]))
-            for row in doc["observations"]]
+                        else _field(row, "makespan_s", "observation", float))
+            for row in _field(doc, "observations", "observation document")]
 
 
 def _bundled(name: str) -> dict:

@@ -31,13 +31,7 @@ from typing import Any, Iterable, Mapping
 
 from . import registry
 
-KIND_MODEL_CC = "model-CC"
-KIND_MODEL_CE = "model-CE"
 KIND_OPERATOR = "operator"
-MODEL_KINDS = (KIND_MODEL_CC, KIND_MODEL_CE)
-
-GPU_INTENSIVE = "GPU-intensive"
-CPU_ONLY = "CPU-only"
 
 
 class FlowlineError(ValueError):
@@ -46,31 +40,24 @@ class FlowlineError(ValueError):
 
 @dataclass(frozen=True)
 class TaskNode:
-    """One task vertex: an IE model endpoint or a built-in operator."""
+    """One task vertex: an IE model endpoint or a built-in operator. Its
+    ``kind``, a model paradigm or ``KIND_OPERATOR``, alone decides
+    ``is_model``; the registry holds its function's contract."""
 
     id: str
     label: str = ""
     kind: str = KIND_OPERATOR
-    operator_family: str | None = None
-    resource_class: str = ""
     config: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in (*MODEL_KINDS, KIND_OPERATOR):
+        if self.kind != KIND_OPERATOR and self.kind not in registry.PARADIGMS:
             raise FlowlineError(f"unknown task kind: {self.kind!r}")
-        derived = GPU_INTENSIVE if self.kind in MODEL_KINDS else CPU_ONLY
-        if not self.resource_class:
-            object.__setattr__(self, "resource_class", derived)
-        elif self.resource_class != derived:
-            raise FlowlineError(
-                f"task {self.id!r}: {self.kind} must be {derived}, "
-                f"got {self.resource_class}")
         if not self.label:
             object.__setattr__(self, "label", self.id)
 
     @property
     def is_model(self) -> bool:
-        return self.kind in MODEL_KINDS
+        return self.kind in registry.PARADIGMS
 
     @property
     def function(self) -> str:
@@ -267,7 +254,8 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     """Structural and pipe-compatibility validation.
 
     Findings are data, not exceptions: cycles, entry/exit multiplicity,
-    unreachable vertices, dangling edges, unknown operators/models, and
+    unreachable vertices, dangling edges, unknown operators/models (a
+    model vertex whose kind is not its function's paradigm included), and
     type-incompatible pipes (a consumer requiring columns its producer
     cannot supply). With a profile, zero-weight model vertices are flagged
     as warnings (weight 0 is permitted but usually a profiling gap).
@@ -320,12 +308,14 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
                 "unreachable", f"task {tid!r} cannot reach exit"))
 
     for v in sorted(flowline.vertices, key=lambda v: v.id):
-        if v.is_model:
-            if registry.model_spec(v.function) is None:
-                violations.append(Violation(
-                    "unknown-model",
-                    f"task {v.id!r}: model {v.function!r} not registered"))
-        elif registry.operator_spec(v.function) is None:
+        family = getattr(registry.spec(v.function), "family", None)
+        if v.is_model and family != v.kind:
+            detail = (f"is registered as {family}, not {v.kind}"
+                      if family in registry.PARADIGMS else "not registered")
+            violations.append(Violation(
+                "unknown-model",
+                f"task {v.id!r}: model {v.function!r} {detail}"))
+        elif not v.is_model and family in (None, *registry.PARADIGMS):
             violations.append(Violation(
                 "unknown-operator",
                 f"task {v.id!r}: operator {v.function!r} not registered"))
@@ -346,27 +336,14 @@ def _duplicates(ids: Iterable[str]) -> list[str]:
     return sorted(i for i, n in Counter(ids).items() if n > 1)
 
 
-def node_op_spec(node: TaskNode) -> registry.OpSpec | None:
-    """Column contract for any task vertex (models get their paradigm's)."""
-    if node.is_model:
-        task = registry.TASK_CC if node.kind == KIND_MODEL_CC else registry.TASK_CE
-        inputs, outputs = registry.task_io(task)
-        return registry.OpSpec(node.function, "model", inputs, outputs,
-                               carries=False, keeps=inputs)
-    return registry.operator_spec(node.function)
-
-
 def _check_pipes(flowline: Flowline, order: tuple[str, ...]) -> list[Violation]:
-    """Propagate edge-projected columns; flag consumers that cannot be fed."""
+    """Propagate edge-projected columns; flag consumers that cannot be fed
+    (every vertex's function is registered under its kind)."""
     corpus_feed = frozenset({registry.SAMPLE, registry.ANY})
     available: dict[str, frozenset[str]] = {}
     found: list[Violation] = []
     for tid in order:
-        node = flowline.node(tid)
-        spec = node_op_spec(node)
-        if spec is None:  # already reported as unknown-operator
-            available[tid] = frozenset()
-            continue
+        spec = registry.spec(flowline.node(tid).function)
         if tid == flowline.entry:
             received = spec.received_columns(corpus_feed)
         else:
@@ -474,8 +451,6 @@ def flowline_to_dict(flowline: Flowline,
                 "id": v.id,
                 "label": v.label,
                 "kind": v.kind,
-                "operator_family": v.operator_family,
-                "resource_class": v.resource_class,
                 "config": dict(v.config),
             }
             for v in flowline.vertices
@@ -495,8 +470,6 @@ def flowline_from_dict(doc: Mapping[str, Any]) -> tuple[Flowline, TaskProfile | 
             id=str(v["id"]),
             label=str(v.get("label", "") or v["id"]),
             kind=str(v.get("kind", KIND_OPERATOR)),
-            operator_family=v.get("operator_family"),
-            resource_class=str(v.get("resource_class", "")),
             config=dict(v.get("config", {})),
         )
         for v in doc["vertices"]

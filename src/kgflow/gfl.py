@@ -25,14 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from . import registry
-from .flowline import (
-    Flowline,
-    KIND_MODEL_CC,
-    KIND_MODEL_CE,
-    KIND_OPERATOR,
-    TaskNode,
-    validate,
-)
+from .flowline import KIND_OPERATOR, Flowline, TaskNode, validate
 
 NAMESPACE_MODEL = "model"
 NAMESPACE_OPT = "opt"
@@ -291,16 +284,16 @@ def _split_call(text: str, line: int, col: int) -> CallNode:
 
     predicate = None
     if rest.startswith("("):
-        depth = 0
-        end = None
-        for i, ch in enumerate(rest):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
+        # Count parentheses token by token, skipping string literals whole;
+        # parse_predicate reports a character no token starts with.
+        depth, pos, end = 0, 0, None
+        while end is None and pos < len(rest):
+            m = _TOKEN_RX.match(rest, pos)
+            sym = m and m.group("sym")
+            depth += (sym == "(") - (sym == ")")
+            if sym == ")" and depth == 0:
+                end = m.start("sym")
+            pos = m.end() if m else pos + 1
         if end is None:
             raise GflError("unbalanced parentheses in predicate", line,
                            col + offset)
@@ -336,14 +329,13 @@ def _split_call(text: str, line: int, col: int) -> CallNode:
     return CallNode(ns, fn, label, predicate, outputs, is_outlet, line, col)
 
 
-def _node_kind(namespace: str, function: str) -> tuple[str, str | None]:
-    if namespace == NAMESPACE_MODEL:
-        spec = registry.model_spec(function)
-        if spec is not None and spec.task == registry.TASK_CE:
-            return KIND_MODEL_CE, None
-        return KIND_MODEL_CC, None
-    op = registry.operator_spec(function)
-    return KIND_OPERATOR, (op.family if op is not None else None)
+def _node_kind(namespace: str, function: str) -> str:
+    """A model call's registered paradigm (an unregistered model is a
+    classifier until ``validate`` reports it), else an operator."""
+    if namespace != NAMESPACE_MODEL:
+        return KIND_OPERATOR
+    family = getattr(registry.spec(function), "family", None)
+    return family if family in registry.PARADIGMS else registry.MODEL_CC
 
 
 def parse(text: str) -> Flowline:
@@ -455,7 +447,6 @@ def parse(text: str) -> Flowline:
 
     nodes = []
     for vid, call in calls.items():
-        kind, family = _node_kind(call.namespace, call.function)
         config: dict[str, Any] = {
             "namespace": call.namespace,
             "function": call.function,
@@ -469,8 +460,8 @@ def parse(text: str) -> Flowline:
                 config["bindings"] = referenced
         if call.outputs:
             config["outputs"] = list(call.outputs)
-        nodes.append(TaskNode(id=vid, label=call.function, kind=kind,
-                              operator_family=family, config=config))
+        nodes.append(TaskNode(id=vid, label=call.function, config=config,
+                              kind=_node_kind(call.namespace, call.function)))
 
     flowline = Flowline(tuple(nodes), tuple(edges), entry.vertex_id, outlet)
     report = validate(flowline)

@@ -1,8 +1,12 @@
-"""Registries of built-in operators and model kinds.
+"""The one table of task functions, built-in operators and IE models alike.
 
-The registry is pure metadata: which columns a task consumes and produces,
-its operator family, and whether unconsumed columns pass through. Flowline
-validation uses it to check pipe compatibility.
+Each row is an ``OpSpec``: a function's family, the columns it consumes and
+produces, and whether unconsumed columns pass through. A model's family is
+its paradigm, the string a model vertex's ``TaskNode.kind`` carries, and its
+columns follow from it. Flowline validation and GFL parsing read this table
+and nothing else. A programmable operator is registered with its own
+contract, ``register(OpSpec("dedupe", FILTER, (ENTITY,)))``, and a model
+with its paradigm's, ``register(model("SpanNER", MODEL_CE))``.
 """
 
 from __future__ import annotations
@@ -27,21 +31,26 @@ INTEGRATOR = "integrator"
 CONSTRUCTOR = "constructor"
 CONTROLLER = "controller"
 
-# Model task paradigms: classifier (one label per row) vs chunk extractor
-# (a set of spans per row).
-TASK_CC = "cc"
-TASK_CE = "ce"
+# Model families, one per paradigm: a chunk extractor (a set of spans per
+# row) and a classifier (one label per row), with their (inputs, outputs).
+MODEL_CE = "model-CE"
+MODEL_CC = "model-CC"
+PARADIGMS = {
+    MODEL_CE: ((SAMPLE,), (ENTITY, ENTITY_TYPE)),
+    MODEL_CC: ((SAMPLE, ENTITY_PAIR), (RELATION, SCORE)),
+}
+FAMILIES = (FILTER, MAPPER, INTEGRATOR, CONSTRUCTOR, CONTROLLER, *PARADIGMS)
 
 
 @dataclass(frozen=True)
 class OpSpec:
-    """Column contract of one built-in operator.
+    """Column contract of one task function.
 
     ``requires`` are the columns that must be present on incoming rows.
-    ``outputs`` are the columns the operator produces. A carrying operator
+    ``outputs`` are the columns the function produces. A carrying function
     (filters, mappers, integrators) receives and passes whole rows; a
-    non-carrying one (row-reshaping constructors, the controllers) receives
-    exactly ``requires`` + ``keeps`` and only ``keeps`` survive it.
+    non-carrying one (row-reshaping constructors, the controllers, models)
+    receives exactly ``requires`` + ``keeps`` and only ``keeps`` survive it.
     """
 
     name: str
@@ -61,20 +70,34 @@ class OpSpec:
         return wanted & available
 
     def output_columns(self, received: frozenset[str]) -> frozenset[str]:
-        """Columns present after this operator, given what arrived."""
+        """Columns present after this function, given what arrived."""
         passed = received if self.carries else received & frozenset(self.keeps)
         return passed | frozenset(self.outputs)
 
 
-_OPERATORS: dict[str, OpSpec] = {}
+def model(name: str, kind: str) -> OpSpec:
+    """The row of a model under paradigm ``kind``: it needs and keeps the
+    paradigm's inputs and adds its outputs."""
+    try:
+        inputs, outputs = PARADIGMS[kind]
+    except KeyError:
+        raise ValueError(f"unknown model paradigm: {kind!r}") from None
+    return OpSpec(name, kind, inputs, outputs, carries=False, keeps=inputs)
 
 
-def register_operator(spec: OpSpec) -> None:
-    _OPERATORS[spec.name] = spec
+_SPECS: dict[str, OpSpec] = {}
 
 
-def operator_spec(name: str) -> OpSpec | None:
-    return _OPERATORS.get(name)
+def register(spec: OpSpec) -> None:
+    """Add or replace the row of ``spec.name``; its family must be known."""
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r} of {spec.name!r}; "
+                         f"known: {', '.join(FAMILIES)}")
+    _SPECS[spec.name] = spec
+
+
+def spec(name: str) -> OpSpec | None:
+    return _SPECS.get(name)
 
 
 # The corpus feed passes raw rows through the start controller, so besides
@@ -100,51 +123,9 @@ for _spec in [
            carries=False, keeps=(SAMPLE,)),
     OpSpec("triple", CONSTRUCTOR, (ENTITY_PAIR, RELATION), (TRIPLE,),
            carries=False, keeps=()),
+    *(model(name, MODEL_CE) for name in
+      ("BertNER", "FastNER", "LSTMNER", "GazetteerNER", "OracleNER")),
+    *(model(name, MODEL_CC) for name in
+      ("BERTRE", "LSTMRE", "KeywordRE", "OracleRE")),
 ]:
-    register_operator(_spec)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """A registered model name and its paradigm (columns: ``task_io``)."""
-
-    name: str
-    task: str  # TASK_CC | TASK_CE
-
-
-_CE_IO = ((SAMPLE,), (ENTITY, ENTITY_TYPE))
-_CC_IO = ((SAMPLE, ENTITY_PAIR), (RELATION, SCORE))
-
-_MODELS: dict[str, ModelSpec] = {}
-
-
-def register_model(name: str, task: str) -> ModelSpec:
-    """Register a model name under a paradigm; returns the entry."""
-    if task not in (TASK_CC, TASK_CE):
-        raise ValueError(f"unknown model task: {task!r}")
-    spec = ModelSpec(name, task)
-    _MODELS[name] = spec
-    return spec
-
-
-def model_spec(name: str) -> ModelSpec | None:
-    return _MODELS.get(name)
-
-
-for _name, _task in [
-    ("BertNER", TASK_CE),
-    ("FastNER", TASK_CE),
-    ("LSTMNER", TASK_CE),
-    ("GazetteerNER", TASK_CE),
-    ("OracleNER", TASK_CE),
-    ("BERTRE", TASK_CC),
-    ("LSTMRE", TASK_CC),
-    ("KeywordRE", TASK_CC),
-    ("OracleRE", TASK_CC),
-]:
-    register_model(_name, _task)
-
-
-def task_io(task: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(inputs, outputs) column contract for a model paradigm."""
-    return _CC_IO if task == TASK_CC else _CE_IO
+    register(_spec)

@@ -6,6 +6,7 @@ positions c and polishing the best start (see the frozen constants below).
 """
 
 import math
+import re
 
 import pytest
 
@@ -20,9 +21,11 @@ from kgflow.costmodel import (
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
     bundled_qcloud_observations,
+    catalog_from_dict,
     fit_price_makespan,
     normalized_objectives,
     objective,
+    observations_from_dict,
     optimal_unit_price,
     pareto_frontier,
     procure,
@@ -241,3 +244,55 @@ class TestVmTypeFromDict:
         with pytest.raises(CostModelError,
                            match=f"non-numeric {key}: {value!r}"):
             vm_type_from_dict(row)
+
+
+def _row(price):
+    return {"name": "vm", "cpu_cores": 4, "gpu_cards": 1, "unit_price": price}
+
+
+class TestNonFinitePrice:
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda p: VmType("vm", 4, 1, p),
+        lambda p: vm_type_from_dict(_row(p)),
+        lambda p: procure(catalog_from_dict({"vm_types": [_row(p)]}), 10.0,
+                          ResourceDemand(1, 1)),
+    ], ids=["VmType", "vm_type_from_dict", "procure"])
+    def test_rejected_naming_the_field(self, make, price):
+        with pytest.raises(CostModelError,
+                           match=f"vm: unit_price must be finite and > 0: "
+                                 f"{price}"):
+            make(price)
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("load, doc, message", [
+        (catalog_from_dict, {}, "catalog {} has no 'vm_types' field"),
+        (observations_from_dict, {},
+         "observation document {} has no 'observations' field"),
+        (observations_from_dict, {"observations": [{"makespan_s": 1.0}]},
+         "has no 'unit_price' field"),
+        (observations_from_dict, {"observations": [{"unit_price": "x"}]},
+         "has a non-numeric unit_price: 'x'"),
+        (observations_from_dict,
+         {"observations": [{"unit_price": 5, "makespan_s": "x"}]},
+         "has a non-numeric makespan_s: 'x'"),
+        (observations_from_dict,
+         {"observations": [{"unit_price": 5, "makespan_s": math.nan}]},
+         "makespan_s must be >= 0, inf or None: nan"),
+    ])
+    def test_field_is_named(self, load, doc, message):
+        with pytest.raises(CostModelError, match=re.escape(message)):
+            load(doc)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf, 0, -1.0])
+    def test_observation_price_must_be_finite_and_positive(self, price):
+        with pytest.raises(CostModelError,
+                           match="unit_price must be finite and > 0"):
+            Observation(price, 1.0)
+
+    @pytest.mark.parametrize("makespan", [math.nan, -1.0])
+    def test_observation_makespan_must_be_non_negative(self, makespan):
+        assert Observation(10.0, 0.0).feasible  # zero stays legal
+        with pytest.raises(CostModelError, match="makespan_s must be >= 0"):
+            Observation(10.0, makespan)

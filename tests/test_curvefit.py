@@ -224,7 +224,7 @@ class TestFitPriceMakespanOptimal:
 
     def test_no_positive_start_is_a_divergent_fit(self):
         observations = [Observation(x, y)
-                        for x, y in ((10, 1.0), (20, -1.0), (30, -2.0))]
+                        for x, y in ((10, 1.0), (20, 0.0), (30, 0.0))]
         with pytest.raises(CostModelError,
                            match="divergent fit: no initialization with "
                                  "positive coefficients"):

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from kgflow import gfl
 from kgflow.flowline import (
     Flowline,
     FlowlineError,
@@ -30,8 +31,8 @@ from kgflow.flowline import (
 )
 
 
-def op(tid, function="integrate", family="integrator", **config):
-    return TaskNode(id=tid, kind="operator", operator_family=family,
+def op(tid, function="integrate", **config):
+    return TaskNode(id=tid, kind="operator",
                     config={"function": function, **config})
 
 
@@ -395,6 +396,33 @@ class TestSerialization:
         assert profile2.vertex_weights == profile.vertex_weights
         assert profile2.edge_payloads == profile.edge_payloads
 
+    def test_older_document_loads(self):
+        # Written by an older flowline_to_dict, which also stored each
+        # vertex's operator family and resource class; both are ignored.
+        doc = json.loads("""{"vertices": [
+          {"id": "data", "label": "data", "kind": "operator",
+           "operator_family": "controller", "resource_class": "CPU-only",
+           "config": {"namespace": "opt", "function": "data"}},
+          {"id": "BertNER", "label": "BertNER", "kind": "model-CE",
+           "operator_family": null, "resource_class": "GPU-intensive",
+           "config": {"namespace": "model", "function": "BertNER",
+                      "outputs": ["ent", "ent_t"]}},
+          {"id": "permutate", "label": "permutate", "kind": "operator",
+           "operator_family": "constructor", "resource_class": "CPU-only",
+           "config": {"namespace": "opt", "function": "permutate"}}],
+          "edges": [["data", "BertNER"], ["BertNER", "permutate"]],
+          "entry": "data", "exit": "permutate",
+          "profile": {"vertex_weights": {"BertNER": 1.0, "data": 0.0,
+                                         "permutate": 0.03},
+                      "edge_payloads": {"BertNER->permutate": 500000.0}}}""")
+        fl, profile = flowline_from_dict(doc)
+        assert fl == gfl.parse(":data\n    | model.BertNER -> ent, ent_t\n"
+                               "        | opt.permutate:\n")
+        assert profile.edge_payloads == {("BertNER", "permutate"): 5e5}
+        for row in doc["vertices"]:
+            del row["operator_family"], row["resource_class"]
+        assert flowline_to_dict(fl, profile) == doc
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(FlowlineError, match="duplicate"):
             Flowline.build([op("a"), op("a")], [])
@@ -459,7 +487,7 @@ class TestTopologicalSort:
 def fig5_flowline() -> Flowline:
     """The running NER->filters->pair->RE->merge->triple example DAG."""
     vertices = [
-        op("data", function="data", family="controller"),
+        op("data", function="data"),
         model("BertNER", "BertNER"),
         op("filter[f_bert]", function="filter"),
         op("filter[f_lstm]", function="filter"),

@@ -157,6 +157,16 @@ class TestParse:
 
 
 class TestPredicates:
+    @pytest.mark.parametrize("predicate", ["ent_t in [')']", "ent_t == '('"])
+    def test_parenthesis_in_string_literal(self, predicate):
+        src = (":data\n    | model.BertNER -> ent, ent_t\n"
+               f"        | opt.filter[f]({predicate})\n"
+               "            | opt.permutate:\n")
+        fl = gfl.parse(src)
+        assert fl.node("filter[f]").config["predicate"] == predicate
+        assert gfl.format_flowline(fl) == src
+        assert gfl.parse(gfl.format_flowline(fl)) == fl
+
     def test_parse_and_eval(self):
         ast = gfl.parse_predicate("ent_t in types and score != 0")
         env = {"ent_t": "PER", "types": ("PER", "ORG"), "score": 0.5}
@@ -190,10 +200,10 @@ def random_opt_flowline(rng: random.Random, n: int) -> Flowline:
 
     def node(vid):
         if vid == "data":
-            return TaskNode(id=vid, kind="operator", operator_family="controller",
+            return TaskNode(id=vid, kind="operator",
                             config={"namespace": "opt", "function": "data"})
         label = vid[len("integrate["):-1]
-        return TaskNode(id=vid, kind="operator", operator_family="integrator",
+        return TaskNode(id=vid, kind="operator",
                         config={"namespace": "opt", "function": "integrate",
                                 "label": label})
 
@@ -276,11 +286,13 @@ class TestDot:
 # --- pinned parse outcomes ---------------------------------------------------
 #
 # A seeded corpus of valid and broken sources, each parsed and its outcome
-# hashed: the flowline (vertices with kind, label, family and config, then
-# edges, entry and exit) or the error (message, line, column). The digests
-# were generated before the parser kept one record per vertex, so any change
-# to what some source parses to, or to which error it reports first (a lex
-# error anywhere goes ahead of a graph error), shows here.
+# hashed: the flowline (vertices with kind, label and config, then edges,
+# entry and exit) or the error (message, line, column). The digests were
+# generated before the parser kept one record per vertex, and the parse
+# digest re-pinned, on that same older parser, when vertices stopped copying
+# their registry family and resource class; so any change to what some
+# source parses to, or to which error it reports first (a lex error anywhere
+# goes ahead of a graph error), shows here.
 
 SMALL_SOURCES = (
     ":data\n    | opt.triple:",
@@ -391,14 +403,14 @@ def _outcome(src: str) -> tuple[str, Flowline | None]:
         return repr(("GflError", err.message, err.line, err.col)), None
     except Exception as err:  # pinned too: parse should never raise these
         return repr((type(err).__name__, str(err))), None
-    vertices = [(v.id, v.kind, v.label, v.operator_family, v.resource_class,
-                 json.dumps(v.config, sort_keys=True)) for v in fl.vertices]
+    vertices = [(v.id, v.kind, v.label, json.dumps(v.config, sort_keys=True))
+                for v in fl.vertices]
     return repr((vertices, fl.edges, fl.entry, fl.exit)), fl
 
 
 PINNED_COUNTS = (284, 1749)  # (accepted, rejected)
 PINNED_PARSE_DIGEST = \
-    "25e50d9ebcdfc7c309d1f92c708dfa9d3b8c82fac66a83808c4b41d383f69ab8"
+    "7e4aa3aca0ccee43e754f083f6a55e12a3bb903542a3d4982d8060ced6a12ad4"
 PINNED_TEXT_DIGEST = \
     "693da6ea5f8aacf1aa86ea9b9ca10f9cf07f50bee68fa7cd2748fd628d3236ac"
 
