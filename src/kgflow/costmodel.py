@@ -527,6 +527,17 @@ def _field(doc: Mapping[str, Any], key: str, what: str,
                              f"{key}: {doc[key]!r}") from None
 
 
+def _rows(doc: Mapping[str, Any], key: str, what: str) -> list[Mapping]:
+    """``doc[key]`` as a list of mappings; a field that is missing or holds
+    anything else is a CostModelError naming it."""
+    rows = _field(doc, key, what)
+    if not (isinstance(rows, list)
+            and all(isinstance(row, Mapping) for row in rows)):
+        raise CostModelError(f"{what} field {key!r} must be a list of "
+                             f"mappings: {rows!r}")
+    return rows
+
+
 def vm_type_from_dict(row: Mapping[str, Any],
                       currency: str = "USD") -> VmType:
     """One catalog row; a missing or non-numeric field is a CostModelError."""
@@ -540,14 +551,14 @@ def vm_type_from_dict(row: Mapping[str, Any],
 def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
     currency = doc.get("currency", "USD")
     return [vm_type_from_dict(row, currency)
-            for row in _field(doc, "vm_types", "catalog")]
+            for row in _rows(doc, "vm_types", "catalog")]
 
 
 def observations_from_dict(doc: Mapping[str, Any]) -> list[Observation]:
     return [Observation(_field(row, "unit_price", "observation", float),
                         None if row.get("makespan_s") is None
                         else _field(row, "makespan_s", "observation", float))
-            for row in _field(doc, "observations", "observation document")]
+            for row in _rows(doc, "observations", "observation document")]
 
 
 def _bundled(name: str) -> dict:

@@ -13,8 +13,9 @@ whole slices, the last one timed as a full slice even when it is short, so
 its total processing time is ``n_slices(corpus_size, slice_size)`` (that
 is, ceil(corpus_size / slice_size)) times the makespan; ``n_slices`` is the
 one place that rule is written. ``finish_times`` is the one implementation
-of the recurrence: ``makespan``, the simulator and the list baseline's
-upward ranks all run on it.
+of the recurrence: ``makespan`` and the list baseline's upward ranks run it
+on floats, and the simulator on numpy columns holding one value per slice,
+so that one pass over the tasks times every slice of a corpus.
 
 All types are immutable after construction and every operation is a pure
 function, so evaluation is safe from multiple threads.
@@ -28,6 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from . import registry
 
@@ -375,23 +378,38 @@ def _reachable(start: str, adjacency: Mapping[str, tuple[str, ...]]) -> set[str]
 
 
 def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
-                 duration: Mapping[str, float],
-                 delay: Mapping[tuple[str, str], float], start: float = 0.0,
-                 after: Mapping[str, float] | None = None
-                 ) -> tuple[dict[str, float], dict[str, float]]:
+                 duration: Mapping[str, Any],
+                 delay: Mapping[tuple[str, str], float],
+                 columns: bool = False, serial: bool = False
+                 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Start and finish times of the tasks in ``order``, a topological order
-    of the graph ``preds`` describes, with ``after`` (if given) each task's
-    earliest start and no delay on a pair missing from ``delay``:
+    of the graph ``preds`` describes, with no delay on a pair missing from
+    ``delay``:
 
-        ST(v) = max(start, after[v], FT(u) + delay[u, v] for u in preds[v])
+        ST(v) = max(0, FT(u) + delay[u, v] for u in preds[v])
         FT(v) = ST(v) + duration[v]
+
+    A duration is a float, or with ``columns`` a numpy column holding one
+    value per slice, so one pass times every slice at once and each time is
+    a column too. With ``serial`` as well, a task runs its slices in order:
+    slice s also waits for FT(s - 1, v), and the finish column solves
+
+        FT(s, v) = max(R(s), FT(s - 1, v)) + D(s)
+
+    (R the ready column above, D the durations) as one max-plus scan,
+    FT = C + maximum.accumulate(R - (C - D)) with C = cumsum(D).
     """
-    st: dict[str, float] = {}
-    ft: dict[str, float] = {}
+    maximum = np.maximum if columns else max
+    st: dict[str, Any] = {}
+    ft: dict[str, Any] = {}
     for v in order:
-        ready = start if after is None else max(start, after[v])
+        ready = 0.0
         for u in preds[v]:
-            ready = max(ready, ft[u] + delay.get((u, v), 0.0))
+            ready = maximum(ready, ft[u] + delay.get((u, v), 0.0))
+        if serial:
+            cum = np.cumsum(duration[v])
+            done = cum + np.maximum.accumulate(ready - (cum - duration[v]))
+            ready = np.maximum(ready, np.concatenate(([0.0], done))[:-1])
         st[v] = ready
         ft[v] = ready + duration[v]
     return st, ft
@@ -465,21 +483,47 @@ def flowline_to_dict(flowline: Flowline,
 
 
 def flowline_from_dict(doc: Mapping[str, Any]) -> tuple[Flowline, TaskProfile | None]:
+    """A flowline and its profile, if any; a missing or malformed field is a
+    FlowlineError naming it."""
     vertices = [
         TaskNode(
-            id=str(v["id"]),
+            id=str(_field(v, "id", "flowline vertex")),
             label=str(v.get("label", "") or v["id"]),
             kind=str(v.get("kind", KIND_OPERATOR)),
             config=dict(v.get("config", {})),
         )
-        for v in doc["vertices"]
+        for v in _field(doc, "vertices", "flowline document", list)
     ]
-    fl = Flowline.build(vertices, [tuple(e) for e in doc["edges"]],
+    edges = _field(doc, "edges", "flowline document", list)
+    bad = [e for e in edges if not (isinstance(e, list) and len(e) == 2)]
+    if bad:
+        raise FlowlineError(f"flowline edges must be [from, to] pairs: {bad}")
+    fl = Flowline.build(vertices, [tuple(e) for e in edges],
                         entry=doc.get("entry"), exit=doc.get("exit"))
     profile = None
     if "profile" in doc and doc["profile"] is not None:
         profile = profile_from_dict(doc["profile"])
     return fl, profile
+
+
+def _field(doc: Any, key: str, what: str,
+           expect: type | None = None) -> Any:
+    """``doc[key]``, checked to be an ``expect`` if given; a document that
+    is no mapping, a missing field or one of another type is a
+    FlowlineError naming it."""
+    if not isinstance(doc, Mapping) or key not in doc:
+        raise FlowlineError(f"{what} {doc!r} has no {key!r} field")
+    if expect is not None and not isinstance(doc[key], expect):
+        raise FlowlineError(f"{what} field {key!r} must be a "
+                            f"{expect.__name__}: {doc[key]!r}")
+    return doc[key]
+
+
+def _number(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise FlowlineError(f"{what} is not a number: {value!r}") from None
 
 
 def profile_to_dict(profile: TaskProfile) -> dict[str, Any]:
@@ -491,12 +535,21 @@ def profile_to_dict(profile: TaskProfile) -> dict[str, Any]:
 
 
 def profile_from_dict(doc: Mapping[str, Any]) -> TaskProfile:
+    """A profile; a malformed weight or payload is a FlowlineError naming
+    its field."""
+    if not isinstance(doc, Mapping):
+        raise FlowlineError(f"profile must be a mapping: {doc!r}")
+    weights = doc.get("vertex_weights", {})
+    sizes = doc.get("edge_payloads", {})
+    for key, value in (("vertex_weights", weights), ("edge_payloads", sizes)):
+        if not isinstance(value, Mapping):
+            raise FlowlineError(
+                f"profile field {key!r} must be a mapping: {value!r}")
     payloads: dict[tuple[str, str], float] = {}
-    for key, size in doc.get("edge_payloads", {}).items():
+    for key, size in sizes.items():
         a, _, b = key.partition("->")
         if not b:
             raise FlowlineError(f"bad edge key in profile: {key!r}")
-        payloads[(a, b)] = float(size)
-    return TaskProfile({k: float(v) for k, v in doc.get("vertex_weights", {}).items()},
-                       payloads)
-
+        payloads[(a, b)] = _number(size, f"profile edge_payloads[{key!r}]")
+    return TaskProfile({k: _number(v, f"profile vertex_weights[{k!r}]")
+                        for k, v in weights.items()}, payloads)

@@ -5,8 +5,8 @@ default discipline one slice is in flight at a time: slice s is admitted
 once slice s-1 has left the exit task, and within a slice every task starts
 as soon as all precursors have finished and any cross-VM transfer delay has
 elapsed. The corpus runs as ``flowline.n_slices`` whole slices, the last one
-a full slice even when the corpus ends part-way through it, and each slice
-runs on ``flowline.finish_times``, the recurrence behind ``makespan``. So
+a full slice even when the corpus ends part-way through it, and the slices
+run on ``flowline.finish_times``, the recurrence behind ``makespan``. So
 with zero jitter this reproduces the analytic model within float rounding:
 total time = n_slices(corpus, slice) * makespan of the partitioned graph,
 for every corpus and slice size. The ``overlap`` flag enables the
@@ -14,9 +14,22 @@ experimentation mode where tasks run ahead across slices (per-task serial
 order still holds); throughput then exceeds the analytic model's, so only
 the default mode matches it.
 
+Every slice is timed at once: ``finish_times`` makes one pass over the
+tasks in topological order, each time a numpy column with one value per
+slice. Without overlap each slice's times come out relative to its own
+admission, and the admissions are the exclusive cumulative sum of the
+slices' exit finishes. With overlap, a task's slices form the max-plus scan
+FT(s) = max(R(s), FT(s - 1)) + D(s), R the slice's ready time and D the
+duration, which ``finish_times`` solves with a cumulative maximum. A run
+holds a few float64 columns per event, so one that would outgrow
+``_MAX_SIM_BYTES`` is refused before anything is allocated. The result's
+``timeline`` keeps the start and finish columns and builds a
+``TimelineEvent`` only when one is read.
+
 Task durations can be jittered with a multiplicative log-normal factor
-(mean 1, fractional std-dev ``jitter``), drawn deterministically from the
-seed.
+(mean 1, fractional std-dev ``jitter``), drawn as one (slices, tasks) array
+from ``numpy.random.Generator(PCG64(seed))``, so a seed gives the same run
+every time.
 
 Also here: the two comparison baselines (seeded random plans and an
 earliest-finish-time list scheduler) and the eta sweep that produces
@@ -30,6 +43,8 @@ import random
 import statistics
 from dataclasses import dataclass
 from typing import Any, Sequence
+
+import numpy as np
 
 from .costmodel import (
     CostModelError,
@@ -106,49 +121,102 @@ class TimelineEvent:
     end: float
 
 
+@dataclass(frozen=True, eq=False)
+class Timeline(Sequence[TimelineEvent]):
+    """A run's events, slice by slice and within a slice in ``tasks``
+    order, kept as read-only (tasks, slices) start and end columns; an
+    event is built only when it is read."""
+
+    tasks: tuple[str, ...]
+    vms: tuple[int, ...]
+    start: np.ndarray
+    end: np.ndarray
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]  # IndexError when out of range
+        if isinstance(picked, range):
+            return tuple(self[i] for i in picked)
+        s, j = divmod(picked, len(self.tasks))
+        return TimelineEvent(self.tasks[j], s, self.vms[j],
+                             float(self.start[j, s]), float(self.end[j, s]))
+
+    def __iter__(self):
+        for s, (starts, ends) in enumerate(zip(self.start.T.tolist(),
+                                               self.end.T.tolist())):
+            for task, vm, start, end in zip(self.tasks, self.vms, starts,
+                                            ends):
+                yield TimelineEvent(task, s, vm, start, end)
+
+    def __eq__(self, other):
+        if not isinstance(other, Timeline):
+            return NotImplemented
+        return (self.tasks == other.tasks and self.vms == other.vms
+                and np.array_equal(self.start, other.start)
+                and np.array_equal(self.end, other.end))
+
+
 @dataclass(frozen=True)
 class SimResult:
     total_time: float
     per_slice_makespan: tuple[float, ...]
     monetary_cost: float
-    timeline: tuple[TimelineEvent, ...]
+    timeline: Timeline
+
+
+# A run's arrays hold this many float64 bytes per event at their peak: the
+# jitter factor, the duration, the kernel's start and finish, and the
+# timeline's start and end; a run needing more than the budget is refused.
+_EVENT_BYTES = 48
+_MAX_SIM_BYTES = 1 << 27
 
 
 def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
              config: SimConfig) -> SimResult:
-    """Event-driven run of the plan over the sliced corpus."""
+    """Event-driven run of the plan over the sliced corpus: one pass of
+    ``finish_times`` over the tasks times every slice at once."""
     require_qualified(plan, flowline)
-    assignment = plan.assignment
-    delay = apply_partition(flowline, profile, assignment, config.net)
+    delay = apply_partition(flowline, profile, plan.assignment, config.net)
     order = flowline.topological_order
-    weights = {task: profile.weight(task) for task in order}
-    rng = random.Random(config.seed)
+    slices = config.n_slices
+    if slices * len(order) * _EVENT_BYTES > _MAX_SIM_BYTES:
+        raise FlowlineError(
+            f"corpus_size {config.corpus_size:g} at slice_size "
+            f"{config.slice_size:g} is {slices} slices of {len(order)} tasks, "
+            f"more events than {_MAX_SIM_BYTES >> 20} MB holds; raise "
+            "slice_size or split the corpus")
     sigma = config.jitter
-    mu = -0.5 * sigma * sigma  # mean-1 log-normal
+    shape = (slices, len(order))
+    factor = np.ones(shape) if not sigma else np.random.Generator(
+        np.random.PCG64(config.seed)).lognormal(-0.5 * sigma * sigma, sigma,
+                                                shape)  # mean 1
+    duration = {task: profile.weight(task) * factor[:, j]
+                for j, task in enumerate(order)}
+    st, ft = finish_times(order, flowline.predecessors, duration, delay,
+                          columns=True, serial=config.overlap)
 
-    timeline: list[TimelineEvent] = []
-    per_slice: list[float] = []
-    admitted = total = 0.0
-    finish = None
-    for s in range(config.n_slices):
-        duration = weights if not sigma else {
-            task: weights[task] * rng.lognormvariate(mu, sigma)
-            for task in order}
-        if config.overlap:
-            start, finish = finish_times(order, flowline.predecessors,
-                                         duration, delay, after=finish)
-            admitted = min(start.values())  # the slice's first start
-        else:
-            start, finish = finish_times(order, flowline.predecessors,
-                                         duration, delay, start=admitted)
-        timeline.extend(TimelineEvent(task, s, assignment[task], start[task],
-                                      finish[task]) for task in order)
-        total = finish[flowline.exit]
-        per_slice.append(total - admitted)
-        admitted = total
-
+    start = np.empty((len(order), slices))
+    end = np.empty_like(start)
+    for j, task in enumerate(order):
+        start[j], end[j] = st[task], ft[task]
+    exit_finish = ft[flowline.exit]
+    if config.overlap:  # a slice runs from its first start to its exit
+        per_slice = exit_finish - start.min(axis=0)
+        left = exit_finish
+    else:  # a slice is admitted when the one before it leaves the exit
+        per_slice = exit_finish
+        left = np.cumsum(exit_finish)
+        offsets = np.concatenate(([0.0], left))[:-1]
+        start += offsets
+        end += offsets
+    start.flags.writeable = end.flags.writeable = False
+    total = float(left[-1]) if slices else 0.0
     cost = plan.total_unit_price * total / 3600.0
-    return SimResult(total, tuple(per_slice), cost, tuple(timeline))
+    timeline = Timeline(order, tuple(plan.assignment[t] for t in order),
+                        start, end)
+    return SimResult(total, tuple(per_slice.tolist()), cost, timeline)
 
 
 def timeline_to_chrome_trace(result: SimResult) -> list[dict[str, Any]]:

@@ -280,6 +280,15 @@ class TestLoaderErrors:
         (observations_from_dict,
          {"observations": [{"unit_price": 5, "makespan_s": math.nan}]},
          "makespan_s must be >= 0, inf or None: nan"),
+        (catalog_from_dict, {"vm_types": 5},
+         "catalog field 'vm_types' must be a list of mappings: 5"),
+        (catalog_from_dict, {"vm_types": [5]},
+         "catalog field 'vm_types' must be a list of mappings: [5]"),
+        (observations_from_dict, {"observations": 5},
+         "observation document field 'observations' must be a list of "
+         "mappings: 5"),
+        (observations_from_dict, {"observations": [[35.94, 4.65]]},
+         "must be a list of mappings: [[35.94, 4.65]]"),
     ])
     def test_field_is_named(self, load, doc, message):
         with pytest.raises(CostModelError, match=re.escape(message)):

@@ -9,7 +9,9 @@ the recursion must match the oracle bit-for-bit.
 import json
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from kgflow import gfl
@@ -217,21 +219,68 @@ def enumerate_paths_finish(fl, duration, delay, start, after):
     return finish
 
 
+def random_case(rng, max_vertices=9):
+    """A random DAG with dyadic durations and delays on every edge."""
+    fl, profile = random_dag(rng, max_vertices)
+    delay = {e: rng.randint(0, 40) / 8 for e in fl.edges}
+    return fl, dict(profile.vertex_weights), delay
+
+
 class TestFinishTimes:
-    def test_start_and_after_match_path_enumeration(self):
+    def test_floats_match_path_enumeration(self):
         rng = random.Random(3)
         for _ in range(60):
-            fl, profile = random_dag(rng, max_vertices=9)
-            duration = dict(profile.vertex_weights)
-            delay = {e: rng.randint(0, 40) / 8 for e in fl.edges}
-            start = rng.randint(0, 80) / 8
-            after = rng.choice([None, {v.id: rng.randint(0, 200) / 8
-                                       for v in fl.vertices}])
+            fl, duration, delay = random_case(rng)
             st, ft = finish_times(fl.topological_order, fl.predecessors,
-                                  duration, delay, start=start, after=after)
-            assert ft == enumerate_paths_finish(fl, duration, delay, start,
-                                                after)
+                                  duration, delay)
+            assert ft == enumerate_paths_finish(fl, duration, delay, 0.0,
+                                                None)
             assert st == {t: ft[t] - duration[t] for t in ft}
+
+    def test_columns_time_each_slice_as_the_float_path(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            fl, duration, delay = random_case(rng)
+            slices = rng.randint(1, 6)
+            columns = {t: np.array([rng.randint(0, 100) / 8
+                                    for _ in range(slices)])
+                       for t in duration}
+            st, ft = finish_times(fl.topological_order, fl.predecessors,
+                                  columns, delay, columns=True)
+            for s in range(slices):
+                one = {t: float(columns[t][s]) for t in columns}
+                want_st, want_ft = finish_times(
+                    fl.topological_order, fl.predecessors, one, delay)
+                assert {t: float(np.broadcast_to(st[t], slices)[s])
+                        for t in st} == want_st
+                assert {t: float(ft[t][s]) for t in ft} == want_ft
+
+    def test_serial_waits_for_the_previous_slice(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            fl, duration, delay = random_case(rng)
+            slices = rng.randint(1, 8)
+            columns = {t: np.array([rng.randint(0, 100) / 8
+                                    for _ in range(slices)])
+                       for t in duration}
+            st, ft = finish_times(fl.topological_order, fl.predecessors,
+                                  columns, delay, columns=True, serial=True)
+            before = None
+            for s in range(slices):
+                one = {t: float(columns[t][s]) for t in columns}
+                want = enumerate_paths_finish(fl, one, delay, 0.0, before)
+                assert {t: float(ft[t][s]) for t in ft} == want
+                assert {t: float(st[t][s]) for t in st} == {
+                    t: want[t] - one[t] for t in want}
+                before = want
+
+    def test_no_slices(self):
+        fl, duration, delay = random_case(random.Random(1))
+        empty = {t: np.zeros(0) for t in duration}
+        for serial in (False, True):
+            st, ft = finish_times(fl.topological_order, fl.predecessors,
+                                  empty, delay, columns=True, serial=serial)
+            assert all(np.shape(ft[t]) == (0,) for t in ft)
 
 
 class TestRejectBadNumbers:
@@ -422,6 +471,35 @@ class TestSerialization:
         for row in doc["vertices"]:
             del row["operator_family"], row["resource_class"]
         assert flowline_to_dict(fl, profile) == doc
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "flowline document {} has no 'vertices' field"),
+        ({"vertices": 5, "edges": []},
+         "flowline document field 'vertices' must be a list: 5"),
+        ({"vertices": [{"label": "a"}], "edges": []},
+         "flowline vertex {'label': 'a'} has no 'id' field"),
+        ({"vertices": [5], "edges": []}, "flowline vertex 5 has no 'id'"),
+        ({"vertices": [{"id": "a"}]}, "has no 'edges' field"),
+        ({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a"]]},
+         "flowline edges must be [from, to] pairs: [['a']]"),
+        ({"vertices": [{"id": "a"}], "edges": [],
+          "profile": {"vertex_weights": {"a": "x"}}},
+         "profile vertex_weights['a'] is not a number: 'x'"),
+        ({"vertices": [{"id": "a"}], "edges": [],
+          "profile": {"vertex_weights": {"a": None}}},
+         "profile vertex_weights['a'] is not a number: None"),
+        ({"vertices": [{"id": "a"}], "edges": [],
+          "profile": {"edge_payloads": {"a->b": "big"}}},
+         "profile edge_payloads['a->b'] is not a number: 'big'"),
+        ({"vertices": [{"id": "a"}], "edges": [],
+          "profile": {"vertex_weights": [1.0]}},
+         "profile field 'vertex_weights' must be a mapping: [1.0]"),
+        ({"vertices": [{"id": "a"}], "edges": [], "profile": 5},
+         "profile must be a mapping: 5"),
+    ])
+    def test_malformed_document_names_the_field(self, doc, message):
+        with pytest.raises(FlowlineError, match=re.escape(message)):
+            flowline_from_dict(doc)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(FlowlineError, match="duplicate"):

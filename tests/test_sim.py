@@ -1,9 +1,17 @@
-"""Simulator tests: analytic agreement, determinism, causality, baselines."""
+"""Simulator tests: analytic agreement, determinism, causality, baselines.
+
+``reference_simulate`` is the simulator as it was before it timed every
+slice at once: a dict recurrence per slice, each slice admitted at the
+previous one's exit (or, overlapping, each task after its own previous
+slice). The columnar ``simulate`` must agree with it event by event.
+"""
 
 import functools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -30,6 +38,7 @@ from kgflow.scheduler import (
     evaluate_plan,
     schedule,
 )
+from kgflow import sim
 from kgflow.sim import (
     SimConfig,
     SweepConfig,
@@ -207,6 +216,187 @@ class TestSimConfig:
         assert sweep.net == NetParams(0.05, 1.0e7)
         assert (sweep.corpus_size, sweep.slice_size, sweep.random_plans,
                 sweep.seed) == (8000, 200, 50, 0)
+
+
+def reference_finish_times(order, preds, duration, delay, start=0.0,
+                           after=None):
+    """One slice's start and finish times, starting no earlier than
+    ``start`` and each task no earlier than ``after[task]``."""
+    st, ft = {}, {}
+    for v in order:
+        ready = start if after is None else max(start, after[v])
+        for u in preds[v]:
+            ready = max(ready, ft[u] + delay.get((u, v), 0.0))
+        st[v] = ready
+        ft[v] = ready + duration[v]
+    return st, ft
+
+
+def jitter_factors(config, tasks):
+    """The (slices, tasks) duration factors ``simulate`` draws."""
+    shape = (config.n_slices, tasks)
+    if not config.jitter:
+        return np.ones(shape)
+    sigma = config.jitter
+    return np.random.Generator(np.random.PCG64(config.seed)).lognormal(
+        -0.5 * sigma * sigma, sigma, shape)
+
+
+def reference_simulate(plan, fl, profile, config):
+    """(total_time, per_slice_makespan, events) by one recurrence a slice."""
+    order = fl.topological_order
+    delay = apply_partition(fl, profile, plan.assignment, config.net)
+    factors = jitter_factors(config, len(order))
+    events, per_slice = [], []
+    admitted = total = 0.0
+    finish = None
+    for s in range(config.n_slices):
+        duration = {t: profile.weight(t) * factors[s, j]
+                    for j, t in enumerate(order)}
+        if config.overlap:
+            start, finish = reference_finish_times(
+                order, fl.predecessors, duration, delay, after=finish)
+            admitted = min(start.values())
+        else:
+            start, finish = reference_finish_times(
+                order, fl.predecessors, duration, delay, start=admitted)
+        events += [(t, s, plan.assignment[t], start[t], finish[t])
+                   for t in order]
+        total = finish[fl.exit]
+        per_slice.append(total - admitted)
+        admitted = total
+    return total, per_slice, events
+
+
+@functools.lru_cache(maxsize=None)
+def random_dag_plan(dag_seed, plan_seed):
+    fl, profile = random_dag(random.Random(dag_seed))
+    return fl, profile, baseline_random(fl, bundled_qcloud_catalog(),
+                                        plan_seed, NET)
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(dag_seed=st.integers(0, 2**32), plan_seed=st.integers(0, 1000),
+           corpus=st.integers(0, 3000), slice_size=st.integers(10, 700),
+           jitter=st.sampled_from([0.0, 0.3]), overlap=st.booleans(),
+           latency=st.sampled_from([0.0, 0.125]))
+    @example(dag_seed=0, plan_seed=0, corpus=0, slice_size=200, jitter=0.0,
+             overlap=True, latency=0.125)
+    def test_every_event_agrees(self, dag_seed, plan_seed, corpus,
+                                slice_size, jitter, overlap, latency):
+        fl, profile, plan = random_dag_plan(dag_seed, plan_seed)
+        config = SimConfig(latency_s=latency, bandwidth_Bps=8000.0,
+                           slice_size=slice_size, corpus_size=corpus,
+                           jitter=jitter, overlap=overlap, seed=plan_seed)
+        result = simulate(plan, fl, profile, config)
+        total, per_slice, events = reference_simulate(plan, fl, profile,
+                                                      config)
+        tol = 1e-12 * total
+        assert math.isclose(result.total_time, total, rel_tol=1e-12,
+                            abs_tol=0.0)
+        assert len(result.per_slice_makespan) == len(per_slice)
+        for got, want in zip(result.per_slice_makespan, per_slice):
+            assert abs(got - want) <= tol
+        assert len(result.timeline) == len(events)
+        for ev, (task, s, vm, start, end) in zip(result.timeline, events):
+            assert (ev.task, ev.slice_index, ev.vm) == (task, s, vm)
+            assert abs(ev.start - start) <= tol
+            assert abs(ev.end - end) <= tol
+
+
+class TestJitter:
+    @pytest.mark.parametrize("jitter, seed", [(0.05, 0), (0.2, 1), (0.5, 2)])
+    def test_factors_have_mean_one_and_std_jitter(self, jitter, seed):
+        plan, fl, profile = single_task_plan(weight=2.0)
+        config = SimConfig(slice_size=1, corpus_size=8000, jitter=jitter,
+                           seed=seed)
+        factors = np.array(simulate(plan, fl, profile,
+                                    config).per_slice_makespan) / 2.0
+        assert len(factors) == 8000
+        assert abs(factors.mean() - 1.0) <= 0.01
+        assert abs(factors.std() / jitter - 1.0) <= 0.1
+
+    def test_stream_is_numpy_pcg64(self):
+        plan, fl, profile = single_task_plan(weight=1.0)
+        config = SimConfig(slice_size=1, corpus_size=50, jitter=0.1, seed=4)
+        per_slice = simulate(plan, fl, profile, config).per_slice_makespan
+        assert per_slice == tuple(jitter_factors(config, 1)[:, 0].tolist())
+
+
+class TestTimeline:
+    def result(self, corpus=600, **options):
+        fl, profile = nine_task_flowline(), nine_task_profile()
+        plan = schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET,
+                        fit=PAPER_CURVE)
+        config = SimConfig(latency_s=NET.latency_s,
+                           bandwidth_Bps=NET.bandwidth_Bps, slice_size=200,
+                           corpus_size=corpus, **options)
+        return plan, fl, simulate(plan, fl, profile, config)
+
+    def test_reads_slice_by_slice_in_topological_order(self):
+        plan, fl, result = self.result()
+        timeline = result.timeline
+        order = fl.topological_order
+        assert len(timeline) == 3 * len(order)
+        events = list(timeline)
+        assert [(ev.task, ev.slice_index) for ev in events] == [
+            (t, s) for s in range(3) for t in order]
+        assert all(ev.vm == plan.assignment[ev.task] for ev in events)
+        assert [timeline[i] for i in range(len(timeline))] == events
+        assert timeline[-1] == events[-1]
+        assert timeline[2:5] == tuple(events[2:5])
+        assert events[-1].end == result.total_time
+        with pytest.raises(IndexError):
+            timeline[len(timeline)]
+
+    def test_columns_are_read_only(self):
+        _, _, result = self.result()
+        with pytest.raises(ValueError):
+            result.timeline.start[0, 0] = 1.0
+
+    def test_equality_follows_the_columns(self):
+        _, _, a = self.result(jitter=0.2, seed=1)
+        _, _, b = self.result(jitter=0.2, seed=1)
+        _, _, c = self.result(jitter=0.2, seed=2)
+        assert a.timeline == b.timeline and a == b
+        assert a.timeline != c.timeline and a != c
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_empty_corpus(self, overlap):
+        _, _, result = self.result(corpus=0, overlap=overlap, jitter=0.1)
+        assert result.total_time == 0.0
+        assert result.monetary_cost == 0.0
+        assert result.per_slice_makespan == ()
+        assert len(result.timeline) == 0 and list(result.timeline) == []
+        assert timeline_to_chrome_trace(result) == []
+
+
+class TestMemoryBudget:
+    def test_huge_run_is_refused_before_allocating(self):
+        plan, fl, profile = single_task_plan()
+        config = SimConfig(corpus_size=1e15, slice_size=1e-3)
+        assert config.n_slices == 10**18
+        tracemalloc.start()
+        try:
+            with pytest.raises(FlowlineError,
+                               match=r"corpus_size 1e\+15 at slice_size 0\.001 "
+                                     r"is 10+ slices"):
+                simulate(plan, fl, profile, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_budget_is_the_limit(self, monkeypatch):
+        plan, fl, profile = single_task_plan()
+        config = SimConfig(corpus_size=1000, slice_size=10)
+        needed = 100 * sim._EVENT_BYTES
+        monkeypatch.setattr(sim, "_MAX_SIM_BYTES", needed)
+        assert len(simulate(plan, fl, profile, config).timeline) == 100
+        monkeypatch.setattr(sim, "_MAX_SIM_BYTES", needed - 1)
+        with pytest.raises(FlowlineError, match="slice_size"):
+            simulate(plan, fl, profile, config)
 
 
 class TestBaselineRandom:
