@@ -71,12 +71,20 @@ class TaskNode:
 
 @dataclass(frozen=True)
 class Flowline:
-    """Immutable task DAG with declared entry and exit vertices."""
+    """Immutable task graph with declared entry and exit. Construction keeps
+    a repeated edge once and raises FlowlineError unless the task ids are
+    unique and every edge, the entry and the exit name tasks of it."""
 
     vertices: tuple[TaskNode, ...]
     edges: tuple[tuple[str, str], ...]
     entry: str
     exit: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", _edge_set(self.vertices, self.edges))
+        for role, task in (("entry", self.entry), ("exit", self.exit)):
+            if task not in self.by_id:
+                raise FlowlineError(f"{role} {task!r} is not a task of the flowline")
 
     @classmethod
     def build(cls, vertices: Iterable[TaskNode],
@@ -84,24 +92,15 @@ class Flowline:
               entry: str | None = None, exit: str | None = None) -> "Flowline":
         """Construct a flowline, inferring entry/exit from degrees if omitted."""
         verts = tuple(vertices)
-        eds = tuple((str(a), str(b)) for a, b in edges)
-        ids = [v.id for v in verts]
-        if len(set(ids)) != len(ids):
-            raise FlowlineError(f"duplicate task ids: {_duplicates(ids)}")
-        if entry is None or exit is None:
-            targets = {b for _, b in eds}
-            sources = {a for a, _ in eds}
-            heads = [i for i in ids if i not in targets]
-            tails = [i for i in ids if i not in sources]
-            if entry is None:
-                if len(heads) != 1:
-                    raise FlowlineError(f"cannot infer entry, candidates: {heads}")
-                entry = heads[0]
-            if exit is None:
-                if len(tails) != 1:
-                    raise FlowlineError(f"cannot infer exit, candidates: {tails}")
-                exit = tails[0]
-        return cls(verts, eds, entry, exit)
+        # Checked before the degrees are read, so a bad edge is named.
+        eds = _edge_set(verts, ((str(a), str(b)) for a, b in edges))
+        heads, tails = _ends(verts, eds)
+        if entry is None and len(heads) != 1:
+            raise FlowlineError(f"cannot infer entry, candidates: {heads}")
+        if exit is None and len(tails) != 1:
+            raise FlowlineError(f"cannot infer exit, candidates: {tails}")
+        return cls(verts, eds, heads[0] if entry is None else entry,
+                   tails[0] if exit is None else exit)
 
     @cached_property
     def by_id(self) -> dict[str, TaskNode]:
@@ -117,17 +116,15 @@ class Flowline:
     def successors(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {v.id: [] for v in self.vertices}
         for a, b in self.edges:
-            if a in out and b in out:
-                out[a].append(b)
-        return {k: tuple(sorted(set(v))) for k, v in out.items()}
+            out[a].append(b)
+        return {k: tuple(sorted(v)) for k, v in out.items()}
 
     @cached_property
     def predecessors(self) -> dict[str, tuple[str, ...]]:
         inn: dict[str, list[str]] = {v.id: [] for v in self.vertices}
         for a, b in self.edges:
-            if a in inn and b in inn:
-                inn[b].append(a)
-        return {k: tuple(sorted(set(v))) for k, v in inn.items()}
+            inn[b].append(a)
+        return {k: tuple(sorted(v)) for k, v in inn.items()}
 
     @cached_property
     def topological_order(self) -> tuple[str, ...]:
@@ -207,11 +204,32 @@ class NetParams:
         return self.latency_s + payload_bytes / self.bandwidth_Bps
 
 
+def _edge_set(vertices: tuple[TaskNode, ...],
+              edges: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """``edges`` once each in first-seen order, checked against ``vertices``."""
+    ids = Counter(v.id for v in vertices)
+    repeated = sorted(i for i, n in ids.items() if n > 1)
+    if repeated:
+        raise FlowlineError(f"duplicate task ids: {repeated}")
+    unique = tuple(dict.fromkeys(edges))
+    dangling = [e for e in unique if e[0] not in ids or e[1] not in ids]
+    if dangling:
+        raise FlowlineError(f"edges join unknown tasks: {dangling}")
+    return unique
+
+
+def _ends(vertices: tuple[TaskNode, ...], edges: tuple[tuple[str, str], ...]
+          ) -> tuple[list[str], list[str]]:
+    """Heads and tails: the tasks with no in-edge, and with no out-edge."""
+    targets = {b for _, b in edges}
+    sources = {a for a, _ in edges}
+    ids = sorted(v.id for v in vertices)
+    return ([i for i in ids if i not in targets],
+            [i for i in ids if i not in sources])
+
+
 def _topo_sort(flowline: Flowline) -> tuple[str, ...] | None:
-    indeg = {v.id: 0 for v in flowline.vertices}
-    for a, b in flowline.edges:
-        if a in indeg and b in indeg:
-            indeg[b] += 1
+    indeg = {k: len(v) for k, v in flowline.predecessors.items()}
     ready = [i for i, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -222,9 +240,7 @@ def _topo_sort(flowline: Flowline) -> tuple[str, ...] | None:
             indeg[succ] -= 1
             if indeg[succ] == 0:
                 heapq.heappush(ready, succ)
-    if len(order) != len(flowline.vertices):
-        return None
-    return tuple(order)
+    return tuple(order) if len(order) == len(flowline.vertices) else None
 
 
 @dataclass(frozen=True)
@@ -256,8 +272,8 @@ class ValidationReport:
 def validate(flowline: Flowline, profile: TaskProfile | None = None) -> ValidationReport:
     """Structural and pipe-compatibility validation.
 
-    Findings are data, not exceptions: cycles, entry/exit multiplicity,
-    unreachable vertices, dangling edges, unknown operators/models (a
+    Findings are data, not exceptions: entry/exit multiplicity and any
+    mismatch with the declared ones, cycles, unknown operators/models (a
     model vertex whose kind is not its function's paradigm included), and
     type-incompatible pipes (a consumer requiring columns its producer
     cannot supply). With a profile, zero-weight model vertices are flagged
@@ -265,22 +281,7 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     """
     violations: list[Violation] = []
     warnings: list[Violation] = []
-    ids = [v.id for v in flowline.vertices]
-    known = set(ids)
-
-    for d in _duplicates(ids):
-        violations.append(Violation("duplicate-id", f"task id {d!r} repeats"))
-
-    for a, b in flowline.edges:
-        if a not in known or b not in known:
-            violations.append(Violation(
-                "dangling-edge", f"edge {a}->{b} references unknown task"))
-
-    valid_edges = [(a, b) for a, b in flowline.edges if a in known and b in known]
-    targets = {b for _, b in valid_edges}
-    sources = {a for a, _ in valid_edges}
-    heads = sorted(i for i in known if i not in targets)
-    tails = sorted(i for i in known if i not in sources)
+    heads, tails = _ends(flowline.vertices, flowline.edges)
     if len(heads) != 1:
         violations.append(Violation(
             "multiple-entries" if heads else "no-entry",
@@ -299,16 +300,6 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     order = _topo_sort(flowline)
     if order is None:
         violations.append(Violation("cycle", "flowline contains a directed cycle"))
-
-    if order is not None and len(heads) == 1 and len(tails) == 1:
-        fwd = _reachable(heads[0], flowline.successors)
-        bwd = _reachable(tails[0], flowline.predecessors)
-        for tid in sorted(known - fwd):
-            violations.append(Violation(
-                "unreachable", f"task {tid!r} not reachable from entry"))
-        for tid in sorted(known - bwd):
-            violations.append(Violation(
-                "unreachable", f"task {tid!r} cannot reach exit"))
 
     for v in sorted(flowline.vertices, key=lambda v: v.id):
         family = getattr(registry.spec(v.function), "family", None)
@@ -335,10 +326,6 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
-def _duplicates(ids: Iterable[str]) -> list[str]:
-    return sorted(i for i, n in Counter(ids).items() if n > 1)
-
-
 def _check_pipes(flowline: Flowline, order: tuple[str, ...]) -> list[Violation]:
     """Propagate edge-projected columns; flag consumers that cannot be fed
     (every vertex's function is registered under its kind)."""
@@ -352,8 +339,7 @@ def _check_pipes(flowline: Flowline, order: tuple[str, ...]) -> list[Violation]:
         else:
             received = frozenset()
             for pred in flowline.predecessors[tid]:
-                received |= spec.received_columns(
-                    available.get(pred, frozenset()))
+                received |= spec.received_columns(available[pred])
             missing = [c for c in spec.requires
                        if c != registry.ANY and c not in received]
             if missing:
@@ -364,17 +350,6 @@ def _check_pipes(flowline: Flowline, order: tuple[str, ...]) -> list[Violation]:
                     f"by precursor(s) {preds}"))
         available[tid] = spec.output_columns(received)
     return found
-
-
-def _reachable(start: str, adjacency: Mapping[str, tuple[str, ...]]) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],

@@ -85,24 +85,17 @@ def _natural_key(text: str):
 
 
 def compound(flowline: Flowline) -> CompoundingResult:
-    """GPU-task-guided compounding (fixpoint of the capture rule)."""
+    """GPU-task-guided compounding: one pass in topological order per anchor,
+    an operator joining when it has precursors and all are members."""
     compounds: list[Compound] = []
     captured: set[str] = set()
     for anchor in sorted(flowline.model_ids(), key=_natural_key):
         members = {anchor}
-        changed = True
-        while changed:
-            changed = False
-            frontier = sorted({s for m in members
-                               for s in flowline.successors[m]
-                               if s not in members}, key=_natural_key)
-            for succ in frontier:
-                node = flowline.node(succ)
-                if node.is_model:
-                    continue
-                if set(flowline.predecessors[succ]) <= members:
-                    members.add(succ)
-                    changed = True
+        for task in flowline.topological_order:
+            preds = flowline.predecessors[task]
+            if (preds and task not in flowline._model_set
+                    and all(p in members for p in preds)):
+                members.add(task)
         compounds.append(Compound(tuple(members), anchor))
         captured |= members
     orphans = tuple(sorted((v.id for v in flowline.vertices
