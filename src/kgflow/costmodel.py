@@ -516,15 +516,21 @@ def _plan_key(types: Sequence[VmType], counts: Sequence[int], x0: float):
 
 def _field(doc: Mapping[str, Any], key: str, what: str,
            kind: type | None = None):
-    """``doc[key]``, through ``kind`` if given; a missing or non-numeric
-    field is a CostModelError naming it."""
-    if key not in doc:
-        raise CostModelError(f"{what} {dict(doc)} has no {key!r} field")
+    """``doc[key]``, through ``kind`` if given; a document that is no
+    mapping, a missing or non-numeric field, or a fraction where ``kind`` is
+    int is a CostModelError naming it."""
+    if not isinstance(doc, Mapping) or key not in doc:
+        raise CostModelError(f"{what} {doc!r} has no {key!r} field")
+    value = doc[key]
     try:
-        return doc[key] if kind is None else kind(doc[key])
+        number = value if kind is None else kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise CostModelError(f"{what} {dict(doc)} has a non-numeric "
-                             f"{key}: {doc[key]!r}") from None
+        raise CostModelError(f"{what} {doc!r} has a non-numeric "
+                             f"{key}: {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise CostModelError(f"{what} {doc!r} has a non-integral "
+                             f"{key}: {value!r}")
+    return number
 
 
 def _rows(doc: Mapping[str, Any], key: str, what: str) -> list[Mapping]:
@@ -549,9 +555,8 @@ def vm_type_from_dict(row: Mapping[str, Any],
 
 
 def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
-    currency = doc.get("currency", "USD")
-    return [vm_type_from_dict(row, currency)
-            for row in _rows(doc, "vm_types", "catalog")]
+    rows = _rows(doc, "vm_types", "catalog")
+    return [vm_type_from_dict(row, doc.get("currency", "USD")) for row in rows]
 
 
 def observations_from_dict(doc: Mapping[str, Any]) -> list[Observation]:

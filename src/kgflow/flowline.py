@@ -462,10 +462,11 @@ def flowline_from_dict(doc: Mapping[str, Any]) -> tuple[Flowline, TaskProfile | 
     FlowlineError naming it."""
     vertices = [
         TaskNode(
-            id=str(_field(v, "id", "flowline vertex")),
+            id=_field(v, "id", "flowline vertex", str),
             label=str(v.get("label", "") or v["id"]),
             kind=str(v.get("kind", KIND_OPERATOR)),
-            config=dict(v.get("config", {})),
+            config=dict(_field(v, "config", "flowline vertex", Mapping)
+                        if "config" in v else {}),
         )
         for v in _field(doc, "vertices", "flowline document", list)
     ]

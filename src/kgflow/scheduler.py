@@ -435,14 +435,26 @@ def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
 
 
 def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
-    """Inverse of ``plan_to_dict``. A missing or non-numeric field, a count
-    below 1, a type listed twice, a bad eta or VM row, or ``vms`` other than
-    the expanded procurement raise SchedulingError naming the field."""
+    """Inverse of ``plan_to_dict``. A field that is missing, of the wrong
+    type or not a whole number where one is due, a count below 1, a type
+    listed twice, a bad eta or VM row, or ``vms`` other than the expanded
+    procurement raise SchedulingError naming the field."""
+    if not isinstance(doc, Mapping):
+        raise SchedulingError(f"plan must be a mapping: {doc!r}")
+    for key, kind in (("vms", list), ("procurement", list),
+                      ("assignment", Mapping), ("net", Mapping),
+                      ("predictions", Mapping)):
+        if key in doc and not isinstance(doc[key], kind):
+            raise SchedulingError(f"plan field {key!r} must be a "
+                                  f"{kind.__name__.lower()}: {doc[key]!r}")
     try:
         vms = tuple(vm_type_from_dict(row) for row in doc["vms"])
         by_name = {vm.name: vm for vm in vms}
         items = {}
         for row in doc["procurement"]:
+            if not isinstance(row, Mapping):
+                raise SchedulingError(f"plan procurement row is not a "
+                                      f"mapping: {row!r}")
             name = row["type"]
             if name not in by_name:
                 raise SchedulingError(f"procurement type {name!r} "
@@ -481,10 +493,14 @@ def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
 
 def _plan_number(value: Any, what: str, kind: type = int):
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float)
+                          and number != value):  # int() would truncate it
         noun = "an integer" if kind is int else "a number"
-        raise SchedulingError(f"plan {what} is not {noun}: {value!r}") from None
+        raise SchedulingError(f"plan {what} is not {noun}: {value!r}")
+    return number
 
 
 def plan_to_json(plan: SchedulePlan) -> str:

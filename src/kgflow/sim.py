@@ -143,13 +143,6 @@ class Timeline(Sequence[TimelineEvent]):
         return TimelineEvent(self.tasks[j], s, self.vms[j],
                              float(self.start[j, s]), float(self.end[j, s]))
 
-    def __iter__(self):
-        for s, (starts, ends) in enumerate(zip(self.start.T.tolist(),
-                                               self.end.T.tolist())):
-            for task, vm, start, end in zip(self.tasks, self.vms, starts,
-                                            ends):
-                yield TimelineEvent(task, s, vm, start, end)
-
     def __eq__(self, other):
         if not isinstance(other, Timeline):
             return NotImplemented
@@ -220,20 +213,22 @@ def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
 
 
 def timeline_to_chrome_trace(result: SimResult) -> list[dict[str, Any]]:
-    """Chrome-trace-compatible event list (timestamps in microseconds)."""
-    events = []
-    for ev in sorted(result.timeline,
-                     key=lambda e: (e.start, _natural_key(e.task), e.slice_index)):
-        events.append({
-            "name": f"{ev.task}#{ev.slice_index}",
-            "cat": "task",
-            "ph": "X",
-            "ts": ev.start * 1e6,
-            "dur": (ev.end - ev.start) * 1e6,
-            "pid": ev.vm,
-            "tid": ev.task,
-        })
-    return events
+    """Chrome-trace-compatible event list (timestamps in microseconds),
+    ordered by start, task id in natural order and slice; events that tie
+    on all three, such as tasks "a1" and "a01", keep timeline order."""
+    timeline = result.timeline
+    keys = [_natural_key(task) for task in timeline.tasks]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    start, end = timeline.start.T.ravel(), timeline.end.T.ravel()  # slice-major
+    slices, tasks = np.divmod(np.arange(start.size), len(keys))
+    order = np.lexsort((slices, np.array([rank[k] for k in keys])[tasks], start))
+    names, vms = timeline.tasks, timeline.vms
+    return [{"name": f"{names[j]}#{s}", "cat": "task", "ph": "X", "ts": ts,
+             "dur": dur, "pid": vms[j], "tid": names[j]}
+            for j, s, ts, dur in zip(tasks[order].tolist(),
+                                     slices[order].tolist(),
+                                     (start[order] * 1e6).tolist(),
+                                     ((end - start)[order] * 1e6).tolist())]
 
 
 # --- baselines -----------------------------------------------------------------

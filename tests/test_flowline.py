@@ -13,6 +13,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgflow import gfl
 from kgflow.flowline import (
@@ -512,23 +513,25 @@ class TestSerialization:
                      edges=(), entry="a", exit="b")
 
 
-def reference_topo_sort(flowline):
-    """Sorted-list Kahn's algorithm: pop the smallest ready id each step."""
-    indeg = {v.id: 0 for v in flowline.vertices}
-    for a, b in flowline.edges:
-        if a in indeg and b in indeg:
-            indeg[b] += 1
+def reference_topo_sort(ids, edges):
+    """Sorted-list Kahn's algorithm over the graph ``edges`` draws on
+    ``ids``: pop the smallest ready id each step."""
+    indeg = {i: 0 for i in ids}
+    succs = {i: [] for i in ids}
+    for a, b in edges:
+        indeg[b] += 1
+        succs[a].append(b)
     ready = sorted(i for i, d in indeg.items() if d == 0)
     order = []
     while ready:
         nxt = ready.pop(0)
         order.append(nxt)
-        for succ in flowline.successors[nxt]:
+        for succ in succs[nxt]:
             indeg[succ] -= 1
             if indeg[succ] == 0:
                 ready.append(succ)
         ready.sort()
-    if len(order) != len(flowline.vertices):
+    if len(order) != len(indeg):
         return None
     return tuple(order)
 
@@ -538,7 +541,8 @@ class TestTopologicalSort:
         rng = random.Random(11)
         for _ in range(300):
             fl, _ = random_dag(rng, max_vertices=30)
-            assert _topo_sort(fl) == reference_topo_sort(fl)
+            assert _topo_sort(fl) == reference_topo_sort(
+                [v.id for v in fl.vertices], fl.edges)
 
     def test_matches_reference_on_random_graphs(self):
         # Shuffled vertex order, arbitrary edges: cycles give None in both.
@@ -552,10 +556,73 @@ class TestTopologicalSort:
                      for _ in range(rng.randint(0, 2 * len(ids)))]
             fl = Flowline(tuple(op(i) for i in ids), tuple(edges),
                           ids[0], ids[-1])
-            want = reference_topo_sort(fl)
+            want = reference_topo_sort(ids, dict.fromkeys(edges))
             cyclic += want is None
             assert _topo_sort(fl) == want
         assert 0 < cyclic < 300
+
+    def test_repeated_edge_orders_as_the_deduplicated_graph(self):
+        plain = fig5_flowline()
+        repeated = Flowline.build(plain.vertices,
+                                  plain.edges + plain.edges[::3])
+        assert repeated.edges == plain.edges
+        assert validate(repeated).ok
+        assert repeated.topological_order == plain.topological_order
+        pair = Flowline.build([op("a"), op("b")], [("a", "b"), ("a", "b")])
+        assert pair.topological_order == ("a", "b")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_edge_lists_construct_or_raise(self, data):
+        # Repeats, self-loops and unknown ends ("zz") all occur.
+        ids = data.draw(st.lists(st.sampled_from("abcdef"), min_size=1,
+                                 unique=True))
+        ends = st.sampled_from([*ids, "zz"])
+        edges = data.draw(st.lists(st.tuples(ends, ends), max_size=15))
+        entry, exit = data.draw(ends), data.draw(ends)
+        try:
+            fl = Flowline(tuple(op(i) for i in ids), tuple(edges), entry, exit)
+        except FlowlineError:
+            assert "zz" in {entry, exit, *(x for e in edges for x in e)}
+            return
+        unique = tuple(dict.fromkeys(edges))
+        assert fl.edges == unique
+        assert _topo_sort(fl) == reference_topo_sort(ids, unique)
+
+
+class TestInvariant:
+    """Construction rejects what no flowline may hold, naming it."""
+
+    CASES = {
+        "dangling-edge": ({"edges": [("a", "b"), ("a", "zz")]},
+                          "('a', 'zz')"),
+        "unknown-entry": ({"entry": "zz"}, "entry 'zz'"),
+        "unknown-exit": ({"exit": "zz"}, "exit 'zz'"),
+    }
+
+    @staticmethod
+    def direct(edges, entry, exit):
+        return Flowline((op("a"), op("b")), tuple(edges), entry or "a",
+                        exit or "b")
+
+    @staticmethod
+    def build(edges, entry, exit):
+        return Flowline.build([op("a"), op("b")], edges, entry, exit)
+
+    @staticmethod
+    def from_dict(edges, entry, exit):
+        doc = flowline_to_dict(Flowline.build([op("a"), op("b")],
+                                              [("a", "b")]))
+        doc.update(edges=[list(e) for e in edges], entry=entry, exit=exit)
+        return flowline_from_dict(doc)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("make", ["direct", "build", "from_dict"])
+    def test_rejected_naming_the_offender(self, make, case):
+        fields, offender = self.CASES[case]
+        args = {"edges": [("a", "b")], "entry": None, "exit": None, **fields}
+        with pytest.raises(FlowlineError, match=re.escape(offender)):
+            getattr(self, make)(**args)
 
 
 def fig5_flowline() -> Flowline:

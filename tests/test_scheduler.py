@@ -8,6 +8,7 @@ numeric ids (models: 1, 6, 7):
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,19 @@ from kgflow.costmodel import (
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
+    catalog_from_dict,
     fit_price_makespan,
+    observations_from_dict,
 )
-from kgflow.flowline import Flowline, NetParams, TaskNode, TaskProfile
+from kgflow.flowline import (
+    Flowline,
+    FlowlineError,
+    NetParams,
+    TaskNode,
+    TaskProfile,
+    flowline_from_dict,
+    flowline_to_dict,
+)
 from kgflow.scheduler import (
     SchedulePlan,
     SchedulingError,
@@ -322,6 +333,20 @@ class TestSchedule:
         assert rank <= 0.10 * len(all_js)
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["edges"].append(["9", "zz"]),
+        lambda doc: doc.update(entry="zz"),
+        lambda doc: doc.update(exit="zz"),
+    ], ids=["dangling-edge", "unknown-entry", "unknown-exit"])
+    def test_malformed_document_is_a_flowline_error(self, edit):
+        doc = flowline_to_dict(nine_task_flowline(), nine_task_profile())
+        edit(doc)
+        with pytest.raises(FlowlineError, match="zz"):
+            fl, profile = flowline_from_dict(doc)
+            schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET,
+                     fit=PAPER_CURVE)
+
+
 class TestEvaluatePlan:
     def test_single_vm_observation_cost(self):
         fl = Flowline.build([op("w")], [])
@@ -484,3 +509,74 @@ class TestPlanSerialization:
             loaded = plan_from_dict(json.loads(text))
             assert plan_to_json(loaded) == text
             assert costs(loaded) == costs(plan)
+
+
+def _edited_plan(edit):
+    def make():  # built when the case runs, not when it is collected
+        doc = TestPlanSerialization.plan_doc()
+        edit(doc)
+        return doc
+    return make
+
+
+def _vertex(**fields):
+    return {"vertices": [{"id": "a", **fields}], "edges": []}
+
+
+class TestLoadersRaiseTypedErrors:
+    """A malformed document raises its module's error naming the field,
+    never a bare TypeError, AttributeError or ValueError, and a whole-number
+    field never truncates a fraction."""
+
+    @pytest.mark.parametrize("load, doc, error, message", [
+        (plan_from_dict, 5, SchedulingError, "plan must be a mapping: 5"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(vms=5)),
+         SchedulingError, "plan field 'vms' must be a list: 5"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(vms=[5])),
+         SchedulingError, "bad plan vms: VM row 5 has no 'name' field"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(procurement=5)),
+         SchedulingError, "plan field 'procurement' must be a list: 5"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(procurement=[5])),
+         SchedulingError, "plan procurement row is not a mapping: 5"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(assignment=5)),
+         SchedulingError, "plan field 'assignment' must be a mapping: 5"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(assignment=[])),
+         SchedulingError, "plan field 'assignment' must be a mapping: []"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(net=5)),
+         SchedulingError, "plan field 'net' must be a mapping: 5"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(predictions=5)),
+         SchedulingError, "plan field 'predictions' must be a mapping: 5"),
+        (plan_from_dict,
+         _edited_plan(lambda d: d["procurement"][0].update(count=1.7)),
+         SchedulingError, "plan procurement count is not an integer: 1.7"),
+        (plan_from_dict, _edited_plan(lambda d: d["assignment"].update(
+            {"1": 1.7})),
+         SchedulingError, "plan assignment of '1' is not an integer: 1.7"),
+        (plan_from_dict, _edited_plan(lambda d: d["vms"][0].update(
+            cpu_cores=4.7)),
+         SchedulingError, "has a non-integral cpu_cores: 4.7"),
+        (catalog_from_dict, 5, CostModelError,
+         "catalog 5 has no 'vm_types' field"),
+        (catalog_from_dict, [], CostModelError,
+         "catalog [] has no 'vm_types' field"),
+        (catalog_from_dict, {"vm_types": [{"name": "vm", "cpu_cores": 4.7,
+                                           "gpu_cards": 1,
+                                           "unit_price": 1.0}]},
+         CostModelError, "has a non-integral cpu_cores: 4.7"),
+        (observations_from_dict, 5, CostModelError,
+         "observation document 5 has no 'observations' field"),
+        (flowline_from_dict, _vertex(config=5), FlowlineError,
+         "flowline vertex field 'config' must be a Mapping: 5"),
+        (flowline_from_dict, _vertex(config="ab"), FlowlineError,
+         "flowline vertex field 'config' must be a Mapping: 'ab'"),
+        (flowline_from_dict, {"vertices": [{"id": None}], "edges": []},
+         FlowlineError, "flowline vertex field 'id' must be a str: None"),
+    ], ids=["plan-5", "vms-5", "vms-[5]", "procurement-5", "procurement-[5]",
+            "assignment-5", "assignment-[]", "net-5", "predictions-5",
+            "count-1.7", "index-1.7", "plan-cores-4.7", "catalog-5",
+            "catalog-[]", "catalog-cores-4.7", "observations-5",
+            "config-5", "config-ab", "id-None"])
+    def test_field_is_named(self, load, doc, error, message):
+        doc = doc() if callable(doc) else doc
+        with pytest.raises(error, match=re.escape(message)):
+            load(doc)

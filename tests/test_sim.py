@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgflow.costmodel import (
     CostModelError,
+    VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
 )
@@ -33,9 +34,12 @@ from kgflow.flowline import (
 from kgflow.scheduler import (
     MakespanPriceFit,
     SchedulePlan,
+    _natural_key,
     _plan_from_instances,
+    SchedulingError,
     check_qualification,
     evaluate_plan,
+    plan_to_json,
     schedule,
 )
 from kgflow import sim
@@ -372,6 +376,62 @@ class TestTimeline:
         assert timeline_to_chrome_trace(result) == []
 
 
+def reference_chrome_trace(result):
+    """The export as it was when it sorted the events themselves."""
+    events = []
+    for ev in sorted(result.timeline, key=lambda e: (e.start, _natural_key(e.task),
+                                                    e.slice_index)):
+        events.append({
+            "name": f"{ev.task}#{ev.slice_index}",
+            "cat": "task",
+            "ph": "X",
+            "ts": ev.start * 1e6,
+            "dur": (ev.end - ev.start) * 1e6,
+            "pid": ev.vm,
+            "tid": ev.task,
+        })
+    return events
+
+
+class TestChromeTrace:
+    def fan_out(self, **options):
+        # a1/a01 tie on natural key and x2/x10 sort apart from their
+        # topological order; on one VM all four start together.
+        middle = ["a1", "a01", "x2", "x10"]
+        fl = Flowline.build([op(t) for t in ["src", *middle, "sink"]],
+                            [("src", t) for t in middle]
+                            + [(t, "sink") for t in middle])
+        profile = TaskProfile({v.id: 0.25 for v in fl.vertices})
+        vms = (VmType("big", 16, 0, 1.0),)
+        plan = SchedulePlan(_plan_from_instances(vms), vms,
+                            {v.id: 0 for v in fl.vertices}, 0.5, NET)
+        config = SimConfig(slice_size=200, corpus_size=2000, **options)
+        return simulate(plan, fl, profile, config)
+
+    def nine_task(self, corpus=2000, **options):
+        return TestTimeline().result(corpus=corpus, **options)[2]
+
+    @pytest.mark.parametrize("run", [
+        lambda self: self.fan_out(),
+        lambda self: self.fan_out(jitter=0.3, seed=5),
+        lambda self: self.nine_task(jitter=0.2, seed=3),
+        lambda self: self.nine_task(overlap=True, jitter=0.2, seed=4),
+        lambda self: self.nine_task(corpus=0),
+    ], ids=["ties", "ties-jittered", "jittered", "overlap", "empty"])
+    def test_matches_the_event_sort(self, run):
+        result = run(self)
+        trace = timeline_to_chrome_trace(result)
+        assert trace == reference_chrome_trace(result)
+        assert len(trace) == len(result.timeline)
+        assert all(type(ev["ts"]) is float and type(ev["dur"]) is float
+                   and type(ev["pid"]) is int for ev in trace)
+
+    def test_ties_keep_timeline_order(self):
+        trace = timeline_to_chrome_trace(self.fan_out())
+        assert [ev["name"] for ev in trace[1:5]] == [
+            "a01#0", "a1#0", "x2#0", "x10#0"]
+
+
 class TestMemoryBudget:
     def test_huge_run_is_refused_before_allocating(self):
         plan, fl, profile = single_task_plan()
@@ -467,6 +527,40 @@ class TestBaselineList:
         profile = TaskProfile({"a": 1.0, "b": 1.0}, {("a", "b"): 1e5})
         plan = baseline_list(fl, profile, bundled_qcloud_catalog(), NET)
         assert check_qualification(plan, fl).ok
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and message of the typed error
+    it raises."""
+    try:
+        return call()
+    except (CostModelError, SchedulingError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestIdenticalInputs:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(EXPERIMENT_SHAPES), st.sampled_from(["qcloud", "g4dn"]),
+           st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2 ** 16))
+    def test_equal_inputs_give_equal_outputs(self, shape, catalog_name, eta,
+                                             seed):
+        def run():  # every input built afresh
+            fl, profile = synthetic_flowline(*shape)
+            catalog = {"qcloud": bundled_qcloud_catalog,
+                       "g4dn": bundled_g4dn_catalog}[catalog_name]()
+            net = NetParams(latency_s=0.05, bandwidth_Bps=1.0e7)
+            plan = outcome(lambda: plan_to_json(
+                schedule(fl, profile, catalog, eta, net)))
+            table = outcome(lambda: sweep_to_csv(sweep_eta(
+                fl, profile, catalog, [eta],
+                SweepConfig(random_plans=3, seed=seed))))
+            config = SimConfig(latency_s=0.05, bandwidth_Bps=1.0e7,
+                               corpus_size=4000, jitter=0.2, seed=seed)
+            result = simulate(baseline_list(fl, profile, catalog, net), fl,
+                              profile, config)
+            return plan, table, result
+
+        assert run() == run()
 
 
 class TestSweep:
