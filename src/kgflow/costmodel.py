@@ -26,6 +26,7 @@ candidates first so that ``eta`` acts as a meaningful dial.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,9 +35,14 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _fields
+
 
 class CostModelError(ValueError):
     """Bad input data or a fit that cannot be carried out."""
+
+
+_field = functools.partial(_fields.field, CostModelError)
 
 
 @dataclass(frozen=True)
@@ -514,56 +520,28 @@ def _plan_key(types: Sequence[VmType], counts: Sequence[int], x0: float):
 
 # --- catalog / observation I/O -------------------------------------------------
 
-def _field(doc: Mapping[str, Any], key: str, what: str,
-           kind: type | None = None):
-    """``doc[key]``, through ``kind`` if given; a document that is no
-    mapping, a missing or non-numeric field, or a fraction where ``kind`` is
-    int is a CostModelError naming it."""
-    if not isinstance(doc, Mapping) or key not in doc:
-        raise CostModelError(f"{what} {doc!r} has no {key!r} field")
-    value = doc[key]
-    try:
-        number = value if kind is None else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise CostModelError(f"{what} {doc!r} has a non-numeric "
-                             f"{key}: {value!r}") from None
-    if kind is int and isinstance(value, float) and number != value:
-        raise CostModelError(f"{what} {doc!r} has a non-integral "
-                             f"{key}: {value!r}")
-    return number
-
-
-def _rows(doc: Mapping[str, Any], key: str, what: str) -> list[Mapping]:
-    """``doc[key]`` as a list of mappings; a field that is missing or holds
-    anything else is a CostModelError naming it."""
-    rows = _field(doc, key, what)
-    if not (isinstance(rows, list)
-            and all(isinstance(row, Mapping) for row in rows)):
-        raise CostModelError(f"{what} field {key!r} must be a list of "
-                             f"mappings: {rows!r}")
-    return rows
-
-
 def vm_type_from_dict(row: Mapping[str, Any],
                       currency: str = "USD") -> VmType:
-    """One catalog row; a missing or non-numeric field is a CostModelError."""
-    return VmType(_field(row, "name", "VM row"),
+    """One catalog row; a missing or malformed field is a CostModelError
+    naming it."""
+    return VmType(_field(row, "name", "VM row", str),
                   _field(row, "cpu_cores", "VM row", int),
                   _field(row, "gpu_cards", "VM row", int),
                   _field(row, "unit_price", "VM row", float),
-                  row.get("currency", currency))
+                  _field(row, "currency", "VM row", str, currency))
 
 
 def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
-    rows = _rows(doc, "vm_types", "catalog")
-    return [vm_type_from_dict(row, doc.get("currency", "USD")) for row in rows]
+    rows = _field(doc, "vm_types", "catalog", list)
+    currency = _field(doc, "currency", "catalog", str, "USD")
+    return [vm_type_from_dict(row, currency) for row in rows]
 
 
 def observations_from_dict(doc: Mapping[str, Any]) -> list[Observation]:
     return [Observation(_field(row, "unit_price", "observation", float),
-                        None if row.get("makespan_s") is None
-                        else _field(row, "makespan_s", "observation", float))
-            for row in _rows(doc, "observations", "observation document")]
+                        _field(row, "makespan_s", "observation", float, None))
+            for row in _field(doc, "observations", "observation document",
+                              list)]
 
 
 def _bundled(name: str) -> dict:

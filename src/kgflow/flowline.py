@@ -27,18 +27,21 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from . import registry
+from . import _fields, registry
 
 KIND_OPERATOR = "operator"
 
 
 class FlowlineError(ValueError):
     """Structural misuse of a flowline or profile (not a validation finding)."""
+
+
+_field = partial(_fields.field, FlowlineError)
 
 
 @dataclass(frozen=True)
@@ -463,10 +466,9 @@ def flowline_from_dict(doc: Mapping[str, Any]) -> tuple[Flowline, TaskProfile | 
     vertices = [
         TaskNode(
             id=_field(v, "id", "flowline vertex", str),
-            label=str(v.get("label", "") or v["id"]),
-            kind=str(v.get("kind", KIND_OPERATOR)),
-            config=dict(_field(v, "config", "flowline vertex", Mapping)
-                        if "config" in v else {}),
+            label=_field(v, "label", "flowline vertex", str, ""),
+            kind=_field(v, "kind", "flowline vertex", str, KIND_OPERATOR),
+            config=dict(_field(v, "config", "flowline vertex", Mapping, {})),
         )
         for v in _field(doc, "vertices", "flowline document", list)
     ]
@@ -474,32 +476,11 @@ def flowline_from_dict(doc: Mapping[str, Any]) -> tuple[Flowline, TaskProfile | 
     bad = [e for e in edges if not (isinstance(e, list) and len(e) == 2)]
     if bad:
         raise FlowlineError(f"flowline edges must be [from, to] pairs: {bad}")
-    fl = Flowline.build(vertices, [tuple(e) for e in edges],
-                        entry=doc.get("entry"), exit=doc.get("exit"))
-    profile = None
-    if "profile" in doc and doc["profile"] is not None:
-        profile = profile_from_dict(doc["profile"])
-    return fl, profile
-
-
-def _field(doc: Any, key: str, what: str,
-           expect: type | None = None) -> Any:
-    """``doc[key]``, checked to be an ``expect`` if given; a document that
-    is no mapping, a missing field or one of another type is a
-    FlowlineError naming it."""
-    if not isinstance(doc, Mapping) or key not in doc:
-        raise FlowlineError(f"{what} {doc!r} has no {key!r} field")
-    if expect is not None and not isinstance(doc[key], expect):
-        raise FlowlineError(f"{what} field {key!r} must be a "
-                            f"{expect.__name__}: {doc[key]!r}")
-    return doc[key]
-
-
-def _number(value: Any, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise FlowlineError(f"{what} is not a number: {value!r}") from None
+    ends = {k: _field(doc, k, "flowline document", str, None)
+            for k in ("entry", "exit")}
+    fl = Flowline.build(vertices, [tuple(e) for e in edges], **ends)
+    profile = _field(doc, "profile", "flowline document", Mapping, None)
+    return fl, None if profile is None else profile_from_dict(profile)
 
 
 def profile_to_dict(profile: TaskProfile) -> dict[str, Any]:
@@ -513,19 +494,13 @@ def profile_to_dict(profile: TaskProfile) -> dict[str, Any]:
 def profile_from_dict(doc: Mapping[str, Any]) -> TaskProfile:
     """A profile; a malformed weight or payload is a FlowlineError naming
     its field."""
-    if not isinstance(doc, Mapping):
-        raise FlowlineError(f"profile must be a mapping: {doc!r}")
-    weights = doc.get("vertex_weights", {})
-    sizes = doc.get("edge_payloads", {})
-    for key, value in (("vertex_weights", weights), ("edge_payloads", sizes)):
-        if not isinstance(value, Mapping):
-            raise FlowlineError(
-                f"profile field {key!r} must be a mapping: {value!r}")
+    weights = _field(doc, "vertex_weights", "profile", Mapping, {})
+    sizes = _field(doc, "edge_payloads", "profile", Mapping, {})
     payloads: dict[tuple[str, str], float] = {}
-    for key, size in sizes.items():
+    for key in sizes:
         a, _, b = key.partition("->")
         if not b:
             raise FlowlineError(f"bad edge key in profile: {key!r}")
-        payloads[(a, b)] = _number(size, f"profile edge_payloads[{key!r}]")
-    return TaskProfile({k: _number(v, f"profile vertex_weights[{k!r}]")
-                        for k, v in weights.items()}, payloads)
+        payloads[(a, b)] = _field(sizes, key, "profile edge_payloads", float)
+    return TaskProfile({k: _field(weights, k, "profile vertex_weights", float)
+                        for k in weights}, payloads)

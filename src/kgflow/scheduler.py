@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
+from . import _fields
 from .costmodel import (
     CostModelError,
     MakespanPriceFit,
@@ -58,6 +59,9 @@ from .flowline import (
 
 class SchedulingError(ValueError):
     """Infeasible placement or a plan that violates its own constraints."""
+
+
+_field = functools.partial(_fields.field, SchedulingError)
 
 
 @dataclass(frozen=True)
@@ -437,49 +441,42 @@ def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
 def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
     """Inverse of ``plan_to_dict``. A field that is missing, of the wrong
     type or not a whole number where one is due, a count below 1, a type
-    listed twice, a bad eta or VM row, or ``vms`` other than the expanded
-    procurement raise SchedulingError naming the field."""
-    if not isinstance(doc, Mapping):
-        raise SchedulingError(f"plan must be a mapping: {doc!r}")
-    for key, kind in (("vms", list), ("procurement", list),
-                      ("assignment", Mapping), ("net", Mapping),
-                      ("predictions", Mapping)):
-        if key in doc and not isinstance(doc[key], kind):
-            raise SchedulingError(f"plan field {key!r} must be a "
-                                  f"{kind.__name__.lower()}: {doc[key]!r}")
+    listed twice, a bad eta, net or VM row, or ``vms`` other than the
+    expanded procurement raise SchedulingError naming the field."""
     try:
-        vms = tuple(vm_type_from_dict(row) for row in doc["vms"])
-        by_name = {vm.name: vm for vm in vms}
-        items = {}
-        for row in doc["procurement"]:
-            if not isinstance(row, Mapping):
-                raise SchedulingError(f"plan procurement row is not a "
-                                      f"mapping: {row!r}")
-            name = row["type"]
-            if name not in by_name:
-                raise SchedulingError(f"procurement type {name!r} "
-                                      "is not among the plan's vms")
-            if name in items:
-                raise SchedulingError(f"plan procurement lists {name!r} twice")
-            count = _plan_number(row["count"], "procurement count")
-            if count < 1:
-                raise SchedulingError(f"plan procurement count of {name!r} "
-                                      f"is below 1: {count}")
-            items[name] = (by_name[name], count)
-        net = None if "net" not in doc else NetParams(*(
-            _plan_number(doc["net"][k], "net " + k, float)
-            for k in ("latency_s", "bandwidth_Bps")))
-        assignment = {task: _plan_number(idx, f"assignment of {task!r}")
-                      for task, idx in doc["assignment"].items()}
-    except KeyError as exc:
-        raise SchedulingError(f"plan has no field {exc.args[0]!r}") from None
+        vms = tuple(vm_type_from_dict(row)
+                    for row in _field(doc, "vms", "plan", list))
     except CostModelError as exc:
         raise SchedulingError(f"bad plan vms: {exc}") from None
-    eta = _plan_number(doc.get("eta", 0.5), "eta", float)
+    by_name = {vm.name: vm for vm in vms}
+    items = {}
+    for row in _field(doc, "procurement", "plan", list):
+        name = _field(row, "type", "plan procurement row", str)
+        if name not in by_name:
+            raise SchedulingError(f"procurement type {name!r} "
+                                  "is not among the plan's vms")
+        if name in items:
+            raise SchedulingError(f"plan procurement lists {name!r} twice")
+        count = _field(row, "count", "plan procurement row", int)
+        if count < 1:
+            raise SchedulingError(f"plan procurement count of {name!r} "
+                                  f"is below 1: {count}")
+        items[name] = (by_name[name], count)
+    assigned = _field(doc, "assignment", "plan", Mapping)
+    assignment = {task: _field(assigned, task, "plan assignment", int)
+                  for task in assigned}
+    net = _field(doc, "net", "plan", Mapping, None)
+    eta = _field(doc, "eta", "plan", float, 0.5)
+    predictions = _field(doc, "predictions", "plan", Mapping, {})
     try:
         Preference(eta)
+        net = None if net is None else NetParams(
+            *(_field(net, k, "plan net", float)
+              for k in ("latency_s", "bandwidth_Bps")))
     except CostModelError as exc:
         raise SchedulingError(f"bad plan eta: {exc}") from None
+    except FlowlineError as exc:
+        raise SchedulingError(f"bad plan net: {exc}") from None
     procurement = ProcurementPlan(tuple(items.values()))
     if procurement.expand() != vms:
         raise SchedulingError(
@@ -487,20 +484,9 @@ def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
             f"{procurement.describe()!r} expanded")
     return SchedulePlan(
         procurement, vms, assignment, eta, net,
-        dict(doc.get("predictions", {})),
-        doc.get("scheduler", "compound-greedy"))
-
-
-def _plan_number(value: Any, what: str, kind: type = int):
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (kind is int and isinstance(value, float)
-                          and number != value):  # int() would truncate it
-        noun = "an integer" if kind is int else "a number"
-        raise SchedulingError(f"plan {what} is not {noun}: {value!r}")
-    return number
+        {k: _field(predictions, k, "plan predictions", float)
+         for k in predictions},
+        _field(doc, "scheduler", "plan", str, "compound-greedy"))
 
 
 def plan_to_json(plan: SchedulePlan) -> str:

@@ -39,6 +39,7 @@ makespan/cost trade-off tables.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import statistics
 from dataclasses import dataclass
@@ -76,6 +77,17 @@ from .scheduler import (
 )
 
 
+def _check_count(name: str, value: Any, least: int) -> None:
+    """Raise FlowlineError unless ``value`` is an integer (a bool is not)
+    of at least ``least``."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise FlowlineError(f"{name} must be an integer >= {least}: {value!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class _RunConfig:
     """The network and the sliced corpus of a run. A bad value raises
@@ -90,6 +102,7 @@ class _RunConfig:
     def __post_init__(self):
         self.net  # rejects a bad latency or bandwidth
         self.n_slices  # rejects a bad corpus or slice size
+        _check_count("seed", self.seed, 0)
 
     @property
     def net(self) -> NetParams:
@@ -340,9 +353,7 @@ class SweepConfig(_RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.random_plans < 1:
-            raise FlowlineError(
-                f"random_plans must be >= 1: {self.random_plans}")
+        _check_count("random_plans", self.random_plans, 1)
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,7 @@ class TestBundledData:
 
 class TestVmTypeFromDict:
     @pytest.mark.parametrize("key", ["cpu_cores", "gpu_cards", "unit_price"])
-    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("value", ["x", None, True])
     def test_non_numeric_field_is_named(self, key, value):
         row = {"name": "vm", "cpu_cores": 4, "gpu_cards": 1,
                "unit_price": 0.5, key: value}
@@ -281,14 +281,22 @@ class TestLoaderErrors:
          {"observations": [{"unit_price": 5, "makespan_s": math.nan}]},
          "makespan_s must be >= 0, inf or None: nan"),
         (catalog_from_dict, {"vm_types": 5},
-         "catalog field 'vm_types' must be a list of mappings: 5"),
+         "catalog field 'vm_types' must be a list: 5"),
         (catalog_from_dict, {"vm_types": [5]},
-         "catalog field 'vm_types' must be a list of mappings: [5]"),
+         "VM row 5 has no 'name' field"),
         (observations_from_dict, {"observations": 5},
-         "observation document field 'observations' must be a list of "
-         "mappings: 5"),
+         "observation document field 'observations' must be a list: 5"),
         (observations_from_dict, {"observations": [[35.94, 4.65]]},
-         "must be a list of mappings: [[35.94, 4.65]]"),
+         "observation [35.94, 4.65] has no 'unit_price' field"),
+        (catalog_from_dict, {"vm_types": [{**_row(1.0), "name": 5}]},
+         "VM row field 'name' must be a str: 5"),
+        (catalog_from_dict, {"vm_types": [{**_row(1.0), "currency": 7}]},
+         "VM row field 'currency' must be a str: 7"),
+        (catalog_from_dict, {"currency": [1], "vm_types": [_row(1.0)]},
+         "catalog field 'currency' must be a str: [1]"),
+        (catalog_from_dict, {"vm_types": [{**_row(1.0), "cpu_cores": True}]},
+         "VM row {'name': 'vm', 'cpu_cores': True, 'gpu_cards': 1, "
+         "'unit_price': 1.0} has a non-numeric cpu_cores: True"),
     ])
     def test_field_is_named(self, load, doc, message):
         with pytest.raises(CostModelError, match=re.escape(message)):

@@ -484,18 +484,19 @@ class TestSerialization:
          "flowline edges must be [from, to] pairs: [['a']]"),
         ({"vertices": [{"id": "a"}], "edges": [],
           "profile": {"vertex_weights": {"a": "x"}}},
-         "profile vertex_weights['a'] is not a number: 'x'"),
+         "profile vertex_weights {'a': 'x'} has a non-numeric a: 'x'"),
         ({"vertices": [{"id": "a"}], "edges": [],
           "profile": {"vertex_weights": {"a": None}}},
-         "profile vertex_weights['a'] is not a number: None"),
+         "profile vertex_weights {'a': None} has a non-numeric a: None"),
         ({"vertices": [{"id": "a"}], "edges": [],
           "profile": {"edge_payloads": {"a->b": "big"}}},
-         "profile edge_payloads['a->b'] is not a number: 'big'"),
+         "profile edge_payloads {'a->b': 'big'} has a non-numeric a->b: "
+         "'big'"),
         ({"vertices": [{"id": "a"}], "edges": [],
           "profile": {"vertex_weights": [1.0]}},
-         "profile field 'vertex_weights' must be a mapping: [1.0]"),
+         "profile field 'vertex_weights' must be a Mapping: [1.0]"),
         ({"vertices": [{"id": "a"}], "edges": [], "profile": 5},
-         "profile must be a mapping: 5"),
+         "flowline document field 'profile' must be a Mapping: 5"),
     ])
     def test_malformed_document_names_the_field(self, doc, message):
         with pytest.raises(FlowlineError, match=re.escape(message)):

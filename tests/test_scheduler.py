@@ -6,13 +6,25 @@ numeric ids (models: 1, 6, 7):
     1 -> {2, 3}; 2 -> 4 -> 6; 3 -> 5 -> 7; {6, 7} -> 8 -> 9
 """
 
+import collections.abc
+import copy
+import dataclasses
+import functools
+import importlib
+import inspect
 import itertools
 import json
+import operator
+import pkgutil
 import re
+import types
+import typing
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kgflow
 from kgflow.costmodel import (
     CostModelError,
     MakespanPriceFit,
@@ -454,35 +466,46 @@ class TestPlanSerialization:
         with pytest.raises(SchedulingError, match="are not the procurement"):
             plan_from_dict(doc)
 
-    @pytest.mark.parametrize("edit, match", [
-        (lambda doc: doc.pop("vms"), "no field 'vms'"),
-        (lambda doc: doc.pop("procurement"), "no field 'procurement'"),
-        (lambda doc: doc.pop("assignment"), "no field 'assignment'"),
-        (lambda doc: doc["procurement"][0].pop("count"), "no field 'count'"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("vms"), "plan {doc!r} has no 'vms' field"),
+        (lambda doc: doc.pop("procurement"),
+         "plan {doc!r} has no 'procurement' field"),
+        (lambda doc: doc.pop("assignment"),
+         "plan {doc!r} has no 'assignment' field"),
+        (lambda doc: doc["procurement"][0].pop("count"),
+         "plan procurement row {doc[procurement][0]!r} has no 'count' field"),
         (lambda doc: doc["net"].pop("bandwidth_Bps"),
-         "no field 'bandwidth_Bps'"),
+         "plan net {doc[net]!r} has no 'bandwidth_Bps' field"),
         (lambda doc: doc["procurement"][0].update(count="x"),
-         "procurement count is not an integer: 'x'"),
+         "plan procurement row {doc[procurement][0]!r} has a non-numeric "
+         "count: 'x'"),
         (lambda doc: doc["assignment"].update({"9": "x"}),
-         "assignment of '9' is not an integer: 'x'"),
+         "plan assignment {doc[assignment]!r} has a non-numeric 9: 'x'"),
         (lambda doc: doc["procurement"][0].update(count=0),
-         "procurement count of '.*' is below 1: 0"),
+         "plan procurement count of {doc[procurement][0][type]!r} is below "
+         "1: 0"),
         (lambda doc: doc["procurement"].append(
             {"type": doc["procurement"][0]["type"], "count": -1}),
-         "procurement lists '.*' twice"),
-        (lambda doc: doc.update(eta=3.0), r"bad plan eta: .*\[0, 1\): 3.0"),
-        (lambda doc: doc.update(eta="x"), "plan eta is not a number: 'x'"),
+         "plan procurement lists {doc[procurement][0][type]!r} twice"),
+        (lambda doc: doc.update(eta=3.0),
+         "bad plan eta: eta out of range [0, 1): 3.0"),
+        (lambda doc: doc.update(eta="x"),
+         "plan {doc!r} has a non-numeric eta: 'x'"),
         (lambda doc: doc["net"].update(latency_s="x"),
-         "plan net latency_s is not a number: 'x'"),
+         "plan net {doc[net]!r} has a non-numeric latency_s: 'x'"),
         (lambda doc: doc["vms"][0].update(unit_price=None),
-         "bad plan vms: .*non-numeric unit_price: None"),
+         "bad plan vms: VM row {doc[vms][0]!r} has a non-numeric "
+         "unit_price: None"),
+        (lambda doc: doc["net"].update(latency_s=-1),
+         "bad plan net: latency_s must be finite and >= 0: -1.0"),
     ], ids=["no-vms", "no-procurement", "no-assignment", "no-count",
             "no-bandwidth", "count-x", "index-x", "count-0", "type-twice",
-            "eta-3", "eta-x", "latency-x", "price-null"])
-    def test_missing_or_non_integer_field_is_named(self, edit, match):
+            "eta-3", "eta-x", "latency-x", "price-null", "latency-negative"])
+    def test_missing_or_non_integer_field_is_named(self, edit, message):
         doc = self.plan_doc()
         edit(doc)
-        with pytest.raises(SchedulingError, match=match):
+        with pytest.raises(SchedulingError,
+                           match=re.escape(message.format(doc=doc))):
             plan_from_dict(doc)
 
     @settings(max_examples=30, deadline=None)
@@ -529,7 +552,7 @@ class TestLoadersRaiseTypedErrors:
     field never truncates a fraction."""
 
     @pytest.mark.parametrize("load, doc, error, message", [
-        (plan_from_dict, 5, SchedulingError, "plan must be a mapping: 5"),
+        (plan_from_dict, 5, SchedulingError, "plan 5 has no 'vms' field"),
         (plan_from_dict, _edited_plan(lambda d: d.update(vms=5)),
          SchedulingError, "plan field 'vms' must be a list: 5"),
         (plan_from_dict, _edited_plan(lambda d: d.update(vms=[5])),
@@ -537,21 +560,23 @@ class TestLoadersRaiseTypedErrors:
         (plan_from_dict, _edited_plan(lambda d: d.update(procurement=5)),
          SchedulingError, "plan field 'procurement' must be a list: 5"),
         (plan_from_dict, _edited_plan(lambda d: d.update(procurement=[5])),
-         SchedulingError, "plan procurement row is not a mapping: 5"),
+         SchedulingError, "plan procurement row 5 has no 'type' field"),
         (plan_from_dict, _edited_plan(lambda d: d.update(assignment=5)),
-         SchedulingError, "plan field 'assignment' must be a mapping: 5"),
+         SchedulingError, "plan field 'assignment' must be a Mapping: 5"),
         (plan_from_dict, _edited_plan(lambda d: d.update(assignment=[])),
-         SchedulingError, "plan field 'assignment' must be a mapping: []"),
+         SchedulingError, "plan field 'assignment' must be a Mapping: []"),
         (plan_from_dict, _edited_plan(lambda d: d.update(net=5)),
-         SchedulingError, "plan field 'net' must be a mapping: 5"),
+         SchedulingError, "plan field 'net' must be a Mapping: 5"),
         (plan_from_dict, _edited_plan(lambda d: d.update(predictions=5)),
-         SchedulingError, "plan field 'predictions' must be a mapping: 5"),
+         SchedulingError, "plan field 'predictions' must be a Mapping: 5"),
         (plan_from_dict,
          _edited_plan(lambda d: d["procurement"][0].update(count=1.7)),
-         SchedulingError, "plan procurement count is not an integer: 1.7"),
+         SchedulingError, "plan procurement row {doc[procurement][0]!r} has a "
+         "non-integral count: 1.7"),
         (plan_from_dict, _edited_plan(lambda d: d["assignment"].update(
             {"1": 1.7})),
-         SchedulingError, "plan assignment of '1' is not an integer: 1.7"),
+         SchedulingError, "plan assignment {doc[assignment]!r} has a "
+         "non-integral 1: 1.7"),
         (plan_from_dict, _edited_plan(lambda d: d["vms"][0].update(
             cpu_cores=4.7)),
          SchedulingError, "has a non-integral cpu_cores: 4.7"),
@@ -571,12 +596,137 @@ class TestLoadersRaiseTypedErrors:
          "flowline vertex field 'config' must be a Mapping: 'ab'"),
         (flowline_from_dict, {"vertices": [{"id": None}], "edges": []},
          FlowlineError, "flowline vertex field 'id' must be a str: None"),
+        (plan_from_dict, _edited_plan(lambda d: d["predictions"].update(J="x")),
+         SchedulingError,
+         "plan predictions {doc[predictions]!r} has a non-numeric J: 'x'"),
+        (plan_from_dict, _edited_plan(lambda d: d["predictions"].update(
+            makespan_s=None)),
+         SchedulingError, "plan predictions {doc[predictions]!r} has a "
+         "non-numeric makespan_s: None"),
+        (plan_from_dict, _edited_plan(lambda d: d.update(scheduler=5)),
+         SchedulingError, "plan field 'scheduler' must be a str: 5"),
     ], ids=["plan-5", "vms-5", "vms-[5]", "procurement-5", "procurement-[5]",
             "assignment-5", "assignment-[]", "net-5", "predictions-5",
             "count-1.7", "index-1.7", "plan-cores-4.7", "catalog-5",
             "catalog-[]", "catalog-cores-4.7", "observations-5",
-            "config-5", "config-ab", "id-None"])
+            "config-5", "config-ab", "id-None", "predictions-J-x",
+            "predictions-None", "scheduler-5"])
     def test_field_is_named(self, load, doc, error, message):
         doc = doc() if callable(doc) else doc
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message.format(doc=doc))):
             load(doc)
+
+    def test_every_public_loader_is_covered(self):
+        assert set(LOADERS) == set(_valid_documents())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_edited_document_loads_typed_or_raises_its_error(self, data):
+        name = data.draw(st.sampled_from(sorted(LOADERS)), label="loader")
+        load, error = LOADERS[name]
+        doc = copy.deepcopy(data.draw(st.sampled_from(
+            _valid_documents()[name])))
+        path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        value = data.draw(st.sampled_from(_EDITS), label="value")
+        if not path:
+            doc = copy.deepcopy(value)
+        else:
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        try:
+            loaded = load(doc)
+        except Exception as exc:
+            assert type(exc) is error, f"{name}: {type(exc).__name__}: {exc}"
+        else:
+            hint = typing.get_type_hints(load)["return"]
+            assert _conforms(loaded, hint), f"{name} returned {loaded!r}"
+
+
+def _public_loaders():
+    """Every public ``*_from_dict`` defined in a kgflow module, with the one
+    exception class that module defines."""
+    found = {}
+    for info in pkgutil.iter_modules(kgflow.__path__):
+        module = importlib.import_module(f"kgflow.{info.name}")
+        own = [obj for _, obj in inspect.getmembers(module)
+               if getattr(obj, "__module__", None) == module.__name__]
+        loaders = [fn for fn in own if inspect.isfunction(fn)
+                   and fn.__name__.endswith("_from_dict")
+                   and not fn.__name__.startswith("_")]
+        errors = [cls for cls in own if inspect.isclass(cls)
+                  and issubclass(cls, Exception)]
+        for fn in loaders:
+            (error,) = errors
+            found[fn.__name__] = (fn, error)
+    return found
+
+
+LOADERS = _public_loaders()
+_DELETE = object()
+_EDITS = [_DELETE, None, True, 1.5, -1, "x", [], {}, [5]]
+
+
+@functools.cache
+def _valid_documents():
+    """JSON documents every loader accepts, keyed by loader name."""
+    def bundled(name):
+        data = resources.files("kgflow").joinpath("data", name)
+        return json.loads(data.read_text("utf-8"))
+
+    fl, profile = synthetic_flowline(3, 6)
+    catalog = bundled_qcloud_catalog()
+    plans = [schedule(fl, profile, catalog, 0.5, NET),
+             baseline_random(fl, catalog, 0)]  # the latter has no net
+    catalogs = [bundled("g4dn_catalog.json"), bundled("qcloud_catalog.json")]
+    flowline_doc = json.loads(json.dumps(flowline_to_dict(fl, profile)))
+    return {
+        "vm_type_from_dict": [c["vm_types"][0] for c in catalogs],
+        "catalog_from_dict": catalogs,
+        "observations_from_dict": [bundled("qcloud_observations.json")],
+        "flowline_from_dict": [flowline_doc],
+        "profile_from_dict": [flowline_doc["profile"]],
+        "plan_from_dict": [json.loads(plan_to_json(p)) for p in plans],
+    }
+
+
+def _paths(doc, path=()):
+    """The path of every value nested in ``doc``, its own () included."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` holds ``hint``'s types all the way down, dataclass
+    fields included; a bool is no int and an int no float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is typing.Any:
+        return True
+    if hint is type(None):
+        return value is None
+    if hint in (int, float):
+        return type(value) is hint
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if origin in (list, tuple):
+        if not isinstance(value, origin):
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(
+                map(_conforms, value, args))
+        return all(_conforms(item, args[0]) for item in value)
+    if origin in (dict, collections.abc.Mapping):
+        return isinstance(value, collections.abc.Mapping) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1])
+            for k, v in value.items())
+    if dataclasses.is_dataclass(hint):
+        fields = typing.get_type_hints(hint)
+        return isinstance(value, hint) and all(
+            _conforms(getattr(value, f.name), fields[f.name])
+            for f in dataclasses.fields(hint))
+    return isinstance(value, hint)

@@ -205,6 +205,16 @@ class TestSimConfig:
         (lambda: SweepConfig(corpus_size=-1), FlowlineError, "corpus_size"),
         (lambda: SweepConfig(slice_size=-5), FlowlineError, "slice_size"),
         (lambda: SweepConfig(random_plans=0), FlowlineError, "random_plans"),
+        (lambda: SweepConfig(random_plans=2.5), FlowlineError,
+         "random_plans must be an integer >= 1: 2.5"),
+        (lambda: SimConfig(jitter=0.1, seed=-1), FlowlineError,
+         "seed must be an integer >= 0: -1"),
+        (lambda: SimConfig(seed=1.5), FlowlineError,
+         "seed must be an integer >= 0: 1.5"),
+        (lambda: SimConfig(seed=True), FlowlineError,
+         "seed must be an integer >= 0: True"),
+        (lambda: SweepConfig(seed=-1), FlowlineError,
+         "seed must be an integer >= 0: -1"),
         (lambda: SweepConfig(latency_s=math.nan), FlowlineError, "latency_s"),
         (lambda: sweep_eta(nine_task_flowline(), nine_task_profile(),
                            bundled_qcloud_catalog(), []),
@@ -220,6 +230,7 @@ class TestSimConfig:
         assert sweep.net == NetParams(0.05, 1.0e7)
         assert (sweep.corpus_size, sweep.slice_size, sweep.random_plans,
                 sweep.seed) == (8000, 200, 50, 0)
+        assert SimConfig(seed=np.int64(3)).seed == 3
 
 
 def reference_finish_times(order, preds, duration, delay, start=0.0,
