@@ -122,6 +122,24 @@ class ProcurementPlan:
 
     items: tuple[tuple[VmType, int], ...]
 
+    def __post_init__(self):
+        # Expanded once per plan: ``expand`` returns this tuple.
+        vms = [vm for vm, n in self.items for _ in range(n)]
+        object.__setattr__(self, "_vms", tuple(sorted(
+            vms, key=lambda v: (-v.gpu_cards, -v.cpu_cores, v.name))))
+
+    @classmethod
+    def of(cls, instances: Iterable[VmType]) -> ProcurementPlan:
+        """The multiset of ``instances``, one item per type name, in name
+        order; instances that share a name count as one type."""
+        counts: dict[str, int] = {}
+        by_name: dict[str, VmType] = {}
+        for vm in instances:
+            counts[vm.name] = counts.get(vm.name, 0) + 1
+            by_name[vm.name] = vm
+        return cls(tuple((by_name[name], counts[name])
+                         for name in sorted(counts)))
+
     @property
     def total_price(self) -> float:
         return sum(vm.unit_price * n for vm, n in self.items)
@@ -140,9 +158,7 @@ class ProcurementPlan:
 
     def expand(self) -> tuple[VmType, ...]:
         """Individual VMs, sorted by GPU capacity descending (stable)."""
-        vms = [vm for vm, n in self.items for _ in range(n)]
-        return tuple(sorted(vms, key=lambda v: (-v.gpu_cards, -v.cpu_cores,
-                                                v.name)))
+        return self._vms
 
     def describe(self) -> str:
         return " + ".join(f"{vm.name} x{n}" for vm, n in self.items)
@@ -351,7 +367,7 @@ def procure(catalog: Sequence[VmType], x0: float,
         raise CostModelError("empty catalog")
     if not math.isfinite(x0):
         raise CostModelError(f"target price x0 must be finite, got {x0}")
-    types = sorted(catalog, key=lambda v: v.name)
+    types = _distinct_names(sorted(catalog, key=lambda v: v.name))
     names = [v.name for v in types]
     if ((demand.gpus and not any(v.gpu_cards for v in types))
             or (demand.cpus and not any(v.cpu_headroom for v in types))):
@@ -384,6 +400,17 @@ def procure(catalog: Sequence[VmType], x0: float,
     raise CostModelError(
         f"demand {demand} infeasible with catalog {names} "
         f"(searched up to price {bound:.2f})")
+
+
+def _distinct_names(types: list[VmType]) -> list[VmType]:
+    """``types``, once no two of them share a name: plans and plan JSON
+    name a type by its name alone."""
+    seen: set[str] = set()
+    for vm in types:
+        if vm.name in seen:
+            raise CostModelError(f"catalog lists VM type {vm.name!r} twice")
+        seen.add(vm.name)
+    return types
 
 
 def _micro_prices(types: Sequence[VmType]) -> list[int]:
@@ -534,7 +561,7 @@ def vm_type_from_dict(row: Mapping[str, Any],
 def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
     rows = _field(doc, "vm_types", "catalog", list)
     currency = _field(doc, "currency", "catalog", str, "USD")
-    return [vm_type_from_dict(row, currency) for row in rows]
+    return _distinct_names([vm_type_from_dict(row, currency) for row in rows])
 
 
 def observations_from_dict(doc: Mapping[str, Any]) -> list[Observation]:

@@ -96,7 +96,7 @@ class Flowline:
         """Construct a flowline, inferring entry/exit from degrees if omitted."""
         verts = tuple(vertices)
         # Checked before the degrees are read, so a bad edge is named.
-        eds = _edge_set(verts, ((str(a), str(b)) for a, b in edges))
+        eds = _edge_set(verts, edges)
         heads, tails = _ends(verts, eds)
         if entry is None and len(heads) != 1:
             raise FlowlineError(f"cannot infer entry, candidates: {heads}")
@@ -476,6 +476,10 @@ def flowline_from_dict(doc: Mapping[str, Any]) -> tuple[Flowline, TaskProfile | 
     bad = [e for e in edges if not (isinstance(e, list) and len(e) == 2)]
     if bad:
         raise FlowlineError(f"flowline edges must be [from, to] pairs: {bad}")
+    bad = [e for e in edges if not all(isinstance(end, str) for end in e)]
+    if bad:
+        raise FlowlineError(f"flowline edge ends must be task ids (strings): "
+                            f"{bad}")
     ends = {k: _field(doc, k, "flowline document", str, None)
             for k in ("entry", "exit")}
     fl = Flowline.build(vertices, [tuple(e) for e in edges], **ends)

@@ -7,17 +7,22 @@ The pipeline:
    compound. Cutting an edge inside a compound could only add communication
    cost, so compounds are never split. Tasks captured by no compound
    (aggregators fed by several models, and anything downstream of them) are
-   orphans.
+   orphans. ``compound`` returns the *units* of placement in placement
+   order: the compounds by anchor, then each orphan, by id, as a one-task
+   ``Compound`` without an anchor.
 2. *Procurement*: fit (or accept) the price-to-makespan curve, derive the
    optimal unit price x0 for the preference eta, and buy the instance
    multiset closest to x0 that covers |V^m| GPUs and |V^o| CPU cores.
-3. *Greedy partition*: place compounds first, then orphans, each onto the
-   VM (GPU capacity descending) with the largest neighbor overlap that still
+3. *Greedy partition*: place the units in order, each whole onto the VM
+   (GPU capacity descending) with the largest neighbor overlap that still
    has capacity: GPU cards for models, CPU headroom (cores minus one per
    GPU card) for operators. Overlap is counted once per unit from the
-   neighbours already placed; the placement rule is unchanged.
+   neighbours already placed.
 
 CPU-only flowlines skip all of this and buy one VM with adequate cores.
+
+A ``SchedulePlan`` assigns tasks to the VMs of its procurement expanded;
+it keeps no VM list of its own that could disagree with the procurement.
 
 Everything is deterministic: identical inputs produce byte-identical plan
 JSON.
@@ -25,11 +30,12 @@ JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 from . import _fields
 from .costmodel import (
@@ -66,7 +72,8 @@ _field = functools.partial(_fields.field, SchedulingError)
 
 @dataclass(frozen=True)
 class Compound:
-    """An unsplittable unit: one GPU anchor plus its captive operators."""
+    """A unit of placement, never split across VMs: a GPU ``anchor`` plus
+    its captive operators, or (``anchor`` None) one orphan task."""
 
     members: tuple[str, ...]
     anchor: str | None
@@ -76,22 +83,17 @@ class Compound:
                                                          key=_natural_key)))
 
 
-@dataclass(frozen=True)
-class CompoundingResult:
-    compounds: tuple[Compound, ...]
-    orphans: tuple[str, ...]
-
-
 @functools.lru_cache(maxsize=4096)
 def _natural_key(text: str):
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", text))
 
 
-def compound(flowline: Flowline) -> CompoundingResult:
-    """GPU-task-guided compounding: one pass in topological order per anchor,
-    an operator joining when it has precursors and all are members."""
-    compounds: list[Compound] = []
+def compound(flowline: Flowline) -> tuple[Compound, ...]:
+    """The placement units in order: the compounds by anchor, then one unit
+    per orphan by id. A compound takes one pass in topological order, an
+    operator joining when it has precursors and all are members."""
+    units: list[Compound] = []
     captured: set[str] = set()
     for anchor in sorted(flowline.model_ids(), key=_natural_key):
         members = {anchor}
@@ -100,11 +102,12 @@ def compound(flowline: Flowline) -> CompoundingResult:
             if (preds and task not in flowline._model_set
                     and all(p in members for p in preds)):
                 members.add(task)
-        compounds.append(Compound(tuple(members), anchor))
+        units.append(Compound(tuple(members), anchor))
         captured |= members
-    orphans = tuple(sorted((v.id for v in flowline.vertices
-                            if v.id not in captured), key=_natural_key))
-    return CompoundingResult(tuple(compounds), orphans)
+    units += (Compound((task,), None)
+              for task in sorted((v.id for v in flowline.vertices
+                                  if v.id not in captured), key=_natural_key))
+    return tuple(units)
 
 
 def _unit_neighbors(flowline: Flowline, members: Sequence[str]) -> set[str]:
@@ -143,20 +146,21 @@ class Ledger:
         self.room[i] = (cards - demand[0], cores - demand[1])
 
 
-def greedy_partition(flowline: Flowline, compounding: CompoundingResult,
+def greedy_partition(flowline: Flowline, units: Sequence[Compound],
                      vms: Sequence[VmType]) -> dict[str, int]:
     """Assign every task to a VM index, maximizing neighbor overlap.
 
-    ``vms`` must be sorted by GPU capacity descending (``ProcurementPlan.
-    expand()`` does this). Placement order: compounds by anchor, then orphans
-    by id; candidate VMs by descending overlap with lowest index breaking
-    ties. Raises SchedulingError naming the unit when capacity runs out.
+    ``units`` come from ``compound`` and are placed in their order, each
+    whole. ``vms`` must be sorted by GPU capacity descending
+    (``ProcurementPlan.expand()`` does this). Candidate VMs go by
+    descending overlap with lowest index breaking ties. Raises
+    SchedulingError naming the unit when capacity runs out.
     """
     ledger = Ledger(vms)
     assignment: dict[str, int] = {}
-
-    def place(members: Sequence[str]) -> bool:
-        unit = need(flowline, members)
+    for unit in units:
+        members = unit.members
+        demand = need(flowline, members)
         overlap = [0] * len(vms)
         for task in _unit_neighbors(flowline, members):
             i = assignment.get(task)
@@ -164,28 +168,19 @@ def greedy_partition(flowline: Flowline, compounding: CompoundingResult,
                 overlap[i] += 1
         best = -1
         for i in range(len(vms)):
-            if ledger.fits(i, unit) and (best < 0 or overlap[i] > overlap[best]):
+            if (ledger.fits(i, demand)
+                    and (best < 0 or overlap[i] > overlap[best])):
                 best = i
         if best < 0:
-            return False
-        ledger.take(best, unit)
+            name = (f"task {members[0]!r}" if unit.anchor is None
+                    else f"compound[{unit.anchor}]")
+            raise SchedulingError(
+                f"no VM can host {name} (needs {demand[0]} GPU card(s), "
+                f"{demand[1]} CPU core(s); capacities "
+                f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
+        ledger.take(best, demand)
         for m in members:
             assignment[m] = best
-        return True
-
-    def no_room(members: Sequence[str], unit_name: str) -> SchedulingError:
-        unit = need(flowline, members)
-        return SchedulingError(
-            f"no VM can host {unit_name} (needs {unit[0]} GPU card(s), "
-            f"{unit[1]} CPU core(s); capacities "
-            f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
-
-    for comp in compounding.compounds:
-        if not place(comp.members):
-            raise no_room(comp.members, f"compound[{comp.anchor}]")
-    for orphan in compounding.orphans:
-        if not place((orphan,)):
-            raise no_room((orphan,), f"task {orphan!r}")
     return assignment
 
 
@@ -202,17 +197,20 @@ class QualificationReport:
 class SchedulePlan:
     """A procurement plus a task-to-VM assignment with predicted costs.
 
-    ``vms`` is the expanded instance list sorted by GPU capacity descending;
-    ``assignment`` maps task ids to 0-based indices into it.
+    ``assignment`` maps task ids to 0-based indices into ``vms``.
     """
 
     procurement: ProcurementPlan
-    vms: tuple[VmType, ...]
     assignment: Mapping[str, int]
     eta: float
     net: NetParams | None = None
     predictions: Mapping[str, float] = field(default_factory=dict)
     scheduler: str = "compound-greedy"
+
+    @property
+    def vms(self) -> tuple[VmType, ...]:
+        """The procurement expanded, sorted by GPU capacity descending."""
+        return self.procurement.expand()
 
     @property
     def total_unit_price(self) -> float:
@@ -225,13 +223,14 @@ def check_qualification(plan: SchedulePlan,
 
     An assigned id the flowline lacks is reported, not charged to its VM.
     """
-    ledger = Ledger(plan.vms)
+    vms = plan.vms
+    ledger = Ledger(vms)
     unknown = []
     foreign = []
     for task_id, idx in plan.assignment.items():
         if task_id not in flowline.by_id:
             foreign.append(task_id)
-        elif 0 <= idx < len(plan.vms):
+        elif 0 <= idx < len(vms):
             ledger.take(idx, need(flowline, (task_id,)))
         else:
             unknown.append(task_id)
@@ -242,7 +241,7 @@ def check_qualification(plan: SchedulePlan,
                    for t in sorted(foreign, key=_natural_key)]
     violations += [f"uncovered task {t!r}"
                    for t in sorted(uncovered, key=_natural_key)]
-    for i, (vm, (cards, cores)) in enumerate(zip(plan.vms, ledger.room)):
+    for i, (vm, (cards, cores)) in enumerate(zip(vms, ledger.room)):
         if cards < 0:
             violations.append(
                 f"vm {i} ({vm.name}): {vm.gpu_cards - cards} model task(s) "
@@ -304,7 +303,7 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     """
     max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
     types = sorted(catalog, key=lambda v: v.name)
-    compounding = compound(flowline)
+    units = compound(flowline)
     observations: dict[tuple[float, float | None], Observation] = {}
     # The makespan depends only on the edges an assignment cuts, and the
     # enumerated procurements collapse onto a few distinct assignments.
@@ -314,10 +313,9 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
         if not combo:
             return
         price = sum(vm.unit_price for vm in combo)
-        plan = _plan_from_instances(combo)
-        vms = plan.expand()
+        vms = ProcurementPlan.of(combo).expand()
         try:
-            assignment = greedy_partition(flowline, compounding, vms)
+            assignment = greedy_partition(flowline, units, vms)
         except SchedulingError:
             key = (round(price, 9), None)
             observations.setdefault(key, Observation(price, None))
@@ -344,16 +342,6 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     return [observations[k] for k in sorted(observations,
                                             key=lambda k: (k[0], k[1] is None,
                                                            k[1] or 0.0))]
-
-
-def _plan_from_instances(instances: Iterable[VmType]) -> ProcurementPlan:
-    counts: dict[str, int] = {}
-    by_name: dict[str, VmType] = {}
-    for vm in instances:
-        counts[vm.name] = counts.get(vm.name, 0) + 1
-        by_name[vm.name] = vm
-    return ProcurementPlan(tuple((by_name[name], counts[name])
-                                 for name in sorted(counts)))
 
 
 def synthesized_fit(flowline: Flowline, profile: TaskProfile,
@@ -393,8 +381,6 @@ def schedule(flowline: Flowline, profile: TaskProfile,
         chosen = min(adequate, key=lambda v: (v.unit_price, v.name))
         procurement = ProcurementPlan(((chosen, 1),))
         assignment = {v.id: 0 for v in flowline.vertices}
-        plan = SchedulePlan(procurement, procurement.expand(), assignment,
-                            eta, net)
     else:
         if fit is None:
             fit = (fit_price_makespan(list(observations))
@@ -402,19 +388,13 @@ def schedule(flowline: Flowline, profile: TaskProfile,
                    else synthesized_fit(flowline, profile, catalog, net))
         x0 = optimal_unit_price(fit, Preference(eta))
         procurement = procure(catalog, x0, ResourceDemand(cards, cores))
-        vms = procurement.expand()
-        compounding = compound(flowline)
-        assignment = greedy_partition(flowline, compounding, vms)
-        plan = SchedulePlan(procurement, vms, assignment, eta, net)
+        assignment = greedy_partition(flowline, compound(flowline),
+                                      procurement.expand())
 
-    predictions = predict_costs(plan, flowline, profile, corpus_size,
-                                slice_size, eta, net)
-    plan = SchedulePlan(plan.procurement, plan.vms, plan.assignment, eta, net,
-                        predictions, plan.scheduler)
-    report = check_qualification(plan, flowline)
-    if not report.ok:
-        raise SchedulingError("scheduler produced an unqualified plan: "
-                              + "; ".join(report.violations))
+    plan = SchedulePlan(procurement, assignment, eta, net)
+    plan = dataclasses.replace(plan, predictions=predict_costs(
+        plan, flowline, profile, corpus_size, slice_size, eta, net))
+    require_qualified(plan, flowline)
     return plan
 
 
@@ -483,7 +463,7 @@ def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
             f"plan vms {[vm.name for vm in vms]} are not the procurement "
             f"{procurement.describe()!r} expanded")
     return SchedulePlan(
-        procurement, vms, assignment, eta, net,
+        procurement, assignment, eta, net,
         {k: _field(predictions, k, "plan predictions", float)
          for k in predictions},
         _field(doc, "scheduler", "plan", str, "compound-greedy"))

@@ -49,6 +49,7 @@ import numpy as np
 
 from .costmodel import (
     CostModelError,
+    ProcurementPlan,
     ResourceDemand,
     VmType,
     normalized_objectives,
@@ -68,7 +69,6 @@ from .scheduler import (
     SchedulePlan,
     SchedulingError,
     _natural_key,
-    _plan_from_instances,
     evaluate_plan,
     need,
     require_qualified,
@@ -264,7 +264,7 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
 
     for _ in range(10000):
         k = rng.randint(1, k_cap)
-        procurement = _plan_from_instances(
+        procurement = ProcurementPlan.of(
             [types[rng.randrange(len(types))] for _ in range(k)])
         if (procurement.total_gpus >= n_models
                 and procurement.total_cpu_headroom >= demand[1]):
@@ -285,7 +285,7 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
         pick = options[rng.randrange(len(options))]
         ledger.take(pick, unit)
         assignment[task] = pick
-    return SchedulePlan(procurement, vms, assignment, eta=0.5, net=net,
+    return SchedulePlan(procurement, assignment, eta=0.5, net=net,
                         scheduler="random")
 
 
@@ -339,7 +339,7 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
         assignment[task] = idx
         finish[task] = eft
         ledger.take(idx, unit)
-    return SchedulePlan(procurement, vms, assignment, eta=0.5, net=net,
+    return SchedulePlan(procurement, assignment, eta=0.5, net=net,
                         scheduler="list")
 
 

@@ -297,6 +297,13 @@ class TestLoaderErrors:
         (catalog_from_dict, {"vm_types": [{**_row(1.0), "cpu_cores": True}]},
          "VM row {'name': 'vm', 'cpu_cores': True, 'gpu_cards': 1, "
          "'unit_price': 1.0} has a non-numeric cpu_cores: True"),
+        (catalog_from_dict, {"vm_types": [
+            _row(2.0), {**_row(4.0), "cpu_cores": 8, "gpu_cards": 2}]},
+         "catalog lists VM type 'vm' twice"),
+        # Two types named "a" once bought "a x1 + a x1".
+        (lambda catalog: procure(catalog, 6.0, ResourceDemand(3, 6)),
+         [VmType("a", 4, 1, 2.0), VmType("a", 8, 2, 4.0)],
+         "catalog lists VM type 'a' twice"),
     ])
     def test_field_is_named(self, load, doc, message):
         with pytest.raises(CostModelError, match=re.escape(message)):

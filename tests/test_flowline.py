@@ -497,10 +497,22 @@ class TestSerialization:
          "profile field 'vertex_weights' must be a Mapping: [1.0]"),
         ({"vertices": [{"id": "a"}], "edges": [], "profile": 5},
          "flowline document field 'profile' must be a Mapping: 5"),
+        ({"vertices": [{"id": "1"}, {"id": "b"}], "edges": [[1, "b"]]},
+         "flowline edge ends must be task ids (strings): [[1, 'b']]"),
+        ({"vertices": [{"id": "{}"}, {"id": "b"}], "edges": [[{}, "b"]]},
+         "flowline edge ends must be task ids (strings): [[{}, 'b']]"),
     ])
     def test_malformed_document_names_the_field(self, doc, message):
         with pytest.raises(FlowlineError, match=re.escape(message)):
             flowline_from_dict(doc)
+
+    def test_edge_ends_are_not_coerced(self):
+        # build() checks edges as the constructor does: 1 is no task "1".
+        message = re.escape("edges join unknown tasks: [(1, 'b')]")
+        with pytest.raises(FlowlineError, match=message):
+            Flowline.build([op("1"), op("b")], [(1, "b")])
+        with pytest.raises(FlowlineError, match=message):
+            Flowline((op("1"), op("b")), ((1, "b"),), "1", "b")
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(FlowlineError, match="duplicate"):

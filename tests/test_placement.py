@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from kgflow import scheduler
 from kgflow.costmodel import (
     Observation,
+    ProcurementPlan,
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
@@ -28,7 +29,6 @@ from kgflow.flowline import (
 )
 from kgflow.scheduler import (
     SchedulingError,
-    _plan_from_instances,
     compound,
     greedy_partition,
     synthesize_observations,
@@ -40,7 +40,7 @@ from test_scheduler import nine_task_flowline, nine_task_profile
 NET = NetParams(latency_s=0.05, bandwidth_Bps=1.0e7)
 
 
-def oracle_partition(flowline, compounding, vms):
+def oracle_partition(flowline, units, vms):
     room = [[vm.gpu_cards, vm.cpu_headroom] for vm in vms]
     placed = [set() for _ in vms]
     assignment = {}
@@ -67,9 +67,11 @@ def oracle_partition(flowline, compounding, vms):
             f"{cores} CPU core(s); capacities "
             f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
 
-    for comp in compounding.compounds:
+    compounds = [unit for unit in units if unit.anchor is not None]
+    orphans = [unit.members[0] for unit in units if unit.anchor is None]
+    for comp in compounds:
         place(comp.members, f"compound[{comp.anchor}]")
-    for orphan in compounding.orphans:
+    for orphan in orphans:
         place([orphan], f"task {orphan!r}")
     return assignment
 
@@ -77,14 +79,14 @@ def oracle_partition(flowline, compounding, vms):
 def oracle_observations(flowline, profile, catalog, net):
     max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
     types = sorted(catalog, key=lambda v: v.name)
-    compounding = compound(flowline)
+    units = compound(flowline)
     observations = {}
 
     def visit(combo):
         price = sum(vm.unit_price for vm in combo)
-        vms = _plan_from_instances(combo).expand()
+        vms = ProcurementPlan.of(combo).expand()
         try:
-            assignment = oracle_partition(flowline, compounding, vms)
+            assignment = oracle_partition(flowline, units, vms)
         except SchedulingError:
             observations.setdefault((round(price, 9), None),
                                     Observation(price, None))
@@ -144,24 +146,23 @@ class TestGreedyPartitionOracle:
     @given(placement_cases())
     def test_matches_sort_and_intersect(self, case):
         fl, vms = case
-        compounding = compound(fl)
-        assert (outcome(greedy_partition, fl, compounding, vms)
-                == outcome(oracle_partition, fl, compounding, vms))
+        units = compound(fl)
+        assert (outcome(greedy_partition, fl, units, vms)
+                == outcome(oracle_partition, fl, units, vms))
 
     @pytest.mark.parametrize("shape", [(3, 11), (6, 29)])
     @pytest.mark.parametrize("catalog", [bundled_qcloud_catalog,
                                          bundled_g4dn_catalog])
     def test_experiment_shapes_on_catalog_pairs(self, shape, catalog):
         fl, _ = synthetic_flowline(*shape)
-        compounding = compound(fl)
+        units = compound(fl)
         types = sorted(catalog(), key=lambda v: v.name)
         for a in types:
             for b in types:
                 for copies in (1, 2, 3):
-                    vms = _plan_from_instances([a] * copies + [b]).expand()
-                    assert (outcome(greedy_partition, fl, compounding, vms)
-                            == outcome(oracle_partition, fl, compounding,
-                                       vms))
+                    vms = ProcurementPlan.of([a] * copies + [b]).expand()
+                    assert (outcome(greedy_partition, fl, units, vms)
+                            == outcome(oracle_partition, fl, units, vms))
 
 
 class TestSynthesizeObservations:

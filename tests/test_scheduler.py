@@ -29,6 +29,7 @@ from kgflow.costmodel import (
     CostModelError,
     MakespanPriceFit,
     Observation,
+    ProcurementPlan,
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
@@ -46,6 +47,7 @@ from kgflow.flowline import (
     flowline_to_dict,
 )
 from kgflow.scheduler import (
+    Compound,
     SchedulePlan,
     SchedulingError,
     check_qualification,
@@ -102,45 +104,44 @@ def qcloud_vms(*names):
 
 class TestCompound:
     def test_nine_task_fixture(self):
-        result = compound(nine_task_flowline())
-        groups = [set(c.members) for c in result.compounds]
-        assert groups == [{"1", "2", "3", "4", "5"}, {"6"}, {"7"}]
-        assert [c.anchor for c in result.compounds] == ["1", "6", "7"]
-        assert result.orphans == ("8", "9")
+        units = compound(nine_task_flowline())
+        groups = [set(u.members) for u in units]
+        assert groups == [{"1", "2", "3", "4", "5"}, {"6"}, {"7"}, {"8"},
+                          {"9"}]
+        assert [u.anchor for u in units] == ["1", "6", "7", None, None]
 
     def test_single_model_no_operators(self):
         fl = Flowline.build([model("m")], [])
-        result = compound(fl)
-        assert [set(c.members) for c in result.compounds] == [{"m"}]
-        assert result.orphans == ()
+        assert compound(fl) == (Compound(("m",), "m"),)
 
     def test_linear_chain_fixpoint(self):
         fl = Flowline.build([model("m"), op("o1"), op("o2")],
                             [("m", "o1"), ("o1", "o2")])
-        result = compound(fl)
-        assert set(result.compounds[0].members) == {"m", "o1", "o2"}
-        assert result.orphans == ()
+        (unit,) = compound(fl)
+        assert set(unit.members) == {"m", "o1", "o2"}
 
     def test_partition_property(self):
         fl = nine_task_flowline()
-        result = compound(fl)
         seen: set[str] = set()
-        for comp in result.compounds:
-            members = set(comp.members)
-            assert not members & seen, "compounds must be pairwise disjoint"
+        for unit in compound(fl):
+            members = set(unit.members)
+            assert not members & seen, "units must be pairwise disjoint"
             seen |= members
             models = [m for m in members if fl.node(m).is_model]
-            assert models == [comp.anchor]
+            if unit.anchor is None:  # an orphan
+                assert len(members) == 1 and not models
+                continue
+            assert models == [unit.anchor]
             # Every member reachable from the anchor through members only.
-            frontier = {comp.anchor}
-            reached = {comp.anchor}
+            frontier = {unit.anchor}
+            reached = {unit.anchor}
             while frontier:
                 nxt = {s for m in frontier for s in fl.successors[m]
                        if s in members and s not in reached}
                 reached |= nxt
                 frontier = nxt
             assert reached == members
-        assert seen | set(result.orphans) == {v.id for v in fl.vertices}
+        assert seen == {v.id for v in fl.vertices}
 
 
 class TestGreedyPartition:
@@ -182,15 +183,9 @@ class TestGreedyPartition:
                       ("2XLARGE40", "2XLARGE40", "2XLARGE40")]:
             vms = qcloud_vms(*names)
             assignment = greedy_partition(fl, compound(fl), vms)
-            plan = SchedulePlan(
-                procurement=_procurement_of(vms), vms=tuple(vms),
-                assignment=assignment, eta=0.5)
+            plan = SchedulePlan(procurement=ProcurementPlan.of(vms),
+                                assignment=assignment, eta=0.5)
             assert check_qualification(plan, fl).ok
-
-
-def _procurement_of(vms):
-    from kgflow.scheduler import _plan_from_instances
-    return _plan_from_instances(vms)
 
 
 class TestCheckQualification:
@@ -199,7 +194,7 @@ class TestCheckQualification:
             [op("s", "data"), model("a"), model("b"), op("t")],
             [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
         vms = tuple(qcloud_vms("2XLARGE40"))
-        plan = SchedulePlan(_procurement_of(vms), vms,
+        plan = SchedulePlan(ProcurementPlan.of(vms),
                             {"s": 0, "a": 0, "b": 0, "t": 0}, eta=0.5)
         report = check_qualification(plan, fl)
         assert any("GPU" in v for v in report.violations)
@@ -207,7 +202,7 @@ class TestCheckQualification:
     def test_uncovered_task(self):
         fl = Flowline.build([model("a"), op("t")], [("a", "t")])
         vms = tuple(qcloud_vms("2XLARGE40"))
-        plan = SchedulePlan(_procurement_of(vms), vms, {"a": 0}, eta=0.5)
+        plan = SchedulePlan(ProcurementPlan.of(vms), {"a": 0}, eta=0.5)
         report = check_qualification(plan, fl)
         assert any("uncovered" in v for v in report.violations)
 
@@ -216,7 +211,7 @@ class TestCheckQualification:
             [model("m1"), model("m2"), op("o2"), op("o10"), op("o11")],
             [("m1", "m2"), ("m2", "o2"), ("o2", "o10"), ("o10", "o11")])
         vms = tuple(qcloud_vms("2XLARGE40"))
-        plan = SchedulePlan(_procurement_of(vms), vms,
+        plan = SchedulePlan(ProcurementPlan.of(vms),
                             {"o11": -1, "o10": 3, "o2": 7, "m1": 0, "m2": 0},
                             eta=0.5)
         assert check_qualification(plan, fl).violations == (
@@ -226,7 +221,7 @@ class TestCheckQualification:
             "vm 0 (2XLARGE40): 2 model task(s) exceed 1 GPU card(s)",
         )
         vms = (VmType(name="tiny", cpu_cores=2, gpu_cards=1, unit_price=1.0),)
-        plan = SchedulePlan(_procurement_of(vms), vms,
+        plan = SchedulePlan(ProcurementPlan.of(vms),
                             {"o10": 0, "o2": 0, "m1": 0, "m2": 5}, eta=0.5)
         assert check_qualification(plan, fl).violations == (
             "task 'm2' assigned to unknown VM 5",
@@ -237,7 +232,7 @@ class TestCheckQualification:
     def test_tasks_missing_from_flowline_reported(self):
         fl = Flowline.build([model("a"), op("t")], [("a", "t")])
         vms = tuple(qcloud_vms("2XLARGE40"))
-        plan = SchedulePlan(_procurement_of(vms), vms,
+        plan = SchedulePlan(ProcurementPlan.of(vms),
                             {"ghost10": 0, "t": 3, "ghost2": 0, "x": 9,
                              "a": 0}, eta=0.5)
         assert check_qualification(plan, fl).violations == (
@@ -253,7 +248,7 @@ class TestCheckQualification:
         fl, profile = synthetic_flowline(3, 11)
         plan = schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET,
                         fit=PAPER_CURVE)
-        ghost = SchedulePlan(plan.procurement, plan.vms,
+        ghost = SchedulePlan(plan.procurement,
                              {**plan.assignment, "ghost": 0}, eta=0.5,
                              net=NET)
         message = ("plan fails qualification: "
@@ -266,7 +261,7 @@ class TestCheckQualification:
     def test_valid_plan_ok(self):
         fl = Flowline.build([model("a"), op("t")], [("a", "t")])
         vms = tuple(qcloud_vms("2XLARGE40"))
-        plan = SchedulePlan(_procurement_of(vms), vms, {"a": 0, "t": 0},
+        plan = SchedulePlan(ProcurementPlan.of(vms), {"a": 0, "t": 0},
                             eta=0.5)
         assert check_qualification(plan, fl).ok
 
@@ -333,7 +328,7 @@ class TestSchedule:
         ids = [v.id for v in fl.vertices]
         all_js = []
         for combo in itertools.product(range(len(plan.vms)), repeat=len(ids)):
-            candidate = SchedulePlan(plan.procurement, plan.vms,
+            candidate = SchedulePlan(plan.procurement,
                                      dict(zip(ids, combo)), 0.5, NET)
             if not check_qualification(candidate, fl).ok:
                 continue
@@ -344,6 +339,25 @@ class TestSchedule:
         rank = sum(1 for j in all_js if j < mine - 1e-12)
         assert rank <= 0.10 * len(all_js)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 23), st.integers(0, 9),
+           st.sampled_from([bundled_qcloud_catalog, bundled_g4dn_catalog]),
+           st.floats(0.0, 1.0, exclude_max=True))
+    def test_qualified_plan_with_whole_units_or_typed_error(
+            self, models, extra_ops, seed, make_catalog, eta):
+        fl, profile = synthetic_flowline(models, models + 1 + extra_ops, seed)
+        try:
+            plan = schedule(fl, profile, make_catalog(), eta, NET)
+        except Exception as exc:
+            assert type(exc) in (SchedulingError, CostModelError), repr(exc)
+            # A typed error names a cause in the input, not a bad plan.
+            assert "fails qualification" not in str(exc)
+            return
+        assert check_qualification(plan, fl).ok
+        assert plan.vms == plan.procurement.expand()
+        for unit in compound(fl):
+            assert len({plan.assignment[m] for m in unit.members}) == 1
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["edges"].append(["9", "zz"]),
@@ -364,7 +378,7 @@ class TestEvaluatePlan:
         fl = Flowline.build([op("w")], [])
         profile = TaskProfile({"w": 4.65})
         vms = tuple(qcloud_vms("5XLARGE80", "2XLARGE40"))
-        plan = SchedulePlan(_procurement_of(vms), vms, {"w": 0}, 0.5, NET)
+        plan = SchedulePlan(ProcurementPlan.of(vms), {"w": 0}, 0.5, NET)
         result = evaluate_plan(plan, fl, profile, 200, 200, 0.5)
         assert result["cost_mon"] == pytest.approx(0.0464, abs=5e-4)
         assert round(result["cost_mon"], 3) == 0.046
@@ -392,7 +406,7 @@ class TestEvaluatePlan:
             [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
         profile = TaskProfile({"s": 0.0, "a": 1.0, "b": 1.0, "t": 0.1})
         vms = tuple(qcloud_vms("2XLARGE40"))
-        plan = SchedulePlan(_procurement_of(vms), vms,
+        plan = SchedulePlan(ProcurementPlan.of(vms),
                             {"s": 0, "a": 0, "b": 0, "t": 0}, 0.5, NET)
         with pytest.raises(SchedulingError, match="qualification"):
             evaluate_plan(plan, fl, profile, 200, 200, 0.5)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgflow.costmodel import (
     CostModelError,
+    ProcurementPlan,
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
@@ -35,7 +36,6 @@ from kgflow.scheduler import (
     MakespanPriceFit,
     SchedulePlan,
     _natural_key,
-    _plan_from_instances,
     SchedulingError,
     check_qualification,
     evaluate_plan,
@@ -72,7 +72,7 @@ def single_task_plan(weight=4.65, vm_names=("5XLARGE80", "2XLARGE40")):
     fl = Flowline.build([op("w")], [])
     profile = TaskProfile({"w": weight})
     vms = tuple(qcloud_vms(*vm_names))
-    plan = SchedulePlan(_plan_from_instances(vms), vms, {"w": 0}, 0.5, NET)
+    plan = SchedulePlan(ProcurementPlan.of(vms), {"w": 0}, 0.5, NET)
     return plan, fl, profile
 
 
@@ -414,7 +414,7 @@ class TestChromeTrace:
                             + [(t, "sink") for t in middle])
         profile = TaskProfile({v.id: 0.25 for v in fl.vertices})
         vms = (VmType("big", 16, 0, 1.0),)
-        plan = SchedulePlan(_plan_from_instances(vms), vms,
+        plan = SchedulePlan(ProcurementPlan.of(vms),
                             {v.id: 0 for v in fl.vertices}, 0.5, NET)
         config = SimConfig(slice_size=200, corpus_size=2000, **options)
         return simulate(plan, fl, profile, config)
