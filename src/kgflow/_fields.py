@@ -1,12 +1,12 @@
-"""The one rule for reading a field of a loaded document.
-
-Each module binds ``field`` to its own error with ``functools.partial``, so
-every ``*_from_dict`` loader checks its fields the same way and raises that
-module's error naming the document kind, the field and the value.
+"""The one rule for reading a field of a loaded document, and the one rule
+for an integer count. Each module binds ``field`` and ``count`` to its own
+error with ``functools.partial``, so every ``*_from_dict`` loader and every
+count check raises that module's error naming the field and the value.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Mapping
 
 _REQUIRED: Any = object()
@@ -40,3 +40,14 @@ def field(error: type[Exception], doc: Any, key: str, what: str,
         raise error(f"{what} field {key!r} must be a {kind.__name__}: "
                     f"{value!r}")
     return value
+
+
+def count(error: type[Exception], name: str, value: Any, least: int) -> None:
+    """Raise ``error`` unless ``value`` is an integer (a bool is not) of at
+    least ``least``."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise error(f"{name} must be an integer >= {least}: {value!r}")

@@ -43,6 +43,7 @@ class CostModelError(ValueError):
 
 
 _field = functools.partial(_fields.field, CostModelError)
+_count = functools.partial(_fields.count, CostModelError)
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,8 @@ class VmType:
     currency: str = "USD"
 
     def __post_init__(self):
-        if self.cpu_cores < 1:
-            raise CostModelError(f"{self.name}: cpu_cores must be >= 1")
-        if self.gpu_cards < 0:
-            raise CostModelError(f"{self.name}: gpu_cards must be >= 0")
+        _count(f"{self.name}: cpu_cores", self.cpu_cores, 1)
+        _count(f"{self.name}: gpu_cards", self.gpu_cards, 0)
         if not 0 < self.unit_price < math.inf:
             raise CostModelError(f"{self.name}: unit_price must be finite "
                                  f"and > 0: {self.unit_price}")
@@ -112,31 +111,41 @@ class ResourceDemand:
     cpus: int
 
     def __post_init__(self):
-        if self.gpus < 0 or self.cpus < 0:
-            raise CostModelError("demand must be non-negative")
+        _count("demand gpus", self.gpus, 0)
+        _count("demand cpus", self.cpus, 0)
 
 
 @dataclass(frozen=True)
 class ProcurementPlan:
-    """A purchased multiset of VM types."""
+    """A purchased multiset of VM types, each listed once with a count >= 1."""
 
     items: tuple[tuple[VmType, int], ...]
 
     def __post_init__(self):
-        # Expanded once per plan: ``expand`` returns this tuple.
-        vms = [vm for vm, n in self.items for _ in range(n)]
+        # One pass checks the items and expands them once for ``expand``.
+        names: set[str] = set()
+        vms: list[VmType] = []
+        for vm, n in self.items:
+            if vm.name in names:
+                raise CostModelError(f"procurement lists {vm.name!r} twice")
+            names.add(vm.name)
+            if type(n) is not int or n < 1:  # no f-string for a good count
+                _count(f"procurement count of {vm.name!r}", n, 1)
+            vms += [vm] * n
         object.__setattr__(self, "_vms", tuple(sorted(
             vms, key=lambda v: (-v.gpu_cards, -v.cpu_cores, v.name))))
 
     @classmethod
     def of(cls, instances: Iterable[VmType]) -> ProcurementPlan:
-        """The multiset of ``instances``, one item per type name, in name
-        order; instances that share a name count as one type."""
+        """The multiset of ``instances``, one item per type, in name order;
+        two different types that share a name raise CostModelError."""
         counts: dict[str, int] = {}
         by_name: dict[str, VmType] = {}
         for vm in instances:
+            first = by_name.setdefault(vm.name, vm)
+            if first is not vm and first != vm:
+                raise CostModelError(f"two VM types are named {vm.name!r}")
             counts[vm.name] = counts.get(vm.name, 0) + 1
-            by_name[vm.name] = vm
         return cls(tuple((by_name[name], counts[name])
                          for name in sorted(counts)))
 
@@ -363,11 +372,9 @@ def procure(catalog: Sequence[VmType], x0: float,
     per VM type. A pass whose table would outgrow ``_MAX_TABLE_BYTES``
     raises ``CostModelError`` instead.
     """
-    if not catalog:
-        raise CostModelError("empty catalog")
+    types = catalog_types(catalog)
     if not math.isfinite(x0):
         raise CostModelError(f"target price x0 must be finite, got {x0}")
-    types = _distinct_names(sorted(catalog, key=lambda v: v.name))
     names = [v.name for v in types]
     if ((demand.gpus and not any(v.gpu_cards for v in types))
             or (demand.cpus and not any(v.cpu_headroom for v in types))):
@@ -402,14 +409,15 @@ def procure(catalog: Sequence[VmType], x0: float,
         f"(searched up to price {bound:.2f})")
 
 
-def _distinct_names(types: list[VmType]) -> list[VmType]:
-    """``types``, once no two of them share a name: plans and plan JSON
-    name a type by its name alone."""
-    seen: set[str] = set()
-    for vm in types:
-        if vm.name in seen:
+def catalog_types(catalog: Iterable[VmType]) -> tuple[VmType, ...]:
+    """The catalog's types by name; CostModelError unless there are some and
+    each name is listed once, as plans and plan JSON name a type by it."""
+    types = tuple(sorted(catalog, key=lambda v: v.name))
+    if not types:
+        raise CostModelError("empty catalog")
+    for prev, vm in zip(types, types[1:]):
+        if prev.name == vm.name:
             raise CostModelError(f"catalog lists VM type {vm.name!r} twice")
-        seen.add(vm.name)
     return types
 
 
@@ -561,7 +569,9 @@ def vm_type_from_dict(row: Mapping[str, Any],
 def catalog_from_dict(doc: Mapping[str, Any]) -> list[VmType]:
     rows = _field(doc, "vm_types", "catalog", list)
     currency = _field(doc, "currency", "catalog", str, "USD")
-    return _distinct_names([vm_type_from_dict(row, currency) for row in rows])
+    vms = [vm_type_from_dict(row, currency) for row in rows]
+    catalog_types(vms)  # rows stay in file order
+    return vms
 
 
 def observations_from_dict(doc: Mapping[str, Any]) -> list[Observation]:

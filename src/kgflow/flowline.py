@@ -136,10 +136,20 @@ class Flowline:
         Raises FlowlineError if the graph has a cycle; ``validate`` reports
         cycles as data instead.
         """
-        order = _topo_sort(self)
-        if order is None:
+        indeg = {k: len(v) for k, v in self.predecessors.items()}
+        ready = [i for i, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            nxt = heapq.heappop(ready)
+            order.append(nxt)
+            for succ in self.successors[nxt]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    heapq.heappush(ready, succ)
+        if len(order) != len(self.vertices):
             raise FlowlineError("flowline contains a cycle")
-        return order
+        return tuple(order)
 
     def model_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in sorted(self.vertices, key=lambda v: v.id)
@@ -231,21 +241,6 @@ def _ends(vertices: tuple[TaskNode, ...], edges: tuple[tuple[str, str], ...]
             [i for i in ids if i not in sources])
 
 
-def _topo_sort(flowline: Flowline) -> tuple[str, ...] | None:
-    indeg = {k: len(v) for k, v in flowline.predecessors.items()}
-    ready = [i for i, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        nxt = heapq.heappop(ready)
-        order.append(nxt)
-        for succ in flowline.successors[nxt]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                heapq.heappush(ready, succ)
-    return tuple(order) if len(order) == len(flowline.vertices) else None
-
-
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -300,8 +295,9 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
         violations.append(Violation(
             "exit-mismatch", f"declared exit {flowline.exit!r}, found {tails[0]!r}"))
 
-    order = _topo_sort(flowline)
-    if order is None:
+    try:
+        flowline.topological_order  # sorted once, then cached
+    except FlowlineError:
         violations.append(Violation("cycle", "flowline contains a directed cycle"))
 
     for v in sorted(flowline.vertices, key=lambda v: v.id):
@@ -317,8 +313,8 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
                 "unknown-operator",
                 f"task {v.id!r}: operator {v.function!r} not registered"))
 
-    if order is not None and not violations:
-        violations.extend(_check_pipes(flowline, order))
+    if not violations:  # then the flowline is acyclic
+        violations.extend(_check_pipes(flowline))
 
     if profile is not None:
         for v in sorted(flowline.vertices, key=lambda v: v.id):
@@ -329,13 +325,13 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
-def _check_pipes(flowline: Flowline, order: tuple[str, ...]) -> list[Violation]:
+def _check_pipes(flowline: Flowline) -> list[Violation]:
     """Propagate edge-projected columns; flag consumers that cannot be fed
     (every vertex's function is registered under its kind)."""
     corpus_feed = frozenset({registry.SAMPLE, registry.ANY})
     available: dict[str, frozenset[str]] = {}
     found: list[Violation] = []
-    for tid in order:
+    for tid in flowline.topological_order:
         spec = registry.spec(flowline.node(tid).function)
         if tid == flowline.entry:
             received = spec.received_columns(corpus_feed)

@@ -35,6 +35,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain, combinations_with_replacement
 from typing import Any, Collection, Mapping, Sequence
 
 from . import _fields
@@ -46,6 +47,7 @@ from .costmodel import (
     ProcurementPlan,
     ResourceDemand,
     VmType,
+    catalog_types,
     fit_price_makespan,
     objective,
     optimal_unit_price,
@@ -302,43 +304,32 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     infeasible observations (they cap the fitted curve's pole).
     """
     max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
-    types = sorted(catalog, key=lambda v: v.name)
+    types = catalog_types(catalog)
     units = compound(flowline)
     observations: dict[tuple[float, float | None], Observation] = {}
     # The makespan depends only on the edges an assignment cuts, and the
     # enumerated procurements collapse onto a few distinct assignments.
     makespans: dict[tuple[tuple[str, int], ...], float] = {}
-
-    def visit(combo: list[VmType]) -> None:
-        if not combo:
-            return
-        price = sum(vm.unit_price for vm in combo)
-        vms = ProcurementPlan.of(combo).expand()
+    # Lexicographic order, so each key keeps its first-seen observation.
+    for combo in sorted(chain.from_iterable(
+            combinations_with_replacement(range(len(types)), k)
+            for k in range(1, max_instances + 1))):
+        price = sum(types[i].unit_price for i in combo)
+        vms = ProcurementPlan.of(types[i] for i in combo).expand()
         try:
             assignment = greedy_partition(flowline, units, vms)
         except SchedulingError:
-            key = (round(price, 9), None)
-            observations.setdefault(key, Observation(price, None))
-            return
+            observations.setdefault((round(price, 9), None),
+                                    Observation(price, None))
+            continue
         placement = tuple(assignment.items())
         mk = makespans.get(placement)
         if mk is None:
             mk = makespans[placement] = makespan(
                 flowline, profile,
                 apply_partition(flowline, profile, assignment, net))
-        key = (round(price, 9), round(mk, 12))
-        observations.setdefault(key, Observation(price, mk))
-
-    def walk(idx: int, chosen: list[VmType]) -> None:
-        visit(list(chosen))
-        if idx == len(types) or len(chosen) >= max_instances:
-            return
-        for j in range(idx, len(types)):
-            chosen.append(types[j])
-            walk(j, chosen)
-            chosen.pop()
-
-    walk(0, [])
+        observations.setdefault((round(price, 9), round(mk, 12)),
+                                Observation(price, mk))
     return [observations[k] for k in sorted(observations,
                                             key=lambda k: (k[0], k[1] is None,
                                                            k[1] or 0.0))]
@@ -349,10 +340,11 @@ def synthesized_fit(flowline: Flowline, profile: TaskProfile,
                     ) -> MakespanPriceFit | None:
     """The price-to-makespan curve ``schedule`` fits when given neither a
     fit nor observations; None for a CPU-only flowline, which needs none."""
+    types = catalog_types(catalog)
     if not flowline.model_ids():
         return None
     return fit_price_makespan(synthesize_observations(flowline, profile,
-                                                      catalog, net))
+                                                      types, net))
 
 
 def schedule(flowline: Flowline, profile: TaskProfile,
@@ -369,11 +361,12 @@ def schedule(flowline: Flowline, profile: TaskProfile,
     """
     Preference(eta)
     profile.check_covers(flowline)
+    types = catalog_types(catalog)
     cards, cores = need(flowline, flowline.by_id)
 
     if not cards:
         # CPU-only corner case: keep the flowline whole on one adequate VM.
-        adequate = [vm for vm in catalog if vm.cpu_headroom >= cores]
+        adequate = [vm for vm in types if vm.cpu_headroom >= cores]
         if not adequate:
             raise SchedulingError(
                 f"no catalog VM has {cores} spare CPU cores for a CPU-only "
@@ -385,9 +378,9 @@ def schedule(flowline: Flowline, profile: TaskProfile,
         if fit is None:
             fit = (fit_price_makespan(list(observations))
                    if observations is not None
-                   else synthesized_fit(flowline, profile, catalog, net))
+                   else synthesized_fit(flowline, profile, types, net))
         x0 = optimal_unit_price(fit, Preference(eta))
-        procurement = procure(catalog, x0, ResourceDemand(cards, cores))
+        procurement = procure(types, x0, ResourceDemand(cards, cores))
         assignment = greedy_partition(flowline, compound(flowline),
                                       procurement.expand())
 
@@ -420,28 +413,27 @@ def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
 
 def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
     """Inverse of ``plan_to_dict``. A field that is missing, of the wrong
-    type or not a whole number where one is due, a count below 1, a type
-    listed twice, a bad eta, net or VM row, or ``vms`` other than the
-    expanded procurement raise SchedulingError naming the field."""
+    type or not a whole number where one is due, a bad eta, net, VM row or
+    procurement (a count below 1, a type listed twice), or ``vms`` other
+    than the expanded procurement raise SchedulingError naming the field."""
     try:
         vms = tuple(vm_type_from_dict(row)
                     for row in _field(doc, "vms", "plan", list))
     except CostModelError as exc:
         raise SchedulingError(f"bad plan vms: {exc}") from None
     by_name = {vm.name: vm for vm in vms}
-    items = {}
+    items = []
     for row in _field(doc, "procurement", "plan", list):
         name = _field(row, "type", "plan procurement row", str)
         if name not in by_name:
             raise SchedulingError(f"procurement type {name!r} "
                                   "is not among the plan's vms")
-        if name in items:
-            raise SchedulingError(f"plan procurement lists {name!r} twice")
-        count = _field(row, "count", "plan procurement row", int)
-        if count < 1:
-            raise SchedulingError(f"plan procurement count of {name!r} "
-                                  f"is below 1: {count}")
-        items[name] = (by_name[name], count)
+        items.append((by_name[name],
+                      _field(row, "count", "plan procurement row", int)))
+    try:
+        procurement = ProcurementPlan(tuple(items))
+    except CostModelError as exc:
+        raise SchedulingError(f"bad plan procurement: {exc}") from None
     assigned = _field(doc, "assignment", "plan", Mapping)
     assignment = {task: _field(assigned, task, "plan assignment", int)
                   for task in assigned}
@@ -457,7 +449,6 @@ def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
         raise SchedulingError(f"bad plan eta: {exc}") from None
     except FlowlineError as exc:
         raise SchedulingError(f"bad plan net: {exc}") from None
-    procurement = ProcurementPlan(tuple(items.values()))
     if procurement.expand() != vms:
         raise SchedulingError(
             f"plan vms {[vm.name for vm in vms]} are not the procurement "

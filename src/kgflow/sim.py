@@ -38,8 +38,8 @@ makespan/cost trade-off tables.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import random
 import statistics
 from dataclasses import dataclass
@@ -47,11 +47,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import _fields
 from .costmodel import (
     CostModelError,
     ProcurementPlan,
     ResourceDemand,
     VmType,
+    catalog_types,
     normalized_objectives,
     procure,
 )
@@ -77,15 +79,7 @@ from .scheduler import (
 )
 
 
-def _check_count(name: str, value: Any, least: int) -> None:
-    """Raise FlowlineError unless ``value`` is an integer (a bool is not)
-    of at least ``least``."""
-    try:
-        ok = not isinstance(value, bool) and operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise FlowlineError(f"{name} must be an integer >= {least}: {value!r}")
+_check_count = functools.partial(_fields.count, FlowlineError)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -252,14 +246,12 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
 
     Deterministic per seed (rejection sampling off a seeded generator).
     """
-    if not catalog:
-        raise CostModelError("empty catalog")
+    types = catalog_types(catalog)
     rng = random.Random(seed)
-    types = sorted(catalog, key=lambda v: v.name)
     tasks = sorted((v.id for v in flowline.vertices), key=_natural_key)
     demand = need(flowline, tasks)
     n_models = demand[0]
-    min_gpu = max((vm.gpu_cards for vm in types), default=0)
+    min_gpu = max(vm.gpu_cards for vm in types)
     k_cap = max(2, n_models + 1, math.ceil(n_models / max(min_gpu, 1)) + 1)
 
     for _ in range(10000):

@@ -8,6 +8,7 @@ positions c and polishing the best start (see the frozen constants below).
 import math
 import re
 
+import numpy as np
 import pytest
 
 from kgflow.costmodel import (
@@ -22,6 +23,7 @@ from kgflow.costmodel import (
     bundled_qcloud_catalog,
     bundled_qcloud_observations,
     catalog_from_dict,
+    catalog_types,
     fit_price_makespan,
     normalized_objectives,
     objective,
@@ -191,6 +193,59 @@ class TestProcure:
                 assert plan.total_cpu_headroom >= 4
 
 
+# Two different types named "a"; a plan could hold only one of them.
+SAME_NAME = [VmType("a", 4, 1, 2.0), VmType("a", 16, 2, 4.0)]
+
+
+class TestCatalogTypes:
+    def test_sorted_by_name(self):
+        catalog = bundled_g4dn_catalog()
+        assert catalog_types(reversed(catalog)) == tuple(
+            sorted(catalog, key=lambda v: v.name))
+
+    def test_loaded_catalog_keeps_file_order(self):
+        rows = [{"name": name, "cpu_cores": 4, "gpu_cards": 1,
+                 "unit_price": 1.0} for name in "ba"]
+        assert [vm.name for vm in catalog_from_dict({"vm_types": rows})] == [
+            "b", "a"]
+
+
+class TestProcurementPlanIsWellFormed:
+    """A procurement lists each VM type once, with a count of at least 1."""
+
+    A = VmType("a", 4, 1, 2.0)
+
+    @pytest.mark.parametrize("items, message", [
+        (((A, 1), (A, 2)), "procurement lists 'a' twice"),
+        (tuple((vm, 1) for vm in SAME_NAME), "procurement lists 'a' twice"),
+        (((A, 0),), "procurement count of 'a' must be an integer >= 1: 0"),
+        (((A, -1),), "procurement count of 'a' must be an integer >= 1: -1"),
+        (((A, True),),
+         "procurement count of 'a' must be an integer >= 1: True"),
+        (((A, 1.0),), "procurement count of 'a' must be an integer >= 1: 1.0"),
+    ], ids=["type-twice", "name-twice", "count-0", "count--1", "count-True",
+            "count-1.0"])
+    def test_bad_items_raise(self, items, message):
+        with pytest.raises(CostModelError, match=re.escape(message)):
+            ProcurementPlan(items)
+
+    def test_of_rejects_two_types_sharing_a_name(self):
+        with pytest.raises(CostModelError,
+                           match="two VM types are named 'a'"):
+            ProcurementPlan.of(SAME_NAME)
+
+    def test_of_merges_equal_instances(self):
+        b = VmType("b", 8, 1, 3.0)
+        plan = ProcurementPlan.of([b, VmType("a", 4, 1, 2.0), self.A])
+        assert plan.items == ((self.A, 2), (b, 1))
+        assert plan.expand() == (b, self.A, self.A)
+
+    def test_numpy_integers_are_counts(self):
+        vm = VmType("x", np.int64(4), np.int32(1), 1.0)
+        plan = ProcurementPlan(((vm, np.int64(2)),))
+        assert plan.expand() == (vm, vm) and plan.total_cpu_headroom == 6
+
+
 class TestObjective:
     def test_raw_weighting(self):
         assert objective(10.0, 2.0, 0.5) == pytest.approx(6.0)
@@ -304,6 +359,23 @@ class TestLoaderErrors:
         (lambda catalog: procure(catalog, 6.0, ResourceDemand(3, 6)),
          [VmType("a", 4, 1, 2.0), VmType("a", 8, 2, 4.0)],
          "catalog lists VM type 'a' twice"),
+        (catalog_from_dict, {"vm_types": []}, "empty catalog"),
+        (catalog_types, [VmType("b", 4, 1, 2.0), *SAME_NAME],
+         "catalog lists VM type 'a' twice"),
+        # A count that is no integer once raised a bare TypeError.
+        (lambda args: VmType(*args), ("x", "4", 1, 1.0),
+         "x: cpu_cores must be an integer >= 1: '4'"),
+        (lambda args: VmType(*args), ("x", True, 0, 1.0),
+         "x: cpu_cores must be an integer >= 1: True"),
+        (lambda args: VmType(*args), ("x", 4, 1.5, 1.0),
+         "x: gpu_cards must be an integer >= 0: 1.5"),
+        (lambda args: VmType(*args), ("x", 4, -1, 1.0),
+         "x: gpu_cards must be an integer >= 0: -1"),
+        (lambda args: ResourceDemand(*args), (1, "2"),
+         "demand cpus must be an integer >= 0: '2'"),
+        (lambda args: procure(bundled_g4dn_catalog(), 5.0,
+                              ResourceDemand(*args)), (1.5, 2),
+         "demand gpus must be an integer >= 0: 1.5"),
     ])
     def test_field_is_named(self, load, doc, message):
         with pytest.raises(CostModelError, match=re.escape(message)):

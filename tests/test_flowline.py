@@ -6,6 +6,7 @@ Random-DAG weights are dyadic rationals (k/8) so float sums are exact and
 the recursion must match the oracle bit-for-bit.
 """
 
+import heapq
 import json
 import math
 import random
@@ -22,7 +23,6 @@ from kgflow.flowline import (
     NetParams,
     TaskNode,
     TaskProfile,
-    _topo_sort,
     apply_partition,
     finish_times,
     flowline_from_dict,
@@ -549,12 +549,20 @@ def reference_topo_sort(ids, edges):
     return tuple(order)
 
 
+def topo_order(fl):
+    """``fl.topological_order``, or None for a graph with a cycle."""
+    try:
+        return fl.topological_order
+    except FlowlineError:
+        return None
+
+
 class TestTopologicalSort:
     def test_matches_reference_on_random_dags(self):
         rng = random.Random(11)
         for _ in range(300):
             fl, _ = random_dag(rng, max_vertices=30)
-            assert _topo_sort(fl) == reference_topo_sort(
+            assert topo_order(fl) == reference_topo_sort(
                 [v.id for v in fl.vertices], fl.edges)
 
     def test_matches_reference_on_random_graphs(self):
@@ -571,8 +579,22 @@ class TestTopologicalSort:
                           ids[0], ids[-1])
             want = reference_topo_sort(ids, dict.fromkeys(edges))
             cyclic += want is None
-            assert _topo_sort(fl) == want
+            assert topo_order(fl) == want
         assert 0 < cyclic < 300
+
+    def test_validate_reads_the_cached_order(self, monkeypatch):
+        sorts = []
+        heapify = heapq.heapify
+
+        def counted(ready):
+            sorts.append(list(ready))
+            heapify(ready)
+
+        monkeypatch.setattr(heapq, "heapify", counted)
+        fl = fig5_flowline()
+        assert validate(fl).ok and validate(fl).ok
+        assert fl.topological_order == topo_order(fl)
+        assert len(sorts) == 1
 
     def test_repeated_edge_orders_as_the_deduplicated_graph(self):
         plain = fig5_flowline()
@@ -600,7 +622,7 @@ class TestTopologicalSort:
             return
         unique = tuple(dict.fromkeys(edges))
         assert fl.edges == unique
-        assert _topo_sort(fl) == reference_topo_sort(ids, unique)
+        assert topo_order(fl) == reference_topo_sort(ids, unique)
 
 
 class TestInvariant:

@@ -30,6 +30,7 @@ from kgflow.costmodel import (
     MakespanPriceFit,
     Observation,
     ProcurementPlan,
+    ResourceDemand,
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
@@ -266,17 +267,45 @@ class TestCheckQualification:
         assert check_qualification(plan, fl).ok
 
 
+def cpu_only_flowline():
+    ops = [op(f"o{i}") for i in range(5)]
+    edges = [(f"o{i}", f"o{i+1}") for i in range(4)]
+    fl = Flowline.build(ops, edges)
+    return fl, TaskProfile({v.id: 0.1 for v in fl.vertices},
+                           {e: 1000.0 for e in fl.edges})
+
+
+# Two different types named "a"; a plan could hold only one of them.
+SAME_NAME = [VmType("a", 4, 1, 2.0), VmType("a", 16, 2, 4.0)]
+
+
 class TestSchedule:
     def test_cpu_only_corner_case(self):
-        ops = [op(f"o{i}") for i in range(5)]
-        edges = [(f"o{i}", f"o{i+1}") for i in range(4)]
-        fl = Flowline.build(ops, edges)
-        profile = TaskProfile({v.id: 0.1 for v in fl.vertices},
-                              {e: 1000.0 for e in fl.edges})
+        fl, profile = cpu_only_flowline()
         plan = schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET)
         assert len(plan.vms) == 1
         assert plan.vms[0].cpu_cores >= 5
         assert set(plan.assignment.values()) == {0}
+
+    @pytest.mark.parametrize("shape", ["3m6o", "cpu-only"])
+    @pytest.mark.parametrize("catalog, message", [
+        ([], "empty catalog"),
+        (SAME_NAME, "catalog lists VM type 'a' twice"),
+    ], ids=["empty", "same-name"])
+    def test_bad_catalog_raises_before_any_warm_up(self, monkeypatch, shape,
+                                                   catalog, message):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return greedy_partition(*args)
+
+        monkeypatch.setattr("kgflow.scheduler.greedy_partition", counted)
+        fl, profile = (synthetic_flowline(3, 6) if shape == "3m6o"
+                       else cpu_only_flowline())
+        with pytest.raises(CostModelError, match=re.escape(message)):
+            schedule(fl, profile, catalog, 0.5, NET)
+        assert calls == []
 
     def test_nine_task_qcloud_balanced_eta(self):
         plan = schedule(nine_task_flowline(), nine_task_profile(),
@@ -496,11 +525,12 @@ class TestPlanSerialization:
         (lambda doc: doc["assignment"].update({"9": "x"}),
          "plan assignment {doc[assignment]!r} has a non-numeric 9: 'x'"),
         (lambda doc: doc["procurement"][0].update(count=0),
-         "plan procurement count of {doc[procurement][0][type]!r} is below "
-         "1: 0"),
+         "bad plan procurement: procurement count of "
+         "{doc[procurement][0][type]!r} must be an integer >= 1: 0"),
         (lambda doc: doc["procurement"].append(
             {"type": doc["procurement"][0]["type"], "count": -1}),
-         "plan procurement lists {doc[procurement][0][type]!r} twice"),
+         "bad plan procurement: procurement lists "
+         "{doc[procurement][0][type]!r} twice"),
         (lambda doc: doc.update(eta=3.0),
          "bad plan eta: eta out of range [0, 1): 3.0"),
         (lambda doc: doc.update(eta="x"),
@@ -657,6 +687,57 @@ class TestLoadersRaiseTypedErrors:
         else:
             hint = typing.get_type_hints(load)["return"]
             assert _conforms(loaded, hint), f"{name} returned {loaded!r}"
+
+
+def _catalog_entry_points():
+    """Every public function defined in a kgflow module that takes a
+    ``catalog`` parameter."""
+    found = {}
+    for info in pkgutil.iter_modules(kgflow.__path__):
+        module = importlib.import_module(f"kgflow.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if (fn.__module__ == module.__name__ and not name.startswith("_")
+                    and "catalog" in inspect.signature(fn).parameters):
+                found[name] = fn
+    return found
+
+
+CATALOG_ENTRY_POINTS = _catalog_entry_points()
+
+
+class TestEveryCatalogEntryPointChecksTheCatalog:
+    """Each public function that takes a catalog refuses an empty one and
+    one that names a type twice, so a new entry point cannot skip the
+    catalog rule."""
+
+    @staticmethod
+    def arguments(fn, catalog, shape):
+        fl, profile = (synthetic_flowline(3, 6) if shape == "3m6o"
+                       else cpu_only_flowline())
+        pool = {"flowline": fl, "profile": profile, "catalog": catalog,
+                "net": NET, "eta": 0.5, "etas": [0.5], "seed": 0, "x0": 5.0,
+                "demand": ResourceDemand(1, 1)}
+        params = inspect.signature(fn).parameters.values()
+        missing = [p.name for p in params
+                   if p.default is p.empty and p.name not in pool]
+        assert not missing, f"{fn.__name__}: no test value for {missing}"
+        return {p.name: pool[p.name] for p in params if p.name in pool}
+
+    def test_known_entry_points_are_found(self):
+        assert {"catalog_types", "procure", "synthesize_observations",
+                "synthesized_fit", "schedule", "baseline_random",
+                "baseline_list", "sweep_eta"} <= set(CATALOG_ENTRY_POINTS)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_ENTRY_POINTS))
+    @pytest.mark.parametrize("shape", ["3m6o", "cpu-only"])
+    @pytest.mark.parametrize("catalog, message", [
+        ([], "empty catalog"),
+        (SAME_NAME, "catalog lists VM type 'a' twice"),
+    ], ids=["empty", "same-name"])
+    def test_bad_catalog_raises(self, name, shape, catalog, message):
+        fn = CATALOG_ENTRY_POINTS[name]
+        with pytest.raises(CostModelError, match=re.escape(message)):
+            fn(**self.arguments(fn, catalog, shape))
 
 
 def _public_loaders():

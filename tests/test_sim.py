@@ -486,6 +486,15 @@ class TestBaselineRandom:
             plan = baseline_random(fl, catalog, seed)
             assert check_qualification(plan, fl).ok, seed
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_types_sharing_a_name_are_refused(self, seed):
+        # Once every sampled plan bought only the 16-core "a".
+        fl, _ = synthetic_flowline(3, 6)
+        catalog = [VmType("a", 4, 1, 2.0), VmType("a", 16, 2, 4.0)]
+        with pytest.raises(CostModelError,
+                           match="catalog lists VM type 'a' twice"):
+            baseline_random(fl, catalog, seed)
+
     def test_single_type_catalog_colocates_when_possible(self):
         fl = Flowline.build([model("m"), op("o", "integrate")], [("m", "o")])
         catalog = qcloud_vms("20XLARGE320")
