@@ -156,11 +156,6 @@ class Flowline:
                      if v.is_model)
 
     @cached_property
-    def _neighbor_sets(self) -> dict[str, frozenset[str]]:
-        return {k: frozenset(succ).union(self.predecessors[k])
-                for k, succ in self.successors.items()}
-
-    @cached_property
     def _model_set(self) -> frozenset[str]:
         return frozenset(v.id for v in self.vertices if v.is_model)
 

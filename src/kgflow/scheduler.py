@@ -16,8 +16,8 @@ The pipeline:
 3. *Greedy partition*: place the units in order, each whole onto the VM
    (GPU capacity descending) with the largest neighbor overlap that still
    has capacity: GPU cards for models, CPU headroom (cores minus one per
-   GPU card) for operators. Overlap is counted once per unit from the
-   neighbours already placed.
+   GPU card) for operators (``Ledger``). Compiled once, a unit's overlap
+   with a VM is a weighted sum over the earlier units placed there.
 
 CPU-only flowlines skip all of this and buy one VM with adequate cores.
 
@@ -112,14 +112,6 @@ def compound(flowline: Flowline) -> tuple[Compound, ...]:
     return tuple(units)
 
 
-def _unit_neighbors(flowline: Flowline, members: Sequence[str]) -> set[str]:
-    sets = flowline._neighbor_sets
-    out: set[str] = set()
-    for m in members:
-        out |= sets[m]
-    return out.difference(members)
-
-
 def need(flowline: Flowline, tasks: Collection[str]) -> tuple[int, int]:
     """(GPU cards, headroom cores) that ``tasks`` take on a VM: a model task
     takes one GPU card, an operator one core of CPU headroom."""
@@ -137,15 +129,51 @@ class Ledger:
     """GPU cards and headroom cores left on each VM of ``vms``; ``room``
     goes negative on a VM that was given more than it has."""
 
+    CARD, CORE = (1, 0), (0, 1)  # what ``need`` charges a model, an operator
+
     def __init__(self, vms: Sequence[VmType]):
         self.room = [(vm.gpu_cards, vm.cpu_headroom) for vm in vms]
 
-    def fits(self, i: int, demand: tuple[int, int]) -> bool:
-        return demand[0] <= self.room[i][0] and demand[1] <= self.room[i][1]
+    def fitting(self, demand: tuple[int, int]) -> list[int]:
+        """The indices, ascending, of the VMs with room for ``demand``."""
+        cards, cores = demand
+        return [i for i, (c, o) in enumerate(self.room)
+                if cards <= c and cores <= o]
 
     def take(self, i: int, demand: tuple[int, int]) -> None:
         cards, cores = self.room[i]
         self.room[i] = (cards - demand[0], cores - demand[1])
+
+
+def _compile(flowline: Flowline, units: Sequence[Compound]) -> list:
+    """Each unit's (cards, cores) demand and its neighbours as (earlier unit
+    index, neighbour-task count) pairs, from one pass over the edges."""
+    demands = [need(flowline, unit.members) for unit in units]
+    unit_of = {m: k for k, unit in enumerate(units) for m in unit.members}
+    near = set()
+    for a, b in flowline.edges:
+        ka, kb = unit_of.get(a), unit_of.get(b)
+        if None not in (ka, kb) and ka != kb:
+            near.add((kb, a) if ka < kb else (ka, b))
+    counts: list[dict[int, int]] = [{} for _ in units]
+    for k, task in near:
+        counts[k][unit_of[task]] = counts[k].get(unit_of[task], 0) + 1
+    return [(d, tuple(c.items())) for d, c in zip(demands, counts)]
+
+
+def _place(compiled: Sequence, ledger: Ledger) -> list[int]:
+    """Each compiled unit's VM: of those with room, the one holding most of
+    its neighbours, lowest index first; stops at a unit that fits nowhere."""
+    placed: list[int] = []
+    for demand, neighbours in compiled:
+        if not (fitting := ledger.fitting(demand)):
+            break
+        overlap = [0] * len(ledger.room)
+        for j, count in neighbours:
+            overlap[placed[j]] += count
+        placed.append(max(fitting, key=overlap.__getitem__))
+        ledger.take(placed[-1], demand)
+    return placed
 
 
 def greedy_partition(flowline: Flowline, units: Sequence[Compound],
@@ -158,32 +186,17 @@ def greedy_partition(flowline: Flowline, units: Sequence[Compound],
     descending overlap with lowest index breaking ties. Raises
     SchedulingError naming the unit when capacity runs out.
     """
-    ledger = Ledger(vms)
-    assignment: dict[str, int] = {}
-    for unit in units:
-        members = unit.members
-        demand = need(flowline, members)
-        overlap = [0] * len(vms)
-        for task in _unit_neighbors(flowline, members):
-            i = assignment.get(task)
-            if i is not None:
-                overlap[i] += 1
-        best = -1
-        for i in range(len(vms)):
-            if (ledger.fits(i, demand)
-                    and (best < 0 or overlap[i] > overlap[best])):
-                best = i
-        if best < 0:
-            name = (f"task {members[0]!r}" if unit.anchor is None
-                    else f"compound[{unit.anchor}]")
-            raise SchedulingError(
-                f"no VM can host {name} (needs {demand[0]} GPU card(s), "
-                f"{demand[1]} CPU core(s); capacities "
-                f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
-        ledger.take(best, demand)
-        for m in members:
-            assignment[m] = best
-    return assignment
+    compiled = _compile(flowline, units)
+    placed = _place(compiled, Ledger(vms))
+    if len(placed) < len(units):
+        unit, (cards, cores) = units[len(placed)], compiled[len(placed)][0]
+        name = (f"task {unit.members[0]!r}" if unit.anchor is None
+                else f"compound[{unit.anchor}]")
+        raise SchedulingError(
+            f"no VM can host {name} (needs {cards} GPU card(s), "
+            f"{cores} CPU core(s); capacities "
+            f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
+    return {m: i for unit, i in zip(units, placed) for m in unit.members}
 
 
 @dataclass(frozen=True)
@@ -233,7 +246,8 @@ def check_qualification(plan: SchedulePlan,
         if task_id not in flowline.by_id:
             foreign.append(task_id)
         elif 0 <= idx < len(vms):
-            ledger.take(idx, need(flowline, (task_id,)))
+            ledger.take(idx, Ledger.CARD if task_id in flowline._model_set
+                        else Ledger.CORE)
         else:
             unknown.append(task_id)
     uncovered = [v.id for v in flowline.vertices if v.id not in plan.assignment]
@@ -301,33 +315,40 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     Enumerates procurement multisets of up to max(3, min(models, 4)) + 1
     instances, partitions the flowline onto each, and records the analytic
     per-slice makespan; combinations that cannot host the flowline become
-    infeasible observations (they cap the fitted curve's pole).
+    infeasible observations (they cap the fitted curve's pole). The units
+    compile once; a multiset places as itself less its last VM in expand
+    order when that hosts them, as the empty last VM never wins the choice.
     """
     max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
     types = catalog_types(catalog)
     units = compound(flowline)
+    compiled = _compile(flowline, units)
+    by_rank = [types.index(vm) for vm in ProcurementPlan.of(types).expand()]
+    # Type indices in expand order, smallest multisets first -> placement.
+    placements: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    for vms in chain.from_iterable(combinations_with_replacement(by_rank, k)
+                                   for k in range(1, max_instances + 1)):
+        placed = placements.get(vms[:-1]) or tuple(
+            _place(compiled, Ledger([types[i] for i in vms])))
+        placements[vms] = placed if len(placed) == len(units) else None
     observations: dict[tuple[float, float | None], Observation] = {}
-    # The makespan depends only on the edges an assignment cuts, and the
-    # enumerated procurements collapse onto a few distinct assignments.
-    makespans: dict[tuple[tuple[str, int], ...], float] = {}
+    # The makespan depends only on the edges a placement cuts, and the
+    # enumerated procurements collapse onto a few distinct placements.
+    makespans: dict[tuple[int, ...], float] = {}
     # Lexicographic order, so each key keeps its first-seen observation.
-    for combo in sorted(chain.from_iterable(
-            combinations_with_replacement(range(len(types)), k)
-            for k in range(1, max_instances + 1))):
+    for combo, placed in sorted((tuple(sorted(vms)), placed)
+                                for vms, placed in placements.items()):
         price = sum(types[i].unit_price for i in combo)
-        vms = ProcurementPlan.of(types[i] for i in combo).expand()
-        try:
-            assignment = greedy_partition(flowline, units, vms)
-        except SchedulingError:
+        if placed is None:
             observations.setdefault((round(price, 9), None),
                                     Observation(price, None))
             continue
-        placement = tuple(assignment.items())
-        mk = makespans.get(placement)
+        mk = makespans.get(placed)
         if mk is None:
-            mk = makespans[placement] = makespan(
-                flowline, profile,
-                apply_partition(flowline, profile, assignment, net))
+            mk = makespans[placed] = makespan(
+                flowline, profile, apply_partition(flowline, profile, {
+                    m: i for unit, i in zip(units, placed)
+                    for m in unit.members}, net))
         observations.setdefault((round(price, 9), round(mk, 12)),
                                 Observation(price, mk))
     return [observations[k] for k in sorted(observations,

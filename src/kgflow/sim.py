@@ -50,6 +50,7 @@ import numpy as np
 from . import _fields
 from .costmodel import (
     CostModelError,
+    Preference,
     ProcurementPlan,
     ResourceDemand,
     VmType,
@@ -249,17 +250,18 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
     types = catalog_types(catalog)
     rng = random.Random(seed)
     tasks = sorted((v.id for v in flowline.vertices), key=_natural_key)
-    demand = need(flowline, tasks)
-    n_models = demand[0]
-    min_gpu = max(vm.gpu_cards for vm in types)
-    k_cap = max(2, n_models + 1, math.ceil(n_models / max(min_gpu, 1)) + 1)
+    n_models, n_operators = need(flowline, tasks)
+    # Enough of the type with most GPUs plus of the one with most headroom.
+    k_cap = max(2, n_models + 1, 1 + math.ceil(
+        n_models / (max(vm.gpu_cards for vm in types) or 1)) + math.ceil(
+        n_operators / (max(vm.cpu_headroom for vm in types) or 1)))
 
     for _ in range(10000):
         k = rng.randint(1, k_cap)
         procurement = ProcurementPlan.of(
             [types[rng.randrange(len(types))] for _ in range(k)])
         if (procurement.total_gpus >= n_models
-                and procurement.total_cpu_headroom >= demand[1]):
+                and procurement.total_cpu_headroom >= n_operators):
             break
     else:
         raise CostModelError("could not sample a feasible procurement; "
@@ -270,8 +272,8 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
     assignment: dict[str, int] = {}
     rng.shuffle(tasks)
     for task in tasks:
-        unit = need(flowline, (task,))
-        options = [i for i in range(len(vms)) if ledger.fits(i, unit)]
+        unit = Ledger.CARD if task in flowline._model_set else Ledger.CORE
+        options = ledger.fitting(unit)
         if not options:
             raise SchedulingError(f"random assignment stuck at {task!r}")
         pick = options[rng.randrange(len(options))]
@@ -310,11 +312,9 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
     assignment: dict[str, int] = {}
     finish: dict[str, float] = {}
     for task in tasks:
-        unit = need(flowline, (task,))
+        unit = Ledger.CARD if task in flowline._model_set else Ledger.CORE
         best: tuple[float, int] | None = None
-        for i in range(len(vms)):
-            if not ledger.fits(i, unit):
-                continue
+        for i in ledger.fitting(unit):
             ready = 0.0
             for pred in flowline.predecessors[task]:
                 if pred not in assignment:  # rank order is not topological
@@ -371,6 +371,8 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     """
     if not etas:
         raise CostModelError("empty eta list")
+    for eta in etas:  # before any warm-up work
+        Preference(eta)
     net = config.net
     baselines = [baseline_list(flowline, profile, catalog, net)]
     baselines += [baseline_random(flowline, catalog, config.seed + i, net)

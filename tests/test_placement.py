@@ -4,8 +4,9 @@
 VMs by index; the oracle below is the sort-and-intersect formulation it
 replaced (overlap = |tasks placed on the VM & unit neighbours|, candidates
 sorted by (-overlap, index), the first that fits wins). The observation
-oracle partitions and times every enumerated procurement without the
-per-assignment makespan memo.
+oracle expands every enumerated procurement into its plan, partitions it
+with that oracle and times it, without the compiled units or the
+per-placement makespan memo.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from kgflow.flowline import (
     Flowline,
     NetParams,
     TaskNode,
+    TaskProfile,
     apply_partition,
     makespan,
 )
@@ -33,7 +35,7 @@ from kgflow.scheduler import (
     greedy_partition,
     synthesize_observations,
 )
-from kgflow.synth import synthetic_flowline
+from kgflow.synth import EXPERIMENT_SHAPES, synthetic_flowline
 
 from test_scheduler import nine_task_flowline, nine_task_profile
 
@@ -76,29 +78,16 @@ def oracle_partition(flowline, units, vms):
     return assignment
 
 
-def oracle_observations(flowline, profile, catalog, net):
+def oracle_combos(flowline, catalog):
+    """Every multiset of up to max(3, min(models, 4)) + 1 catalog types,
+    each a list in lexicographic order of the name-sorted types."""
     max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
     types = sorted(catalog, key=lambda v: v.name)
-    units = compound(flowline)
-    observations = {}
-
-    def visit(combo):
-        price = sum(vm.unit_price for vm in combo)
-        vms = ProcurementPlan.of(combo).expand()
-        try:
-            assignment = oracle_partition(flowline, units, vms)
-        except SchedulingError:
-            observations.setdefault((round(price, 9), None),
-                                    Observation(price, None))
-            return
-        mk = makespan(flowline, profile,
-                      apply_partition(flowline, profile, assignment, net))
-        observations.setdefault((round(price, 9), round(mk, 12)),
-                                Observation(price, mk))
+    combos = []
 
     def walk(idx, chosen):
         if chosen:
-            visit(list(chosen))
+            combos.append(list(chosen))
         if idx == len(types) or len(chosen) >= max_instances:
             return
         for j in range(idx, len(types)):
@@ -107,6 +96,25 @@ def oracle_observations(flowline, profile, catalog, net):
             chosen.pop()
 
     walk(0, [])
+    return combos
+
+
+def oracle_observations(flowline, profile, catalog, net):
+    units = compound(flowline)
+    observations = {}
+    for combo in oracle_combos(flowline, catalog):
+        price = sum(vm.unit_price for vm in combo)
+        vms = ProcurementPlan.of(combo).expand()
+        try:
+            assignment = oracle_partition(flowline, units, vms)
+        except SchedulingError:
+            observations.setdefault((round(price, 9), None),
+                                    Observation(price, None))
+            continue
+        mk = makespan(flowline, profile,
+                      apply_partition(flowline, profile, assignment, net))
+        observations.setdefault((round(price, 9), round(mk, 12)),
+                                Observation(price, mk))
     return [observations[k] for k in sorted(
         observations, key=lambda k: (k[0], k[1] is None, k[1] or 0.0))]
 
@@ -150,6 +158,23 @@ class TestGreedyPartitionOracle:
         assert (outcome(greedy_partition, fl, units, vms)
                 == outcome(oracle_partition, fl, units, vms))
 
+    def test_neighbour_of_two_members_counts_once(self):
+        # Compound c = {c, o} meets a (on v1) through two edges and b (on
+        # v0) through one: overlap 1 on each VM, so the lower index wins.
+        fl = Flowline(
+            tuple(TaskNode(id=t, kind=k) for t, k in (
+                ("a", "model-CE"), ("b", "model-CE"), ("c", "model-CE"),
+                ("o", "operator"), ("p", "operator"), ("q", "operator"))),
+            (("c", "o"), ("c", "a"), ("o", "a"), ("o", "b"), ("a", "p"),
+             ("a", "q")), "c", "p")
+        vms = [VmType("v0", 3, 2, 1.0), VmType("v1", 5, 2, 1.0)]
+        units = compound(fl)
+        assert [unit.members for unit in units] == [
+            ("a", "p", "q"), ("b",), ("c", "o")]
+        assignment = greedy_partition(fl, units, vms)
+        assert assignment == oracle_partition(fl, units, vms)
+        assert (assignment["a"], assignment["b"], assignment["c"]) == (1, 0, 0)
+
     @pytest.mark.parametrize("shape", [(3, 11), (6, 29)])
     @pytest.mark.parametrize("catalog", [bundled_qcloud_catalog,
                                          bundled_g4dn_catalog])
@@ -172,31 +197,49 @@ class TestSynthesizeObservations:
         assert (synthesize_observations(fl, profile, catalog, NET)
                 == oracle_observations(fl, profile, catalog, NET))
 
-    def test_3m11o_g4dn_matches_unmemoised(self):
-        fl, profile = synthetic_flowline(3, 11)
-        catalog = bundled_g4dn_catalog()
+    @pytest.mark.parametrize("shape", EXPERIMENT_SHAPES,
+                             ids=lambda shape: "%dm%do" % shape)
+    @pytest.mark.parametrize("catalog", [bundled_qcloud_catalog,
+                                         bundled_g4dn_catalog])
+    def test_experiment_shapes_match_unmemoised(self, shape, catalog):
+        fl, profile = synthetic_flowline(*shape)
+        assert (synthesize_observations(fl, profile, catalog(), NET)
+                == oracle_observations(fl, profile, catalog(), NET))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(placement_cases(), st.data())
+    def test_random_catalogs_match_unmemoised(self, case, data):
+        # Shared prices make observations collide, so the first-seen rule
+        # and the placement reuse across multisets are both exercised.
+        fl, vms = case
+        catalog = [VmType(vm.name, vm.cpu_cores, vm.gpu_cards,
+                          data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+                   for vm in vms]
+        profile = TaskProfile(
+            {v.id: data.draw(st.integers(0, 40)) / 8 for v in fl.vertices},
+            {e: float(data.draw(st.integers(0, 4000))) for e in fl.edges})
         assert (synthesize_observations(fl, profile, catalog, NET)
                 == oracle_observations(fl, profile, catalog, NET))
 
     def test_one_makespan_per_distinct_assignment(self, monkeypatch):
         fl, profile = synthetic_flowline(6, 29)
+        catalog = bundled_qcloud_catalog()
+        units = compound(fl)
         assignments = set()
+        for combo in oracle_combos(fl, catalog):
+            vms = ProcurementPlan.of(combo).expand()
+            kind, assignment = outcome(oracle_partition, fl, units, vms)
+            if kind == "ok":
+                assignments.add(tuple(sorted(assignment.items())))
         makespans = 0
-
-        def recording_partition(*args):
-            assignment = greedy_partition(*args)
-            assignments.add(tuple(sorted(assignment.items())))
-            return assignment
 
         def counting_makespan(*args):
             nonlocal makespans
             makespans += 1
             return makespan(*args)
 
-        monkeypatch.setattr(scheduler, "greedy_partition",
-                            recording_partition)
         monkeypatch.setattr(scheduler, "makespan", counting_makespan)
-        observations = synthesize_observations(fl, profile,
-                                               bundled_qcloud_catalog(), NET)
+        observations = synthesize_observations(fl, profile, catalog, NET)
         assert observations and assignments
         assert makespans <= len(assignments)

@@ -296,11 +296,16 @@ class TestSchedule:
                                                    catalog, message):
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return greedy_partition(*args)
+        def counted(original):
+            def call(*args):
+                calls.append(args)
+                return original(*args)
+            return call
 
-        monkeypatch.setattr("kgflow.scheduler.greedy_partition", counted)
+        # Synthesis places its candidates without greedy_partition.
+        for name in ("greedy_partition", "synthesize_observations"):
+            monkeypatch.setattr(f"kgflow.scheduler.{name}",
+                                counted(getattr(kgflow.scheduler, name)))
         fl, profile = (synthetic_flowline(3, 6) if shape == "3m6o"
                        else cpu_only_flowline())
         with pytest.raises(CostModelError, match=re.escape(message)):

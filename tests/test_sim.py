@@ -7,6 +7,7 @@ slice). The columnar ``simulate`` must agree with it event by event.
 """
 
 import functools
+import hashlib
 import math
 import random
 import tracemalloc
@@ -495,6 +496,17 @@ class TestBaselineRandom:
                            match="catalog lists VM type 'a' twice"):
             baseline_random(fl, catalog, seed)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cores_can_bound_the_instance_count(self, seed):
+        # 29 operators need 10 one-GPU, three-spare-core instances; once only
+        # the 6 GPUs bounded the sample, so no draw could host the flowline.
+        fl, _ = synthetic_flowline(6, 29)
+        catalog = [vm for vm in bundled_g4dn_catalog()
+                   if vm.name == "g4dn.xlarge"]
+        plan = baseline_random(fl, catalog, seed)
+        assert plan.procurement.instance_count >= 10
+        assert check_qualification(plan, fl).ok
+
     def test_single_type_catalog_colocates_when_possible(self):
         fl = Flowline.build([model("m"), op("o", "integrate")], [("m", "o")])
         catalog = qcloud_vms("20XLARGE320")
@@ -635,6 +647,21 @@ class TestSweep:
         assert row.makespan_s == per_slice
         assert row.cost_com_s == n_slices(corpus, 200) * per_slice
 
+    def test_bad_eta_is_refused_before_any_warm_up(self, monkeypatch):
+        calls = 0
+
+        def counting_random(*args):
+            nonlocal calls
+            calls += 1
+            return baseline_random(*args)
+
+        monkeypatch.setattr(sim, "baseline_random", counting_random)
+        fl, profile = synthetic_flowline(3, 11)
+        with pytest.raises(CostModelError, match="eta out of range"):
+            sweep_eta(fl, profile, bundled_g4dn_catalog(),
+                      (0.5, float("nan")))
+        assert calls == 0
+
     def test_csv_shape(self):
         fl, profile = synthetic_flowline(3, 6, seed=1)
         rows = sweep_eta(fl, profile, bundled_qcloud_catalog(), [0.5],
@@ -702,3 +729,38 @@ class TestSimulatorAgreementSuite:
             delay = apply_partition(fl, profile, plan.assignment, NET)
             expected = n_slices(2000, 200) * makespan(fl, profile, delay)
             assert result.total_time == pytest.approx(expected, rel=1e-9)
+
+
+# sha256 of each sweep pair's outputs, taken before the placement units were
+# compiled: a faster placement must leave them byte-identical.
+PINNED = {
+    ((6, 29), "qcloud"): (
+        "35af3a4c0bd46788737a635d70ad8aab272bbab0b259ff9f3e356a0039732e36",
+        "b2f31fbb259fabec58f6543250c430c56f71361e4ee705f2975099aa0d9c15fb"),
+    ((3, 11), "g4dn"): (
+        "4e8e767bb7863a1faaffb0f2eb6a18f6fb2a436f1d26607defea10087de8f6f0",
+        "b3d3f437bd30d0e178b291f4dd45f8a772a18709496222d50e0052f262a4fb61"),
+}
+
+
+@pytest.mark.parametrize("shape, catalog_name", sorted(PINNED))
+class TestPinnedOutputs:
+    def case(self, shape, catalog_name):
+        fl, profile = synthetic_flowline(*shape)
+        catalog = {"qcloud": bundled_qcloud_catalog,
+                   "g4dn": bundled_g4dn_catalog}[catalog_name]()
+        return fl, profile, catalog
+
+    def test_sweep_csv(self, shape, catalog_name):
+        fl, profile, catalog = self.case(shape, catalog_name)
+        csv = sweep_to_csv(sweep_eta(fl, profile, catalog,
+                                     (0.1, 0.3, 0.5, 0.7, 0.9)))
+        assert (hashlib.sha256(csv.encode()).hexdigest()
+                == PINNED[shape, catalog_name][0])
+
+    def test_random_plans_json(self, shape, catalog_name):
+        fl, _, catalog = self.case(shape, catalog_name)
+        text = "".join(plan_to_json(baseline_random(fl, catalog, seed))
+                       for seed in range(50))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == PINNED[shape, catalog_name][1])
