@@ -5,7 +5,9 @@ to a literal list, ``:<name>`` opens the unique entry, ``|`` pipes data from
 the enclosing (less indented) call into the nested one, and the single call
 suffixed ``:`` is the outlet. A call is ``namespace.function`` with an
 optional ``[label]`` instance tag, an optional ``(...)`` predicate, and an
-optional ``-> a, b`` output binding list. Two calls with the same
+optional ``-> a, b`` output binding list. A predicate is checked against
+its grammar and read for the names it uses, which is how a vertex picks up
+the bindings it needs; kgflow never evaluates one. Two calls with the same
 (namespace, function, label) denote the same DAG vertex; a repeated call
 adds an in-edge, except directly under the entry where a repetition merely
 re-opens the vertex to continue its pipeline.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from . import registry
 from .flowline import KIND_OPERATOR, Flowline, TaskNode, validate
@@ -51,30 +53,9 @@ class GflError(ValueError):
 # cmp     := operand (('in' | 'not in' | '==' | '!=') operand)?
 # operand := IDENT | STRING | NUMBER | list | '(' expr ')'
 #
-# Identifiers name row columns (or their `->` aliases) and document bindings.
-
-@dataclass(frozen=True)
-class Lit:
-    value: Any
-
-
-@dataclass(frozen=True)
-class Ref:
-    name: str
-
-
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: Any
-    right: Any
-
-
-@dataclass(frozen=True)
-class BoolOp:
-    op: str
-    terms: tuple[Any, ...]
-
+# Identifiers name row columns (or their `->` aliases) and document bindings;
+# a name inside a list is a string item. kgflow checks a predicate against
+# this grammar and reads the names it uses, and never evaluates it.
 
 _TOKEN_RX = re.compile(
     r"\s*(?:(?P<string>'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")"
@@ -113,11 +94,15 @@ def _tokenize_predicate(text: str, line: int, col: int) -> list[tuple[str, Any]]
 
 
 class _PredParser:
+    """Recursive descent over the token stream; collects the names the
+    predicate uses (its ``ref`` tokens outside lists) in ``names``."""
+
     def __init__(self, tokens, line, col):
         self.tokens = tokens
         self.i = 0
         self.line = line
         self.col = col
+        self.names: set[str] = set()
 
     def error(self, msg):
         raise GflError(f"predicate: {msg}", self.line, self.col)
@@ -135,50 +120,42 @@ class _PredParser:
         if kind != "sym" or val != sym:
             self.error(f"expected {sym!r}")
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> frozenset[str]:
+        self.expr()
         if self.i != len(self.tokens):
             self.error("trailing tokens")
-        return node
+        return frozenset(self.names)
 
     def expr(self):
-        terms = [self.and_expr()]
+        self.and_expr()
         while self.peek() == ("kw", "or"):
             self.take()
-            terms.append(self.and_expr())
-        return terms[0] if len(terms) == 1 else BoolOp("or", tuple(terms))
+            self.and_expr()
 
     def and_expr(self):
-        terms = [self.cmp()]
+        self.cmp()
         while self.peek() == ("kw", "and"):
             self.take()
-            terms.append(self.cmp())
-        return terms[0] if len(terms) == 1 else BoolOp("and", tuple(terms))
+            self.cmp()
 
     def cmp(self):
-        left = self.operand()
+        self.operand()
         kind, val = self.peek()
-        if kind == "kw" and val == "in":
-            self.take()
-            return Cmp("in", left, self.operand())
         if kind == "kw" and val == "not":
             self.take()
-            kind2, val2 = self.take()
-            if (kind2, val2) != ("kw", "in"):
+            if self.take() != ("kw", "in"):
                 self.error("expected 'in' after 'not'")
-            return Cmp("not in", left, self.operand())
-        if kind == "sym" and val in ("==", "!="):
+            self.operand()
+        elif (kind, val) in (("kw", "in"), ("sym", "=="), ("sym", "!=")):
             self.take()
-            return Cmp(val, left, self.operand())
-        return left
+            self.operand()
 
-    def operand(self):
+    def operand(self) -> tuple | None:
+        """Consume one operand; a list returns its items, else None."""
         kind, val = self.take()
-        if kind == "lit":
-            return Lit(val)
         if kind == "ref":
-            return Ref(val)
-        if kind == "sym" and val == "[":
+            self.names.add(val)
+        elif kind == "sym" and val == "[":
             items = []
             while self.peek() != ("sym", "]"):
                 tok_kind, tok_val = self.take()
@@ -188,42 +165,19 @@ class _PredParser:
                 if self.peek() == ("sym", ","):
                     self.take()
             self.take()  # closing ]
-            return Lit(tuple(items))
-        if kind == "sym" and val == "(":
-            node = self.expr()
+            return tuple(items)
+        elif kind == "sym" and val == "(":
+            self.expr()
             self.expect_sym(")")
-            return node
-        self.error(f"unexpected token {val!r}")
+        elif kind != "lit":
+            self.error(f"unexpected token {val!r}")
+        return None
 
 
-def parse_predicate(text: str, line: int = 0, col: int = 0):
-    """Parse a predicate expression into its tiny AST."""
+def parse_predicate(text: str, line: int = 0, col: int = 0) -> frozenset[str]:
+    """Check a predicate against the grammar and return the names it uses:
+    its identifiers outside ``[...]`` lists, keywords excluded."""
     return _PredParser(_tokenize_predicate(text, line, col), line, col).parse()
-
-
-def eval_predicate(node, lookup: Callable[[str], Any]) -> bool:
-    """Evaluate a predicate AST; ``lookup`` resolves identifiers."""
-    def ev(n):
-        if isinstance(n, Lit):
-            return n.value
-        if isinstance(n, Ref):
-            return lookup(n.name)
-        if isinstance(n, Cmp):
-            left, right = ev(n.left), ev(n.right)
-            if n.op == "in":
-                return left in right
-            if n.op == "not in":
-                return left not in right
-            if n.op == "==":
-                return left == right
-            return left != right
-        if isinstance(n, BoolOp):
-            if n.op == "and":
-                return all(ev(t) for t in n.terms)
-            return any(ev(t) for t in n.terms)
-        raise TypeError(f"not a predicate node: {n!r}")
-
-    return bool(ev(node))
 
 
 # --- parsing -----------------------------------------------------------------
@@ -261,10 +215,10 @@ def _parse_literal_list(text: str, line: int, col: int) -> tuple:
         raise GflError("binding value must be a [...] literal list", line, col)
     tokens = _tokenize_predicate(text, line, col)
     parser = _PredParser(tokens, line, col)
-    node = parser.operand()
-    if parser.i != len(tokens) or not isinstance(node, Lit):
+    items = parser.operand()
+    if parser.i != len(tokens) or items is None:
         raise GflError("binding value must be a [...] literal list", line, col)
-    return tuple(node.value)
+    return items
 
 
 def _split_call(text: str, line: int, col: int) -> CallNode:
@@ -477,19 +431,7 @@ def parse(text: str) -> Flowline:
 
 def _referenced_bindings(predicate: str,
                          definitions: Mapping[str, tuple]) -> dict[str, list]:
-    names: set[str] = set()
-
-    def collect(node):
-        if isinstance(node, Ref) and node.name in definitions:
-            names.add(node.name)
-        elif isinstance(node, Cmp):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, BoolOp):
-            for t in node.terms:
-                collect(t)
-
-    collect(parse_predicate(predicate))
+    names = definitions.keys() & parse_predicate(predicate)
     return {n: list(definitions[n]) for n in sorted(names)}
 
 

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgflow import gfl
 from kgflow.flowline import Flowline, TaskNode
@@ -49,6 +50,35 @@ PIPELINE_EDGES = {
 
 def edge_set(fl: Flowline) -> set:
     return set(fl.edges)
+
+
+_KEYWORDS = ("in", "not", "and", "or")
+_PRED_NAMES = st.from_regex(r"\A[a-z_][a-z0-9_.]{0,5}\Z").filter(
+    lambda w: w not in _KEYWORDS)
+_PRED_LITERALS = st.one_of(
+    st.integers(-99, 99).map(str),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).map("{0[0]}.{0[1]}".format),
+    st.text("ab ,()[]'\"\\", max_size=4).map(gfl._format_literal))
+
+
+@st.composite
+def grammar_predicates(draw):
+    """A predicate drawn from the grammar in ``gfl``'s comment."""
+    item = st.one_of(_PRED_NAMES, _PRED_LITERALS)
+    lists = st.lists(item, max_size=3).map(
+        lambda items: "[" + ", ".join(items) + "]")
+
+    def extend(inner):
+        operand = st.one_of(_PRED_NAMES, _PRED_LITERALS, lists,
+                            inner.map("({})".format))
+        return st.one_of(
+            st.tuples(operand, st.sampled_from(("in", "not in", "==", "!=")),
+                      operand).map(" ".join),
+            st.tuples(inner, st.sampled_from(("and", "or")), inner
+                      ).map(" ".join))
+
+    return draw(st.recursive(st.one_of(_PRED_NAMES, _PRED_LITERALS, lists),
+                             extend, max_leaves=10))
 
 
 class TestParse:
@@ -167,18 +197,52 @@ class TestPredicates:
         assert gfl.format_flowline(fl) == src
         assert gfl.parse(gfl.format_flowline(fl)) == fl
 
-    def test_parse_and_eval(self):
-        ast = gfl.parse_predicate("ent_t in types and score != 0")
-        env = {"ent_t": "PER", "types": ("PER", "ORG"), "score": 0.5}
-        assert gfl.eval_predicate(ast, env.__getitem__) is True
-        env["ent_t"] = "LOC"
-        assert gfl.eval_predicate(ast, env.__getitem__) is False
+    @pytest.mark.parametrize("predicate, names", [
+        ("ent_t in filtered_ent", {"ent_t", "filtered_ent"}),
+        ("ent_t in types and score != 0", {"ent_t", "types", "score"}),
+        ("x not in ['a', 'b'] or x == 'b'", {"x"}),
+        ("(a in b) and ((c == 1) or d != e)", {"a", "b", "c", "d", "e"}),
+        ("xs.y in zs", {"xs.y", "zs"}),
+        ("a in [b, c, 'd', 1]", {"a"}),
+        ("[b] == [c]", set()),
+        ("1 == 2.5", set()),
+        ("not_a in or_b and in_c", {"not_a", "or_b", "in_c"}),
+        ("x == x or x != y", {"x", "y"}),
+    ])
+    def test_parse_returns_the_names_used(self, predicate, names):
+        assert gfl.parse_predicate(predicate) == frozenset(names)
 
-    def test_not_in_and_literals(self):
-        ast = gfl.parse_predicate("x not in ['a', 'b'] or x == 'b'")
-        assert gfl.eval_predicate(ast, {"x": "c"}.__getitem__) is True
-        assert gfl.eval_predicate(ast, {"x": "b"}.__getitem__) is True
-        assert gfl.eval_predicate(ast, {"x": "a"}.__getitem__) is False
+    @pytest.mark.parametrize("predicate, message", [
+        ("a in b c", "trailing tokens"),
+        ("a not b", "expected 'in' after 'not'"),
+        ("(a in b", "expected ')'"),
+        ("a in", "unexpected token None"),
+        ("a in ,", "unexpected token ','"),
+        ("a in [(]", "lists may only contain literals"),
+    ])
+    def test_grammar_errors(self, predicate, message):
+        with pytest.raises(gfl.GflError) as err:
+            gfl.parse_predicate(predicate, line=2, col=5)
+        assert err.value.message == f"predicate: {message}"
+        assert (err.value.line, err.value.col) == (2, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grammar_predicates())
+    def test_names_are_the_refs_outside_lists(self, predicate):
+        depth, refs = 0, set()
+        for kind, value in gfl._tokenize_predicate(predicate, 0, 0):
+            depth += (value == "[") - (value == "]") if kind == "sym" else 0
+            if kind == "ref" and depth == 0:
+                refs.add(value)
+        assert gfl.parse_predicate(predicate) == refs
+
+    def test_a_binding_named_only_inside_a_list_is_not_collected(self):
+        src = ("xs := ['a']\n:data\n    | opt.filter[f](x in {})\n"
+               "        | opt.triple:\n")
+        listed = gfl.parse(src.format("[xs]")).node("filter[f]").config
+        assert "bindings" not in listed
+        named = gfl.parse(src.format("xs")).node("filter[f]").config
+        assert named["bindings"] == {"xs": ["a"]}
 
     def test_bad_token_has_span(self):
         with pytest.raises(gfl.GflError) as err:
