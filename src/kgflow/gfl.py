@@ -52,6 +52,8 @@ class GflError(ValueError):
 # and_expr:= cmp ('and' cmp)*
 # cmp     := operand (('in' | 'not in' | '==' | '!=') operand)?
 # operand := IDENT | STRING | NUMBER | list | '(' expr ')'
+# list    := '[' (item (',' item)* ','?)? ']'
+# item    := IDENT | STRING | NUMBER
 #
 # Identifiers name row columns (or their `->` aliases) and document bindings;
 # a name inside a list is a string item. kgflow checks a predicate against
@@ -159,11 +161,16 @@ class _PredParser:
             items = []
             while self.peek() != ("sym", "]"):
                 tok_kind, tok_val = self.take()
+                if tok_kind is None:
+                    self.error("expected ']'")
                 if tok_kind not in ("lit", "ref"):
                     self.error("lists may only contain literals")
                 items.append(tok_val)
-                if self.peek() == ("sym", ","):
+                after = self.peek()
+                if after == ("sym", ","):
                     self.take()
+                elif after not in (("sym", "]"), (None, None)):
+                    self.error("expected ',' or ']'")
             self.take()  # closing ]
             return tuple(items)
         elif kind == "sym" and val == "(":
