@@ -406,10 +406,8 @@ def schedule(flowline: Flowline, profile: TaskProfile,
                                       procurement.expand())
 
     plan = SchedulePlan(procurement, assignment, eta, net)
-    plan = dataclasses.replace(plan, predictions=predict_costs(
+    return dataclasses.replace(plan, predictions=evaluate_plan(
         plan, flowline, profile, corpus_size, slice_size, eta, net))
-    require_qualified(plan, flowline)
-    return plan
 
 
 # --- plan JSON ------------------------------------------------------------------

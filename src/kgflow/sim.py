@@ -72,8 +72,8 @@ from .scheduler import (
     SchedulePlan,
     SchedulingError,
     _natural_key,
-    evaluate_plan,
     need,
+    predict_costs,
     require_qualified,
     schedule,
     synthesized_fit,
@@ -379,8 +379,10 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
                   for i in range(config.random_plans)]
     fit = synthesized_fit(flowline, profile, catalog, net)
 
+    # The baselines place a task only where the Ledger has room and place
+    # every task, so their plans are costed without qualifying them again.
     # The eta passed here only weights the J that is not used.
-    baseline_metrics = [evaluate_plan(plan, flowline, profile,
+    baseline_metrics = [predict_costs(plan, flowline, profile,
                                       config.corpus_size, config.slice_size,
                                       etas[0], net) for plan in baselines]
     rows: list[SweepRow] = []

@@ -504,7 +504,7 @@ class TestBaselineRandom:
         catalog = [vm for vm in bundled_g4dn_catalog()
                    if vm.name == "g4dn.xlarge"]
         plan = baseline_random(fl, catalog, seed)
-        assert plan.procurement.instance_count >= 10
+        assert sum(n for _, n in plan.procurement.items) >= 10
         assert check_qualification(plan, fl).ok
 
     def test_single_type_catalog_colocates_when_possible(self):
@@ -513,6 +513,19 @@ class TestBaselineRandom:
         plan = baseline_random(fl, catalog, seed=1)
         # Either one or more instances, but every task must land somewhere.
         assert set(plan.assignment) == {"m", "o"}
+
+
+@pytest.mark.parametrize("catalog_name", ["qcloud", "g4dn"])
+@pytest.mark.parametrize("shape", EXPERIMENT_SHAPES)
+def test_baselines_build_qualified_plans(shape, catalog_name):
+    # sweep_eta costs these plans without qualifying them again.
+    fl, profile = synthetic_flowline(*shape)
+    catalog = {"qcloud": bundled_qcloud_catalog,
+               "g4dn": bundled_g4dn_catalog}[catalog_name]()
+    plans = [baseline_list(fl, profile, catalog, NET)]
+    plans += [baseline_random(fl, catalog, seed, NET) for seed in range(50)]
+    for plan in plans:
+        assert check_qualification(plan, fl).ok, (plan.scheduler, plan.assignment)
 
 
 def enumerate_paths_rank(fl, profile, net, task):
