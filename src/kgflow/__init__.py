@@ -10,7 +10,6 @@ from .flowline import (  # noqa: F401
     TaskProfile,
     ValidationReport,
     apply_partition,
-    ideal_time,
     makespan,
     n_slices,
     validate,

@@ -161,10 +161,6 @@ class ProcurementPlan:
     def total_cpu_headroom(self) -> int:
         return sum(vm.cpu_headroom * n for vm, n in self.items)
 
-    @property
-    def instance_count(self) -> int:
-        return sum(n for _, n in self.items)
-
     def expand(self) -> tuple[VmType, ...]:
         """Individual VMs, sorted by GPU capacity descending (stable)."""
         return self._vms

@@ -422,12 +422,6 @@ def n_slices(corpus_size: float, slice_size: float) -> int:
     return math.ceil(count)
 
 
-def ideal_time(flowline: Flowline, profile: TaskProfile,
-               corpus_size: float, slice_size: float) -> float:
-    """Total processing time with all tasks co-located."""
-    return n_slices(corpus_size, slice_size) * makespan(flowline, profile)
-
-
 # --- dict serialization (a flowline built in code, with its profile) ----------
 
 def flowline_to_dict(flowline: Flowline,

@@ -27,7 +27,6 @@ from kgflow.flowline import (
     finish_times,
     flowline_from_dict,
     flowline_to_dict,
-    ideal_time,
     makespan,
     n_slices,
     validate,
@@ -306,31 +305,6 @@ class TestRejectBadNumbers:
             NetParams(bandwidth_Bps=bandwidth)
 
 
-class TestIdealTime:
-    def test_table_workload(self):
-        fl = Flowline.build([op("w")], [])
-        profile = TaskProfile({"w": 4.65})
-        assert ideal_time(fl, profile, 8000, 200) == pytest.approx(186.0)
-
-    def test_one_slice(self):
-        fl, profile = chain_flowline([1.0, 2.5])
-        assert ideal_time(fl, profile, 200, 200) == makespan(fl, profile)
-
-    def test_empty_corpus(self):
-        fl, profile = chain_flowline([1.0])
-        assert ideal_time(fl, profile, 0, 200) == 0.0
-
-    def test_zero_slice_rejected(self):
-        fl, profile = chain_flowline([1.0])
-        with pytest.raises(FlowlineError, match="slice_size"):
-            ideal_time(fl, profile, 100, 0)
-
-    def test_short_last_slice_runs_whole(self):
-        fl, profile = chain_flowline([1.0, 2.5])
-        assert ideal_time(fl, profile, 201, 200) == 2 * 3.5
-        assert ideal_time(fl, profile, 1, 200) == 3.5
-
-
 class TestNSlices:
     @pytest.mark.parametrize("corpus, size, expected", [
         (0, 200, 0), (1, 200, 1), (200, 200, 1), (201, 200, 2),
@@ -346,6 +320,12 @@ class TestNSlices:
     def test_rejects(self, corpus, size, field):
         with pytest.raises(FlowlineError, match=field):
             n_slices(corpus, size)
+
+    def test_table_workload(self):
+        fl = Flowline.build([op("w")], [])
+        profile = TaskProfile({"w": 4.65})
+        assert (n_slices(8000, 200) * makespan(fl, profile)
+                == pytest.approx(186.0))
 
     def test_rejects_a_count_that_overflows(self):
         with pytest.raises(FlowlineError) as err:
@@ -402,8 +382,7 @@ class TestPartitionedTime:
         fl, profile = chain_flowline([2.0, 3.0])
         delay = apply_partition(fl, profile, {"t0": 0, "t1": 0},
                                 NetParams(0.1, 1000.0))
-        assert (n_slices(1000, 100) * makespan(fl, profile, delay)
-                == ideal_time(fl, profile, 1000, 100))
+        assert makespan(fl, profile, delay) == makespan(fl, profile)
 
     def test_two_vm_chain_two_slices(self):
         fl, profile = chain_flowline([2.0, 3.0])
