@@ -7,7 +7,10 @@ suffixed ``:`` is the outlet. A call is ``namespace.function`` with an
 optional ``[label]`` instance tag, an optional ``(...)`` predicate, and an
 optional ``-> a, b`` output binding list. A predicate is checked against
 its grammar and read for the names it uses, which is how a vertex picks up
-the bindings it needs; kgflow never evaluates one. Two calls with the same
+the bindings it needs; kgflow never evaluates one, so ``and`` and ``or``
+form one level. A predicate is lexed once, inside its call: one parser
+reads it token by token, stops at the ``)`` that closes it, and reports an
+error at the column of the token that raised it. Two calls with the same
 (namespace, function, label) denote the same DAG vertex; a repeated call
 adds an in-edge, except directly under the entry where a repetition merely
 re-opens the vertex to continue its pipeline.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any
 
 from . import registry
 from .flowline import KIND_OPERATOR, Flowline, TaskNode, validate
@@ -48,8 +51,7 @@ class GflError(ValueError):
 
 # --- predicate mini-language -------------------------------------------------
 #
-# expr    := and_expr ('or' and_expr)*
-# and_expr:= cmp ('and' cmp)*
+# expr    := cmp (('and' | 'or') cmp)*
 # cmp     := operand (('in' | 'not in' | '==' | '!=') operand)?
 # operand := IDENT | STRING | NUMBER | list | '(' expr ')'
 # list    := '[' (item (',' item)* ','?)? ']'
@@ -57,86 +59,81 @@ class GflError(ValueError):
 #
 # Identifiers name row columns (or their `->` aliases) and document bindings;
 # a name inside a list is a string item. kgflow checks a predicate against
-# this grammar and reads the names it uses, and never evaluates it.
+# this grammar and reads the names it uses, and never evaluates it, so `and`
+# and `or` form one level. A predicate is lexed once, inside its call: the
+# parser reads `'(' expr ')'` from the call's text a token at a time and
+# stops just after the matching `)`.
 
 _TOKEN_RX = re.compile(
     r"\s*(?:(?P<string>'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")"
     r"|(?P<number>-?\d+(?:\.\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)"
-    r"|(?P<sym>==|!=|\[|\]|\(|\)|,))")
-
-
-def _tokenize_predicate(text: str, line: int, col: int) -> list[tuple[str, Any]]:
-    tokens: list[tuple[str, Any]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RX.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise GflError(f"bad predicate token at {text[pos:]!r}",
-                           line, col + pos)
-        if m.group("string") is not None:
-            raw = m.group("string")
-            tokens.append(("lit", raw[1:-1].replace("\\'", "'")
-                           .replace('\\"', '"').replace("\\\\", "\\")))
-        elif m.group("number") is not None:
-            raw = m.group("number")
-            tokens.append(("lit", float(raw) if "." in raw else int(raw)))
-        elif m.group("ident") is not None:
-            word = m.group("ident")
-            if word in ("in", "not", "and", "or"):
-                tokens.append(("kw", word))
-            else:
-                tokens.append(("ref", word))
-        else:
-            tokens.append(("sym", m.group("sym")))
-        pos = m.end()
-    return tokens
+    r"|(?P<sym>==|!=|\[|\]|\(|\)|,)"
+    r"|(?P<bad>.)|(?P<end>$))")
+_KEYWORDS = ("in", "not", "and", "or")
+_MAX_NESTING = 100  # parentheses inside one predicate
 
 
 class _PredParser:
-    """Recursive descent over the token stream; collects the names the
-    predicate uses (its ``ref`` tokens outside lists) in ``names``."""
+    """Recursive descent over ``text`` from offset ``pos``, whose first
+    character is at column ``col``. A token is lexed when the parser first
+    looks at it, so nothing past the last token it needs is read. Collects
+    the names the predicate uses (its ``ref`` tokens outside lists) in
+    ``names``."""
 
-    def __init__(self, tokens, line, col):
-        self.tokens = tokens
-        self.i = 0
+    def __init__(self, text: str, line: int, col: int, pos: int = 0):
+        self.text = text
         self.line = line
         self.col = col
+        self.pos = pos  # where the next token's lexing starts
+        self.at = pos  # offset of the token looked at last
+        self.tok: tuple[str | None, Any] | None = None
+        self.depth = 0
         self.names: set[str] = set()
 
     def error(self, msg):
-        raise GflError(f"predicate: {msg}", self.line, self.col)
+        raise GflError(f"predicate: {msg}", self.line, self.col + self.at)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+    def peek(self) -> tuple[str | None, Any]:
+        if self.tok is None:
+            m = _TOKEN_RX.match(self.text, self.pos)
+            kind = m.lastgroup
+            raw = m.group(kind)
+            self.at, self.pos = m.start(kind), m.end()
+            if kind == "bad":
+                raise GflError(f"bad predicate character {raw!r}",
+                               self.line, self.col + self.at)
+            if kind == "string":
+                self.tok = ("lit", raw[1:-1].replace("\\'", "'")
+                            .replace('\\"', '"').replace("\\\\", "\\"))
+            elif kind == "number":
+                self.tok = ("lit", float(raw) if "." in raw else int(raw))
+            elif kind == "ident":
+                self.tok = ("kw" if raw in _KEYWORDS else "ref", raw)
+            else:
+                self.tok = (None, None) if kind == "end" else (kind, raw)
+        return self.tok
 
     def take(self):
         tok = self.peek()
-        self.i += 1
+        self.tok = None
         return tok
 
     def expect_sym(self, sym):
-        kind, val = self.take()
-        if kind != "sym" or val != sym:
+        if self.take() != ("sym", sym):
             self.error(f"expected {sym!r}")
 
-    def parse(self) -> frozenset[str]:
+    def predicate(self) -> str:
+        """Read a call's ``'(' expr ')'``; return the text between them."""
+        start = self.pos
+        self.expect_sym("(")
         self.expr()
-        if self.i != len(self.tokens):
-            self.error("trailing tokens")
-        return frozenset(self.names)
+        self.expect_sym(")")
+        return self.text[start + 1:self.at]
 
     def expr(self):
-        self.and_expr()
-        while self.peek() == ("kw", "or"):
-            self.take()
-            self.and_expr()
-
-    def and_expr(self):
         self.cmp()
-        while self.peek() == ("kw", "and"):
+        while self.peek() in (("kw", "and"), ("kw", "or")):
             self.take()
             self.cmp()
 
@@ -174,17 +171,15 @@ class _PredParser:
             self.take()  # closing ]
             return tuple(items)
         elif kind == "sym" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                self.error(f"parentheses nested deeper than {_MAX_NESTING}")
             self.expr()
             self.expect_sym(")")
+            self.depth -= 1
         elif kind != "lit":
             self.error(f"unexpected token {val!r}")
         return None
-
-
-def parse_predicate(text: str, line: int = 0, col: int = 0) -> frozenset[str]:
-    """Check a predicate against the grammar and return the names it uses:
-    its identifiers outside ``[...]`` lists, keywords excluded."""
-    return _PredParser(_tokenize_predicate(text, line, col), line, col).parse()
 
 
 # --- parsing -----------------------------------------------------------------
@@ -201,6 +196,7 @@ class CallNode:
     is_outlet: bool
     line: int
     col: int
+    names: frozenset[str] = frozenset()  # the names ``predicate`` uses
 
     @property
     def vertex_id(self) -> str:
@@ -217,15 +213,13 @@ _ROOT_RX = re.compile(rf"^:(?P<name>{_IDENT})\s*$")
 
 
 def _parse_literal_list(text: str, line: int, col: int) -> tuple:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise GflError("binding value must be a [...] literal list", line, col)
-    tokens = _tokenize_predicate(text, line, col)
-    parser = _PredParser(tokens, line, col)
-    items = parser.operand()
-    if parser.i != len(tokens) or items is None:
-        raise GflError("binding value must be a [...] literal list", line, col)
-    return items
+    stripped = text.strip()
+    if stripped.startswith("[") and stripped.endswith("]"):
+        parser = _PredParser(text, line, col)
+        items = parser.operand()
+        if parser.peek() == (None, None):
+            return items
+    raise GflError("binding value must be a [...] literal list", line, col)
 
 
 def _split_call(text: str, line: int, col: int) -> CallNode:
@@ -240,28 +234,13 @@ def _split_call(text: str, line: int, col: int) -> CallNode:
     if label is not None and not _IDENT_RX.fullmatch(label):
         raise GflError(f"instance label {label!r} is not an identifier",
                        line, col + m.start("label"))
-    rest = text[m.end():]
     offset = m.end()
-
-    predicate = None
-    if rest.startswith("("):
-        # Count parentheses token by token, skipping string literals whole;
-        # parse_predicate reports a character no token starts with.
-        depth, pos, end = 0, 0, None
-        while end is None and pos < len(rest):
-            m = _TOKEN_RX.match(rest, pos)
-            sym = m and m.group("sym")
-            depth += (sym == "(") - (sym == ")")
-            if sym == ")" and depth == 0:
-                end = m.start("sym")
-            pos = m.end() if m else pos + 1
-        if end is None:
-            raise GflError("unbalanced parentheses in predicate", line,
-                           col + offset)
-        predicate = rest[1:end]
-        parse_predicate(predicate, line, col + offset + 1)
-        rest = rest[end + 1:]
-        offset += end + 1
+    predicate, names = None, frozenset()
+    if text.startswith("(", offset):
+        parser = _PredParser(text, line, col, offset)
+        predicate = parser.predicate()
+        names, offset = frozenset(parser.names), parser.pos
+    rest = text[offset:]
 
     outputs: tuple[str, ...] = ()
     stripped = rest.lstrip()
@@ -272,11 +251,10 @@ def _split_call(text: str, line: int, col: int) -> CallNode:
         is_outlet = rest.rstrip().endswith(":")
         if is_outlet:
             rest = rest.rstrip()[:-1]
-        names = [n.strip() for n in rest.split(",")]
-        if any(not _IDENT_RX.fullmatch(n) for n in names):
+        outputs = tuple(n.strip() for n in rest.split(","))
+        if any(not _IDENT_RX.fullmatch(n) for n in outputs):
             raise GflError(f"bad output binding list {rest.strip()!r}",
                            line, col + offset)
-        outputs = tuple(names)
         rest = ""
     else:
         is_outlet = False
@@ -287,7 +265,8 @@ def _split_call(text: str, line: int, col: int) -> CallNode:
     elif rest:
         raise GflError(f"unexpected trailing text {rest!r}", line, col + offset)
 
-    return CallNode(ns, fn, label, predicate, outputs, is_outlet, line, col)
+    return CallNode(ns, fn, label, predicate, outputs, is_outlet, line, col,
+                    names)
 
 
 def _node_kind(namespace: str, function: str) -> str:
@@ -388,6 +367,7 @@ def parse(text: str) -> Flowline:
                     call.line, call.col)
             calls[vid] = replace(first,
                                  predicate=first.predicate or call.predicate,
+                                 names=first.names | call.names,
                                  outputs=first.outputs or call.outputs)
             # A repetition directly under the entry re-opens the vertex to
             # continue its pipeline; it does not pipe the corpus into it.
@@ -416,9 +396,10 @@ def parse(text: str) -> Flowline:
             config["label"] = call.instance_label
         if call.predicate is not None:
             config["predicate"] = call.predicate
-            referenced = _referenced_bindings(call.predicate, definitions)
-            if referenced:
-                config["bindings"] = referenced
+            if call.names & definitions.keys():
+                config["bindings"] = {
+                    n: list(definitions[n])
+                    for n in sorted(call.names & definitions.keys())}
         if call.outputs:
             config["outputs"] = list(call.outputs)
         nodes.append(TaskNode(id=vid, label=call.function, config=config,
@@ -434,12 +415,6 @@ def parse(text: str) -> Flowline:
                    or f" {vid}" in finding.detail), entry)
         raise GflError(f"invalid flowline: {finding}", at.line, at.col)
     return flowline
-
-
-def _referenced_bindings(predicate: str,
-                         definitions: Mapping[str, tuple]) -> dict[str, list]:
-    names = definitions.keys() & parse_predicate(predicate)
-    return {n: list(definitions[n]) for n in sorted(names)}
 
 
 # --- canonical formatting ----------------------------------------------------

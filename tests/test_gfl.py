@@ -146,8 +146,10 @@ class TestParse:
             gfl.parse(src)
 
     def test_unbalanced_predicate(self):
-        with pytest.raises(gfl.GflError, match="unbalanced"):
-            gfl.parse(":data\n    | opt.filter[f](a in (b:\n")
+        with pytest.raises(gfl.GflError) as err:
+            gfl.parse(":data\n    | opt.filter[f](a in (b)\n")
+        assert err.value.message == "predicate: expected ')'"
+        assert (err.value.line, err.value.col) == (2, 29)  # end of line
 
     def test_missing_outlet(self):
         with pytest.raises(gfl.GflError, match="outlet"):
@@ -209,37 +211,75 @@ class TestPredicates:
         ("not_a in or_b and in_c", {"not_a", "or_b", "in_c"}),
         ("x == x or x != y", {"x", "y"}),
     ])
-    def test_parse_returns_the_names_used(self, predicate, names):
-        assert gfl.parse_predicate(predicate) == frozenset(names)
+    def test_call_carries_the_names_used(self, predicate, names):
+        call = gfl._split_call(f"opt.filter[f]({predicate})", 2, 5)
+        assert call.predicate == predicate
+        assert call.names == frozenset(names)
 
-    @pytest.mark.parametrize("predicate, message", [
-        ("a in b c", "trailing tokens"),
-        ("a not b", "expected 'in' after 'not'"),
-        ("(a in b", "expected ')'"),
-        ("a in", "unexpected token None"),
-        ("a in ,", "unexpected token ','"),
-        ("a in [(]", "lists may only contain literals"),
-        ("a in [1 2 3]", "expected ',' or ']'"),
-        ("a in [x'z']", "expected ',' or ']'"),
-        ("a in [b", "expected ']'"),
-        ("a in [b,", "expected ']'"),
-        ("a in [", "expected ']'"),
+    # The call's text after ``opt.filter[f]``; ``^`` marks the column the
+    # error names and is not part of the text.
+    @pytest.mark.parametrize("args, message", [
+        ("(a in b ^c)", "expected ')'"),
+        ("(a not ^b)", "expected 'in' after 'not'"),
+        ("((a in b)^", "expected ')'"),
+        ("(a in ^)", "unexpected token ')'"),
+        ("(a in^", "unexpected token None"),
+        ("(a in ^,)", "unexpected token ','"),
+        ("(a in [^(])", "lists may only contain literals"),
+        ("(a in [1 ^2 3])", "expected ',' or ']'"),
+        ("(a in [x^'z'])", "expected ',' or ']'"),
+        ("(a in [b^", "expected ']'"),
+        ("(a in [b,^", "expected ']'"),
+        ("(a in [^", "expected ']'"),
+        ("(^)", "unexpected token ')'"),
     ])
-    def test_grammar_errors(self, predicate, message):
+    def test_grammar_errors_at_the_offending_token(self, args, message):
+        text = "opt.filter[f]" + args
         with pytest.raises(gfl.GflError) as err:
-            gfl.parse_predicate(predicate, line=2, col=5)
+            gfl._split_call(text.replace("^", ""), line=2, col=5)
         assert err.value.message == f"predicate: {message}"
-        assert (err.value.line, err.value.col) == (2, 5)
+        assert (err.value.line, err.value.col) == (2, 5 + text.index("^"))
 
     @settings(max_examples=200, deadline=None)
     @given(grammar_predicates())
-    def test_names_are_the_refs_outside_lists(self, predicate):
+    def test_the_parser_finds_its_own_closing_paren(self, predicate):
+        call = gfl._split_call(f"opt.filter[f]({predicate}) -> a, b:", 3, 5)
         depth, refs = 0, set()
-        for kind, value in gfl._tokenize_predicate(predicate, 0, 0):
-            depth += (value == "[") - (value == "]") if kind == "sym" else 0
-            if kind == "ref" and depth == 0:
-                refs.add(value)
-        assert gfl.parse_predicate(predicate) == refs
+        for m in gfl._TOKEN_RX.finditer(predicate):
+            sym = m.group("sym")
+            depth += (sym == "[") - (sym == "]")
+            if m.group("ident") not in (None, *_KEYWORDS) and depth == 0:
+                refs.add(m.group("ident"))
+        assert call.predicate == predicate
+        assert call.outputs == ("a", "b")
+        assert call.is_outlet
+        assert call.names == refs
+
+    def test_one_parser_per_predicate_and_binding_list(self, monkeypatch):
+        made = []
+
+        class CountingParser(gfl._PredParser):
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(gfl, "_PredParser", CountingParser)
+        gfl.parse(PIPELINE_SRC)
+        assert len(made) == 3  # two predicates and one binding list
+
+    def test_deep_parentheses_raise_gfl_error(self):
+        limit = gfl._MAX_NESTING
+
+        def src(depth):
+            return (f":data\n    | opt.filter[f]({'(' * depth}a{')' * depth})"
+                    "\n        | opt.triple:\n")
+
+        gfl.parse(src(limit))
+        for depth in (limit + 1, 5000):
+            with pytest.raises(gfl.GflError, match="nested deeper") as err:
+                gfl.parse(src(depth))
+            # The first nested '(' is at column 21; the one too deep follows.
+            assert (err.value.line, err.value.col) == (2, 21 + limit)
 
     def test_a_binding_named_only_inside_a_list_is_not_collected(self):
         src = ("xs := ['a']\n:data\n    | opt.filter[f](x in {})\n"
@@ -252,15 +292,20 @@ class TestPredicates:
     def test_binding_list_items_need_commas(self):
         with pytest.raises(gfl.GflError, match="expected ',' or ']'") as err:
             gfl.parse("zs := [x'z']\n:data\n    | opt.triple:\n")
-        assert (err.value.line, err.value.col) == (1, 3)
+        assert (err.value.line, err.value.col) == (1, 5)
         fl = gfl.parse("zs := [x, 'z',]\n:data\n"
                        "    | opt.filter[f](a in zs)\n        | opt.triple:\n")
         assert fl.node("filter[f]").config["bindings"] == {"zs": ["x", "z"]}
 
-    def test_bad_token_has_span(self):
+    @pytest.mark.parametrize("predicate, char, col", [
+        ("a in $$", "$", 26),
+        ("a in (b:", ":", 28),  # unbalanced, but ':' is no token
+    ])
+    def test_bad_token_has_span(self, predicate, char, col):
         with pytest.raises(gfl.GflError) as err:
-            gfl.parse_predicate("a in $$", line=3, col=9)
-        assert err.value.line == 3
+            gfl.parse(f":data\n    | opt.filter[f]({predicate}\n")
+        assert err.value.message == f"bad predicate character {char!r}"
+        assert (err.value.line, err.value.col) == (2, col)
 
 
 def random_opt_flowline(rng: random.Random, n: int) -> Flowline:
@@ -372,6 +417,9 @@ class TestDot:
 # goes ahead of a graph error), shows here. All three were re-pinned when a
 # list literal started to require a comma between items: 10 sources with a
 # list such as [x'z'] changed outcome, 5 of them from accepted to rejected.
+# The parse digest was re-pinned when a predicate came to be lexed once,
+# inside its call: 24 predicate errors changed message or column, and
+# nothing that parses changed.
 
 SMALL_SOURCES = (
     ":data\n    | opt.triple:",
@@ -489,7 +537,7 @@ def _outcome(src: str) -> tuple[str, Flowline | None]:
 
 PINNED_COUNTS = (279, 1754)  # (accepted, rejected)
 PINNED_PARSE_DIGEST = \
-    "c61b094cbf74cb7a168ce77a182cb675fe088f8471d6616ca16f05f6c07e2aae"
+    "d8efafaa2cb2c499048cfa9d269181e41c18a922bb26029ad81a686b847b74c3"
 PINNED_TEXT_DIGEST = \
     "03edc4d28d2141186a8011343a5f989902980a0edd7bf5e818bf5919ac325e50"
 
