@@ -305,7 +305,7 @@ def parse(text: str) -> Flowline:
                 if name in definitions:
                     raise GflError(f"duplicate binding {name!r}", lineno, 1)
                 definitions[name] = _parse_literal_list(
-                    m.group("rest"), lineno, 1 + len(name))
+                    m.group("rest"), lineno, m.start("rest") + 1)
                 continue
             m = _ROOT_RX.match(stripped)
             if m:
