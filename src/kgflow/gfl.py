@@ -75,11 +75,10 @@ _MAX_NESTING = 100  # parentheses inside one predicate
 
 
 class _PredParser:
-    """Recursive descent over ``text`` from offset ``pos``, whose first
-    character is at column ``col``. A token is lexed when the parser first
-    looks at it, so nothing past the last token it needs is read. Collects
-    the names the predicate uses (its ``ref`` tokens outside lists) in
-    ``names``."""
+    """Recursive descent over ``text`` from offset ``pos``; ``text[0]`` is
+    at column ``col``. A token is lexed when the parser first looks at it,
+    so nothing past the last token it needs is read. Collects the names the
+    predicate uses (its ``ref`` tokens outside lists) in ``names``."""
 
     def __init__(self, text: str, line: int, col: int, pos: int = 0):
         self.text = text
@@ -396,10 +395,9 @@ def parse(text: str) -> Flowline:
             config["label"] = call.instance_label
         if call.predicate is not None:
             config["predicate"] = call.predicate
-            if call.names & definitions.keys():
-                config["bindings"] = {
-                    n: list(definitions[n])
-                    for n in sorted(call.names & definitions.keys())}
+            bound = sorted(call.names & definitions.keys())
+            if bound:
+                config["bindings"] = {n: list(definitions[n]) for n in bound}
         if call.outputs:
             config["outputs"] = list(call.outputs)
         nodes.append(TaskNode(id=vid, label=call.function, config=config,
