@@ -153,14 +153,6 @@ class ProcurementPlan:
     def total_price(self) -> float:
         return sum(vm.unit_price * n for vm, n in self.items)
 
-    @property
-    def total_gpus(self) -> int:
-        return sum(vm.gpu_cards * n for vm, n in self.items)
-
-    @property
-    def total_cpu_headroom(self) -> int:
-        return sum(vm.cpu_headroom * n for vm, n in self.items)
-
     def expand(self) -> tuple[VmType, ...]:
         """Individual VMs, sorted by GPU capacity descending (stable)."""
         return self._vms
@@ -169,13 +161,14 @@ class ProcurementPlan:
         return " + ".join(f"{vm.name} x{n}" for vm, n in self.items)
 
 
-def _bounded_ab(u: np.ndarray, y: np.ndarray, lo: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimise ||a + b * u - y|| over a, b >= lo (-inf: unbounded) for a
-    batch of designs u broadcast to (..., n); returns (a, b) on a last axis
-    and the residual sums of squares. The free solution centres u. Where it
-    breaks the bound, the better edge (one coefficient held at lo, the
-    other fitted and clipped) is the exact optimum (Lawson & Hanson 1974)."""
+def _bounded_ab(u: np.ndarray, y: np.ndarray, lo: float) -> tuple[
+        tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Minimise ||a + b * u - y|| for a batch of designs u broadcast to
+    (..., n), first freely, then over a, b >= lo; returns both solutions,
+    each as (a, b) on a last axis and the residual sums of squares. The
+    free solution centres u. Where it breaks the bound, the better edge (one
+    coefficient held at lo, the other fitted and clipped) is the exact
+    optimum (Lawson & Hanson 1974)."""
     def dot(p, q):
         return np.einsum("...i,...i->...", p, q)
 
@@ -191,18 +184,19 @@ def _bounded_ab(u: np.ndarray, y: np.ndarray, lo: float
     centred = u - (su / n)[..., None]
     b = dot(centred, y) / dot(centred, centred)
     a = (sy - b * su) / n
-    best = ssr(a, b)
-    free = (a >= lo) & (b >= lo)
-    if not np.all(free):
-        held = np.full_like(a, lo)
-        fit_b = np.maximum(dot(u, y - lo) / dot(u, u), lo)
-        fit_a = np.maximum((sy - lo * su) / n, lo)
-        edge_b, edge_a = ssr(held, fit_b), ssr(fit_a, held)
-        on_b = edge_b <= edge_a  # a held at lo
-        a = np.where(free, a, np.where(on_b, lo, fit_a))
-        b = np.where(free, b, np.where(on_b, fit_b, lo))
-        best = np.where(free, best, np.where(on_b, edge_b, edge_a))
-    return np.stack([a, b], -1), best
+    free = np.stack([a, b], -1), ssr(a, b)
+    inside = (a >= lo) & (b >= lo)
+    if np.all(inside):
+        return free, free
+    held = np.full_like(a, lo)
+    fit_b = np.maximum(dot(u, y - lo) / dot(u, u), lo)
+    fit_a = np.maximum((sy - lo * su) / n, lo)
+    edge_b, edge_a = ssr(held, fit_b), ssr(fit_a, held)
+    on_b = edge_b <= edge_a  # a held at lo
+    a = np.where(inside, a, np.where(on_b, lo, fit_a))
+    b = np.where(inside, b, np.where(on_b, fit_b, lo))
+    return free, (np.stack([a, b], -1),
+                  np.where(inside, free[1], np.where(on_b, edge_b, edge_a)))
 
 
 @dataclass(frozen=True)
@@ -274,14 +268,15 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
     if infeasible and max(infeasible) < x.min():
         c_cap = min(c_cap, max(infeasible))
 
-    def profile(poles: np.ndarray, lo: float):
-        return _bounded_ab(1.0 / (x - poles[:, None]), y, lo)
-
     tiny = 1e-12
+
+    def profile(poles: np.ndarray):
+        return _bounded_ab(1.0 / (x - poles[:, None]), y, tiny)
+
     poles = c_cap - np.geomspace(c_cap * (1 - 1e-3), c_cap * 1e-9, 64)
     # The typed errors come from the plain least-squares (a, b).
-    free_ab, free_ssr = profile(poles, -np.inf)
-    free_ssr[(free_ab <= 0).any(-1)] = np.inf
+    (free_ab, free_ssr), (ab, ssr) = profile(poles)
+    free_ssr = np.where((free_ab > 0).all(-1), free_ssr, np.inf)
     start = int(free_ssr.argmin())
     # The frontier never rises with price; a flat one fits b = 0 at best.
     if not y[-1] < y[0] or (np.isfinite(free_ssr[start])
@@ -296,7 +291,6 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
             f"frontier x={x.tolist()}, y={y.tolist()}")
 
     lo, hi = tiny, c_cap
-    ab, ssr = profile(poles, tiny)
     best = int(ssr.argmin())
     for _ in range(12):
         if hi - lo < 1e-13 * c_cap:
@@ -304,7 +298,7 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
         lo = poles[best - 1] if best > 0 else lo
         hi = poles[best + 1] if best + 1 < len(poles) else hi
         poles = np.linspace(lo, hi, 64)
-        ab, ssr = profile(poles, tiny)
+        _, (ab, ssr) = profile(poles)
         best = int(ssr.argmin())
     a, b = (float(v) for v in ab[best])
     c = float(poles[best])

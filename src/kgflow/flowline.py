@@ -151,12 +151,9 @@ class Flowline:
             raise FlowlineError("flowline contains a cycle")
         return tuple(order)
 
-    def model_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in sorted(self.vertices, key=lambda v: v.id)
-                     if v.is_model)
-
     @cached_property
-    def _model_set(self) -> frozenset[str]:
+    def models(self) -> frozenset[str]:
+        """The ids of the model tasks."""
         return frozenset(v.id for v in self.vertices if v.is_model)
 
 

@@ -62,14 +62,15 @@ class GflError(ValueError):
 # this grammar and reads the names it uses, and never evaluates it, so `and`
 # and `or` form one level. A predicate is lexed once, inside its call: the
 # parser reads `'(' expr ')'` from the call's text a token at a time and
-# stops just after the matching `)`.
+# stops just after the matching `)`. The end of the text, an outlet `:` and
+# an output list's `->` each end the predicate.
 
 _TOKEN_RX = re.compile(
     r"\s*(?:(?P<string>'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")"
     r"|(?P<number>-?\d+(?:\.\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)"
     r"|(?P<sym>==|!=|\[|\]|\(|\)|,)"
-    r"|(?P<bad>.)|(?P<end>$))")
+    r"|(?P<end>$|:|->)|(?P<bad>.))")
 _KEYWORDS = ("in", "not", "and", "or")
 _MAX_NESTING = 100  # parentheses inside one predicate
 
@@ -109,8 +110,8 @@ class _PredParser:
                 self.tok = ("lit", float(raw) if "." in raw else int(raw))
             elif kind == "ident":
                 self.tok = ("kw" if raw in _KEYWORDS else "ref", raw)
-            else:
-                self.tok = (None, None) if kind == "end" else (kind, raw)
+            else:  # the end is (None, "") or (None, ':' or '->')
+                self.tok = (None if kind == "end" else kind, raw)
         return self.tok
 
     def take(self):
@@ -165,7 +166,7 @@ class _PredParser:
                 after = self.peek()
                 if after == ("sym", ","):
                     self.take()
-                elif after not in (("sym", "]"), (None, None)):
+                elif after[0] is not None and after != ("sym", "]"):
                     self.error("expected ',' or ']'")
             self.take()  # closing ]
             return tuple(items)
@@ -176,6 +177,8 @@ class _PredParser:
             self.expr()
             self.expect_sym(")")
             self.depth -= 1
+        elif kind is None:
+            self.error("unexpected end of predicate")
         elif kind != "lit":
             self.error(f"unexpected token {val!r}")
         return None
@@ -216,7 +219,7 @@ def _parse_literal_list(text: str, line: int, col: int) -> tuple:
     if stripped.startswith("[") and stripped.endswith("]"):
         parser = _PredParser(text, line, col)
         items = parser.operand()
-        if parser.peek() == (None, None):
+        if parser.peek() == (None, ""):
             return items
     raise GflError("binding value must be a [...] literal list", line, col)
 

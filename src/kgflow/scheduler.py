@@ -93,29 +93,30 @@ def _natural_key(text: str):
 
 def compound(flowline: Flowline) -> tuple[Compound, ...]:
     """The placement units in order: the compounds by anchor, then one unit
-    per orphan by id. A compound takes one pass in topological order, an
-    operator joining when it has precursors and all are members."""
-    units: list[Compound] = []
-    captured: set[str] = set()
-    for anchor in sorted(flowline.model_ids(), key=_natural_key):
-        members = {anchor}
-        for task in flowline.topological_order:
-            preds = flowline.predecessors[task]
-            if (preds and task not in flowline._model_set
-                    and all(p in members for p in preds)):
-                members.add(task)
-        units.append(Compound(tuple(members), anchor))
-        captured |= members
-    units += (Compound((task,), None)
-              for task in sorted((v.id for v in flowline.vertices
-                                  if v.id not in captured), key=_natural_key))
-    return tuple(units)
+    per orphan by id. One pass in topological order gives each task its
+    head: a model heads its own compound, an operator joins the one all its
+    precursors share, and any other task is an orphan."""
+    models = flowline.models
+    head: dict[str, str | None] = {}
+    for task in flowline.topological_order:
+        if task in models:
+            head[task] = task
+        else:
+            heads = {head[p] for p in flowline.predecessors[task]}
+            head[task] = heads.pop() if len(heads) == 1 else None
+    units: dict[str | None, list[str]] = {}
+    for v in flowline.vertices:
+        units.setdefault(head[v.id], []).append(v.id)
+    orphans = units.pop(None, [])
+    return (*(Compound(tuple(units[a]), a)
+              for a in sorted(units, key=lambda a: (_natural_key(a), a))),
+            *(Compound((t,), None) for t in sorted(orphans, key=_natural_key)))
 
 
 def need(flowline: Flowline, tasks: Collection[str]) -> tuple[int, int]:
     """(GPU cards, headroom cores) that ``tasks`` take on a VM: a model task
     takes one GPU card, an operator one core of CPU headroom."""
-    models = flowline._model_set
+    models = flowline.models
     cards = 0
     for task in tasks:
         if task in models:
@@ -145,27 +146,29 @@ class Ledger:
         self.room[i] = (cards - demand[0], cores - demand[1])
 
 
-def _compile(flowline: Flowline, units: Sequence[Compound]) -> list:
-    """Each unit's (cards, cores) demand and its neighbours as (earlier unit
-    index, neighbour-task count) pairs, from one pass over the edges."""
-    demands = [need(flowline, unit.members) for unit in units]
+def _compile(flowline: Flowline) -> list:
+    """The units of ``compound`` in order, each with its (cards, cores)
+    demand and its neighbours as (earlier unit index, neighbour-task count)
+    pairs, from one pass over the edges."""
+    units = compound(flowline)
     unit_of = {m: k for k, unit in enumerate(units) for m in unit.members}
     near = set()
     for a, b in flowline.edges:
-        ka, kb = unit_of.get(a), unit_of.get(b)
-        if None not in (ka, kb) and ka != kb:
+        ka, kb = unit_of[a], unit_of[b]
+        if ka != kb:
             near.add((kb, a) if ka < kb else (ka, b))
     counts: list[dict[int, int]] = [{} for _ in units]
     for k, task in near:
         counts[k][unit_of[task]] = counts[k].get(unit_of[task], 0) + 1
-    return [(d, tuple(c.items())) for d, c in zip(demands, counts)]
+    return [(unit, need(flowline, unit.members), tuple(c.items()))
+            for unit, c in zip(units, counts)]
 
 
 def _place(compiled: Sequence, ledger: Ledger) -> list[int]:
     """Each compiled unit's VM: of those with room, the one holding most of
     its neighbours, lowest index first; stops at a unit that fits nowhere."""
     placed: list[int] = []
-    for demand, neighbours in compiled:
+    for _, demand, neighbours in compiled:
         if not (fitting := ledger.fitting(demand)):
             break
         overlap = [0] * len(ledger.room)
@@ -176,27 +179,28 @@ def _place(compiled: Sequence, ledger: Ledger) -> list[int]:
     return placed
 
 
-def greedy_partition(flowline: Flowline, units: Sequence[Compound],
+def greedy_partition(flowline: Flowline,
                      vms: Sequence[VmType]) -> dict[str, int]:
     """Assign every task to a VM index, maximizing neighbor overlap.
 
-    ``units`` come from ``compound`` and are placed in their order, each
-    whole. ``vms`` must be sorted by GPU capacity descending
+    The units of ``compound`` are placed in their order, each whole.
+    ``vms`` must be sorted by GPU capacity descending
     (``ProcurementPlan.expand()`` does this). Candidate VMs go by
     descending overlap with lowest index breaking ties. Raises
     SchedulingError naming the unit when capacity runs out.
     """
-    compiled = _compile(flowline, units)
+    compiled = _compile(flowline)
     placed = _place(compiled, Ledger(vms))
-    if len(placed) < len(units):
-        unit, (cards, cores) = units[len(placed)], compiled[len(placed)][0]
+    if len(placed) < len(compiled):
+        unit, (cards, cores), _ = compiled[len(placed)]
         name = (f"task {unit.members[0]!r}" if unit.anchor is None
                 else f"compound[{unit.anchor}]")
         raise SchedulingError(
             f"no VM can host {name} (needs {cards} GPU card(s), "
             f"{cores} CPU core(s); capacities "
             f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
-    return {m: i for unit, i in zip(units, placed) for m in unit.members}
+    return {m: i for (unit, _, _), i in zip(compiled, placed)
+            for m in unit.members}
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def check_qualification(plan: SchedulePlan,
         if task_id not in flowline.by_id:
             foreign.append(task_id)
         elif 0 <= idx < len(vms):
-            ledger.take(idx, Ledger.CARD if task_id in flowline._model_set
+            ledger.take(idx, Ledger.CARD if task_id in flowline.models
                         else Ledger.CORE)
         else:
             unknown.append(task_id)
@@ -319,10 +323,9 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     compile once; a multiset places as itself less its last VM in expand
     order when that hosts them, as the empty last VM never wins the choice.
     """
-    max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
+    max_instances = max(3, min(len(flowline.models), 4)) + 1
     types = catalog_types(catalog)
-    units = compound(flowline)
-    compiled = _compile(flowline, units)
+    compiled = _compile(flowline)
     by_rank = [types.index(vm) for vm in ProcurementPlan.of(types).expand()]
     # Type indices in expand order, smallest multisets first -> placement.
     placements: dict[tuple[int, ...], tuple[int, ...] | None] = {}
@@ -330,7 +333,7 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
                                    for k in range(1, max_instances + 1)):
         placed = placements.get(vms[:-1]) or tuple(
             _place(compiled, Ledger([types[i] for i in vms])))
-        placements[vms] = placed if len(placed) == len(units) else None
+        placements[vms] = placed if len(placed) == len(compiled) else None
     observations: dict[tuple[float, float | None], Observation] = {}
     # The makespan depends only on the edges a placement cuts, and the
     # enumerated procurements collapse onto a few distinct placements.
@@ -347,7 +350,7 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
         if mk is None:
             mk = makespans[placed] = makespan(
                 flowline, profile, apply_partition(flowline, profile, {
-                    m: i for unit, i in zip(units, placed)
+                    m: i for (unit, _, _), i in zip(compiled, placed)
                     for m in unit.members}, net))
         observations.setdefault((round(price, 9), round(mk, 12)),
                                 Observation(price, mk))
@@ -362,7 +365,7 @@ def synthesized_fit(flowline: Flowline, profile: TaskProfile,
     """The price-to-makespan curve ``schedule`` fits when given neither a
     fit nor observations; None for a CPU-only flowline, which needs none."""
     types = catalog_types(catalog)
-    if not flowline.model_ids():
+    if not flowline.models:
         return None
     return fit_price_makespan(synthesize_observations(flowline, profile,
                                                       types, net))
@@ -402,8 +405,7 @@ def schedule(flowline: Flowline, profile: TaskProfile,
                    else synthesized_fit(flowline, profile, types, net))
         x0 = optimal_unit_price(fit, Preference(eta))
         procurement = procure(types, x0, ResourceDemand(cards, cores))
-        assignment = greedy_partition(flowline, compound(flowline),
-                                      procurement.expand())
+        assignment = greedy_partition(flowline, procurement.expand())
 
     plan = SchedulePlan(procurement, assignment, eta, net)
     return dataclasses.replace(plan, predictions=evaluate_plan(

@@ -258,21 +258,21 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
 
     for _ in range(10000):
         k = rng.randint(1, k_cap)
-        procurement = ProcurementPlan.of(
-            [types[rng.randrange(len(types))] for _ in range(k)])
-        if (procurement.total_gpus >= n_models
-                and procurement.total_cpu_headroom >= n_operators):
+        drawn = [types[rng.randrange(len(types))] for _ in range(k)]
+        if (sum(vm.gpu_cards for vm in drawn) >= n_models
+                and sum(vm.cpu_headroom for vm in drawn) >= n_operators):
             break
     else:
         raise CostModelError("could not sample a feasible procurement; "
                              "catalog cannot host the flowline")
 
+    procurement = ProcurementPlan.of(drawn)
     vms = procurement.expand()
     ledger = Ledger(vms)
     assignment: dict[str, int] = {}
     rng.shuffle(tasks)
     for task in tasks:
-        unit = Ledger.CARD if task in flowline._model_set else Ledger.CORE
+        unit = Ledger.CARD if task in flowline.models else Ledger.CORE
         options = ledger.fitting(unit)
         if not options:
             raise SchedulingError(f"random assignment stuck at {task!r}")
@@ -312,7 +312,7 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
     assignment: dict[str, int] = {}
     finish: dict[str, float] = {}
     for task in tasks:
-        unit = Ledger.CARD if task in flowline._model_set else Ledger.CORE
+        unit = Ledger.CARD if task in flowline.models else Ledger.CORE
         best: tuple[float, int] | None = None
         for i in ledger.fitting(unit):
             ready = 0.0
@@ -394,21 +394,12 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
         metrics = [predicted] + baseline_metrics
         js = normalized_objectives(
             [(m["cost_com_s"], m["cost_mon"]) for m in metrics], eta)
-
-        def row(name: str, idx: int) -> SweepRow:
-            m = metrics[idx]
-            return SweepRow(eta, name, m["makespan_s"], m["cost_com_s"],
-                            m["cost_mon"], js[idx])
-
-        rows.append(row("compound-greedy", 0))
-        rows.append(row("list", 1))
-        random_rows = [row("random", 2 + i) for i in range(config.random_plans)]
-        rows.append(SweepRow(
-            eta, "random",
-            statistics.median(r.makespan_s for r in random_rows),
-            statistics.median(r.cost_com_s for r in random_rows),
-            statistics.median(r.cost_mon for r in random_rows),
-            statistics.median(r.J for r in random_rows)))
+        table = [(m["makespan_s"], m["cost_com_s"], m["cost_mon"], j)
+                 for m, j in zip(metrics, js)]
+        rows += [SweepRow(eta, "compound-greedy", *table[0]),
+                 SweepRow(eta, "list", *table[1]),
+                 SweepRow(eta, "random",
+                          *map(statistics.median, zip(*table[2:])))]
     return rows
 
 

@@ -36,7 +36,7 @@ CATALOGS = {"qcloud": bundled_qcloud_catalog, "g4dn": bundled_g4dn_catalog}
 
 
 def _brute_force(design, y, lo):
-    """Best of the optima on each face of {theta >= lo}: free, one
+    """Best SSR of the optima on each face of {theta >= lo}: free, one
     coefficient held at lo, both held."""
     faces = [np.linalg.lstsq(design, y, rcond=None)[0]]
     for held in (0, 1):
@@ -66,9 +66,14 @@ class TestBoundedLstsq2:
         y = np.array(data.draw(st.lists(values, min_size=rows,
                                         max_size=rows)))
         assume(all(np.linalg.cond(d) < 1e6 for d in design))
-        theta, ssr = _bounded_ab(design[..., 1], y, lo)
-        assert theta.shape == (batch, 2) and ssr.shape == (batch,)
-        for d, t, s in zip(design, theta, ssr):
+        (free, free_ssr), (theta, ssr) = _bounded_ab(design[..., 1], y, lo)
+        assert free.shape == theta.shape == (batch, 2)
+        assert free_ssr.shape == ssr.shape == (batch,)
+        for d, f, fs, t, s in zip(design, free, free_ssr, theta, ssr):
+            want = np.linalg.lstsq(d, y, rcond=None)[0]
+            assert f == pytest.approx(want, rel=1e-6, abs=1e-6)
+            assert fs == pytest.approx(np.sum((d @ want - y) ** 2),
+                                       rel=1e-9, abs=1e-9)
             assert (t >= lo).all()
             assert s == pytest.approx(np.sum((d @ t - y) ** 2),
                                       rel=1e-9, abs=1e-9)
@@ -80,19 +85,29 @@ class TestBoundedLstsq2:
         # refitted alone.
         design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         y = np.array([1.0, 3.0, 5.0])
-        theta, ssr = _bounded_ab(design[:, 1], y, 0.0)
+        _, (theta, ssr) = _bounded_ab(design[:, 1], y, 0.0)
         assert theta[0] == 0.0
         assert theta[1] == pytest.approx(22.0 / 14.0)
         assert ssr == pytest.approx(_brute_force(design, y, 0.0))
 
-    def test_minus_infinity_is_plain_least_squares(self):
+    @pytest.mark.parametrize("lo", [0.0, 2.0])
+    def test_free_solution_is_plain_least_squares(self, lo):
         rng = np.random.default_rng(7)
         design = rng.normal(size=(5, 2))
         design[:, 0] = 1.0
         y = rng.normal(size=5)
-        theta, _ = _bounded_ab(design[:, 1], y, -np.inf)
+        (theta, ssr), _ = _bounded_ab(design[:, 1], y, lo)
         want = np.linalg.lstsq(design, y, rcond=None)[0]
         assert theta == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert ssr == pytest.approx(np.sum((design @ want - y) ** 2),
+                                    rel=1e-12)
+
+    def test_inside_the_bound_both_solutions_are_the_free_one(self):
+        design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        y = np.array([3.0, 5.0, 7.1])
+        free, bounded = _bounded_ab(design[:, 1], y, 0.0)
+        assert free[0].min() > 0
+        assert all((f == b).all() for f, b in zip(free, bounded))
 
 
 def _c_cap(observations):
@@ -117,7 +132,7 @@ def _dense_profile_minimum(observations, poles=20001):
     y = np.array([o.makespan_s for o in frontier])
     cap = _c_cap(observations)
     u = 1.0 / (x - np.linspace(cap * 1e-3, cap, poles)[:, None])
-    _, ssr = _bounded_ab(u, y, 1e-12)
+    _, (_, ssr) = _bounded_ab(u, y, 1e-12)
     return float(ssr.min())
 
 

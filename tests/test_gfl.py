@@ -223,7 +223,10 @@ class TestPredicates:
         ("(a not ^b)", "expected 'in' after 'not'"),
         ("((a in b)^", "expected ')'"),
         ("(a in ^)", "unexpected token ')'"),
-        ("(a in^", "unexpected token None"),
+        ("(a in^", "unexpected end of predicate"),
+        ("(a in ^: x", "unexpected end of predicate"),
+        ("(a in b ^-> x", "expected ')'"),
+        ("(a in [b ^-> x", "expected ']'"),
         ("(a in ^,)", "unexpected token ','"),
         ("(a in [^(])", "lists may only contain literals"),
         ("(a in [1 ^2 3])", "expected ',' or ']'"),
@@ -306,12 +309,21 @@ class TestPredicates:
 
     @pytest.mark.parametrize("predicate, char, col", [
         ("a in $$", "$", 26),
-        ("a in (b:", ":", 28),  # unbalanced, but ':' is no token
+        ("x in xs> a, b", ">", 28),  # '>' alone neither ends nor is a token
     ])
     def test_bad_token_has_span(self, predicate, char, col):
         with pytest.raises(gfl.GflError) as err:
             gfl.parse(f":data\n    | opt.filter[f]({predicate}\n")
         assert err.value.message == f"bad predicate character {char!r}"
+        assert (err.value.line, err.value.col) == (2, col)
+
+    @pytest.mark.parametrize("predicate, col", [
+        ("a in (b:", 28), ("a in (b) -> x, y:", 30), ("a in b->c", 27)])
+    def test_outlet_or_outputs_end_an_unclosed_predicate(self, predicate,
+                                                         col):
+        with pytest.raises(gfl.GflError) as err:
+            gfl.parse(f":data\n    | opt.filter[f]({predicate}\n")
+        assert err.value.message == "predicate: expected ')'"
         assert (err.value.line, err.value.col) == (2, col)
 
 

@@ -81,7 +81,7 @@ def oracle_partition(flowline, units, vms):
 def oracle_combos(flowline, catalog):
     """Every multiset of up to max(3, min(models, 4)) + 1 catalog types,
     each a list in lexicographic order of the name-sorted types."""
-    max_instances = max(3, min(len(flowline.model_ids()), 4)) + 1
+    max_instances = max(3, min(len(flowline.models), 4)) + 1
     types = sorted(catalog, key=lambda v: v.name)
     combos = []
 
@@ -155,7 +155,7 @@ class TestGreedyPartitionOracle:
     def test_matches_sort_and_intersect(self, case):
         fl, vms = case
         units = compound(fl)
-        assert (outcome(greedy_partition, fl, units, vms)
+        assert (outcome(greedy_partition, fl, vms)
                 == outcome(oracle_partition, fl, units, vms))
 
     def test_neighbour_of_two_members_counts_once(self):
@@ -171,7 +171,7 @@ class TestGreedyPartitionOracle:
         units = compound(fl)
         assert [unit.members for unit in units] == [
             ("a", "p", "q"), ("b",), ("c", "o")]
-        assignment = greedy_partition(fl, units, vms)
+        assignment = greedy_partition(fl, vms)
         assert assignment == oracle_partition(fl, units, vms)
         assert (assignment["a"], assignment["b"], assignment["c"]) == (1, 0, 0)
 
@@ -186,7 +186,7 @@ class TestGreedyPartitionOracle:
             for b in types:
                 for copies in (1, 2, 3):
                     vms = ProcurementPlan.of([a] * copies + [b]).expand()
-                    assert (outcome(greedy_partition, fl, units, vms)
+                    assert (outcome(greedy_partition, fl, vms)
                             == outcome(oracle_partition, fl, units, vms))
 
 

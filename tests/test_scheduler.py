@@ -51,6 +51,7 @@ from kgflow.scheduler import (
     Compound,
     SchedulePlan,
     SchedulingError,
+    _natural_key,
     check_qualification,
     compound,
     evaluate_plan,
@@ -103,6 +104,77 @@ def qcloud_vms(*names):
     return [catalog[n] for n in names]
 
 
+def reference_compound(flowline):
+    """The per-anchor formulation ``compound`` replaced: one pass over the
+    topological order for each model, taking an operator when it has
+    precursors and all of them are members."""
+    units, captured = [], set()
+    for anchor in sorted(sorted(flowline.models), key=_natural_key):
+        members = {anchor}
+        for task in flowline.topological_order:
+            preds = flowline.predecessors[task]
+            if (preds and task not in flowline.models
+                    and all(p in members for p in preds)):
+                members.add(task)
+        units.append(Compound(tuple(members), anchor))
+        captured |= members
+    units += (Compound((task,), None)
+              for task in sorted((v.id for v in flowline.vertices
+                                  if v.id not in captured), key=_natural_key))
+    return tuple(units)
+
+
+@st.composite
+def unit_dags(draw):
+    """A random DAG (edges from lower to higher index), then an operator
+    merging 2-3 of its tasks and a chain of up to 3 operators after the
+    merge: when two models feed it, the merge and its chain are orphans."""
+    n = draw(st.integers(2, 12))
+    kinds = draw(st.lists(st.sampled_from(["model-CE", "model-CC",
+                                           "operator"]),
+                          min_size=n, max_size=n))
+    edges = {(a, b)
+             for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                 st.integers(0, n - 1)),
+                                       max_size=3 * n))
+             if a < b}
+    edges |= {(a, n) for a in draw(st.sets(st.integers(0, n - 1),
+                                           min_size=2, max_size=3))}
+    chain = draw(st.integers(0, 3))
+    edges |= {(k, k + 1) for k in range(n, n + chain)}
+    kinds += ["operator"] * (1 + chain)
+    ids = [f"t{i}" for i in range(len(kinds))]
+    return Flowline(tuple(TaskNode(id=t, kind=k) for t, k in zip(ids, kinds)),
+                    tuple(sorted((ids[a], ids[b]) for a, b in edges)),
+                    ids[0], ids[-1])
+
+
+def assert_units_partition(fl):
+    """The units are disjoint and cover the flowline; an orphan is one
+    operator, and a compound holds its anchor, no other model, and only
+    tasks it reaches through members."""
+    seen: set[str] = set()
+    for unit in compound(fl):
+        members = set(unit.members)
+        assert not members & seen, "units must be pairwise disjoint"
+        seen |= members
+        models = [m for m in members if fl.node(m).is_model]
+        if unit.anchor is None:  # an orphan
+            assert len(members) == 1 and not models
+            continue
+        assert models == [unit.anchor]
+        # Every member reachable from the anchor through members only.
+        frontier = {unit.anchor}
+        reached = {unit.anchor}
+        while frontier:
+            nxt = {s for m in frontier for s in fl.successors[m]
+                   if s in members and s not in reached}
+            reached |= nxt
+            frontier = nxt
+        assert reached == members
+    assert seen == {v.id for v in fl.vertices}
+
+
 class TestCompound:
     def test_nine_task_fixture(self):
         units = compound(nine_task_flowline())
@@ -122,34 +194,38 @@ class TestCompound:
         assert set(unit.members) == {"m", "o1", "o2"}
 
     def test_partition_property(self):
-        fl = nine_task_flowline()
-        seen: set[str] = set()
-        for unit in compound(fl):
-            members = set(unit.members)
-            assert not members & seen, "units must be pairwise disjoint"
-            seen |= members
-            models = [m for m in members if fl.node(m).is_model]
-            if unit.anchor is None:  # an orphan
-                assert len(members) == 1 and not models
-                continue
-            assert models == [unit.anchor]
-            # Every member reachable from the anchor through members only.
-            frontier = {unit.anchor}
-            reached = {unit.anchor}
-            while frontier:
-                nxt = {s for m in frontier for s in fl.successors[m]
-                       if s in members and s not in reached}
-                reached |= nxt
-                frontier = nxt
-            assert reached == members
-        assert seen == {v.id for v in fl.vertices}
+        assert_units_partition(nine_task_flowline())
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_dags())
+    def test_partition_property_on_random_dags(self, fl):
+        assert_units_partition(fl)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_dags())
+    def test_matches_the_per_anchor_reference(self, fl):
+        assert compound(fl) == reference_compound(fl)
+
+    def test_merge_of_two_models_heads_an_orphan_chain(self):
+        # s has no precursor; m feeds a and j, n feeds j; j -> k -> z and
+        # a -> z.
+        fl = Flowline.build(
+            [op("s", "data"), model("m"), model("n"), op("a"), op("j"),
+             op("k"), op("z")],
+            [("s", "m"), ("s", "n"), ("m", "a"), ("m", "j"), ("n", "j"),
+             ("j", "k"), ("k", "z"), ("a", "z")])
+        units = compound(fl)
+        assert units == reference_compound(fl)
+        assert [(u.members, u.anchor) for u in units] == [
+            (("a", "m"), "m"), (("n",), "n"), (("j",), None),
+            (("k",), None), (("s",), None), (("z",), None)]
 
 
 class TestGreedyPartition:
     def test_nine_task_trace_on_5x_plus_2x(self):
         fl = nine_task_flowline()
         vms = qcloud_vms("5XLARGE80", "2XLARGE40")
-        assignment = greedy_partition(fl, compound(fl), vms)
+        assignment = greedy_partition(fl, vms)
         vm0 = {t for t, i in assignment.items() if i == 0}
         vm1 = {t for t, i in assignment.items() if i == 1}
         assert vm0 == {"1", "2", "3", "4", "5", "6", "8", "9"}
@@ -158,7 +234,7 @@ class TestGreedyPartition:
     def test_single_big_vm_colocates_everything(self):
         fl = nine_task_flowline()
         vms = qcloud_vms("10XLARGE160")
-        assignment = greedy_partition(fl, compound(fl), vms)
+        assignment = greedy_partition(fl, vms)
         assert set(assignment.values()) == {0}
 
     def test_disconnected_compounds_forced_apart(self):
@@ -166,7 +242,7 @@ class TestGreedyPartition:
             [op("s", "data"), model("a"), model("b"), op("t", "integrate")],
             [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
         vms = qcloud_vms("2XLARGE40", "2XLARGE40")
-        assignment = greedy_partition(fl, compound(fl), vms)
+        assignment = greedy_partition(fl, vms)
         assert assignment["a"] != assignment["b"]
 
     def test_capacity_exhaustion_names_unit(self):
@@ -175,7 +251,7 @@ class TestGreedyPartition:
             [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
         vms = qcloud_vms("2XLARGE40")
         with pytest.raises(SchedulingError, match="compound"):
-            greedy_partition(fl, compound(fl), vms)
+            greedy_partition(fl, vms)
 
     def test_output_always_qualifies(self):
         fl = nine_task_flowline()
@@ -183,7 +259,7 @@ class TestGreedyPartition:
                       ("10XLARGE160",),
                       ("2XLARGE40", "2XLARGE40", "2XLARGE40")]:
             vms = qcloud_vms(*names)
-            assignment = greedy_partition(fl, compound(fl), vms)
+            assignment = greedy_partition(fl, vms)
             plan = SchedulePlan(procurement=ProcurementPlan.of(vms),
                                 assignment=assignment, eta=0.5)
             assert check_qualification(plan, fl).ok
