@@ -151,7 +151,8 @@ class ProcurementPlan:
 
     @property
     def total_price(self) -> float:
-        return sum(vm.unit_price * n for vm, n in self.items)
+        """The unit prices of the VMs of ``expand()``, summed one by one."""
+        return sum(vm.unit_price for vm in self._vms)
 
     def expand(self) -> tuple[VmType, ...]:
         """Individual VMs, sorted by GPU capacity descending (stable)."""

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -42,6 +43,13 @@ class FlowlineError(ValueError):
 
 
 _field = partial(_fields.field, FlowlineError)
+
+
+@lru_cache(maxsize=4096)
+def natural_key(task_id: str):
+    """Sort key for task ids: digit runs compare as numbers, "m2" < "m10"."""
+    return tuple(int(part) if part.isdigit() else part
+                 for part in re.split(r"(\d+)", task_id))
 
 
 @dataclass(frozen=True)
@@ -237,6 +245,7 @@ def _ends(vertices: tuple[TaskNode, ...], edges: tuple[tuple[str, str], ...]
 class Violation:
     code: str
     detail: str
+    tasks: tuple[str, ...] = ()  # the ids of the tasks it names
 
     def __str__(self):
         return f"{self.code}: {self.detail}"
@@ -272,20 +281,17 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     violations: list[Violation] = []
     warnings: list[Violation] = []
     heads, tails = _ends(flowline.vertices, flowline.edges)
-    if len(heads) != 1:
-        violations.append(Violation(
-            "multiple-entries" if heads else "no-entry",
-            f"in-degree-0 vertices: {heads}"))
-    elif heads[0] != flowline.entry:
-        violations.append(Violation(
-            "entry-mismatch", f"declared entry {flowline.entry!r}, found {heads[0]!r}"))
-    if len(tails) != 1:
-        violations.append(Violation(
-            "multiple-exits" if tails else "no-exit",
-            f"out-degree-0 vertices: {tails}"))
-    elif tails[0] != flowline.exit:
-        violations.append(Violation(
-            "exit-mismatch", f"declared exit {flowline.exit!r}, found {tails[0]!r}"))
+    for role, many, degree, ends, declared in (
+            ("entry", "entries", "in", heads, flowline.entry),
+            ("exit", "exits", "out", tails, flowline.exit)):
+        if len(ends) != 1:
+            violations.append(Violation(
+                f"multiple-{many}" if ends else f"no-{role}",
+                f"{degree}-degree-0 vertices: {ends}", tuple(ends)))
+        elif ends[0] != declared:
+            violations.append(Violation(
+                f"{role}-mismatch", f"declared {role} {declared!r}, found "
+                f"{ends[0]!r}", (declared, ends[0])))
 
     try:
         flowline.topological_order  # sorted once, then cached
@@ -299,11 +305,12 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
                       if family in registry.PARADIGMS else "not registered")
             violations.append(Violation(
                 "unknown-model",
-                f"task {v.id!r}: model {v.function!r} {detail}"))
+                f"task {v.id!r}: model {v.function!r} {detail}", (v.id,)))
         elif not v.is_model and family in (None, *registry.PARADIGMS):
             violations.append(Violation(
                 "unknown-operator",
-                f"task {v.id!r}: operator {v.function!r} not registered"))
+                f"task {v.id!r}: operator {v.function!r} not registered",
+                (v.id,)))
 
     if not violations:  # then the flowline is acyclic
         violations.extend(_check_pipes(flowline))
@@ -312,7 +319,8 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
         for v in sorted(flowline.vertices, key=lambda v: v.id):
             if v.is_model and profile.vertex_weights.get(v.id) == 0:
                 warnings.append(Violation(
-                    "zero-weight-model", f"model task {v.id!r} has weight 0"))
+                    "zero-weight-model", f"model task {v.id!r} has weight 0",
+                    (v.id,)))
 
     return ValidationReport(tuple(violations), tuple(warnings))
 
@@ -338,7 +346,7 @@ def _check_pipes(flowline: Flowline) -> list[Violation]:
                 found.append(Violation(
                     "incompatible-pipe",
                     f"task {tid!r} requires columns {missing} not supplied "
-                    f"by precursor(s) {preds}"))
+                    f"by precursor(s) {preds}", (tid,)))
         available[tid] = spec.output_columns(received)
     return found
 

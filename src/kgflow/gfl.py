@@ -210,6 +210,12 @@ class CallNode:
 _CALL_RX = re.compile(
     rf"(?P<ns>{_IDENT})\.(?P<fn>{_IDENT})"
     rf"(?:\[(?P<label>[^\]]*)\])?")
+# What follows a call's head and predicate: an optional `->` output list, an
+# optional outlet `:`, then the end; anything else is trailing text, which
+# the second branch reads without its surrounding whitespace.
+_TAIL_RX = re.compile(
+    r"\s*(?:(?P<arrow>->)(?P<outputs>.*?))?\s*(?P<outlet>:)?\s*\Z"
+    r"|\s*(?P<rest>.+?)\s*\Z", re.DOTALL)
 _BINDING_RX = re.compile(rf"^(?P<name>{_IDENT})\s*:=\s*(?P<rest>.+)$")
 _ROOT_RX = re.compile(rf"^:(?P<name>{_IDENT})\s*$")
 
@@ -236,39 +242,26 @@ def _split_call(text: str, line: int, col: int) -> CallNode:
     if label is not None and not _IDENT_RX.fullmatch(label):
         raise GflError(f"instance label {label!r} is not an identifier",
                        line, col + m.start("label"))
-    offset = m.end()
+    pos = m.end()
     predicate, names = None, frozenset()
-    if text.startswith("(", offset):
-        parser = _PredParser(text, line, col, offset)
+    if text.startswith("(", pos):
+        parser = _PredParser(text, line, col, pos)
         predicate = parser.predicate()
-        names, offset = frozenset(parser.names), parser.pos
-    rest = text[offset:]
+        names, pos = frozenset(parser.names), parser.pos
 
+    tail = _TAIL_RX.match(text, pos)
+    if tail["rest"]:
+        raise GflError(f"unexpected trailing text {tail['rest']!r}", line,
+                       col + tail.start("rest"))
     outputs: tuple[str, ...] = ()
-    stripped = rest.lstrip()
-    offset += len(rest) - len(stripped)
-    rest = stripped
-    if rest.startswith("->"):
-        rest = rest[2:]
-        is_outlet = rest.rstrip().endswith(":")
-        if is_outlet:
-            rest = rest.rstrip()[:-1]
-        outputs = tuple(n.strip() for n in rest.split(","))
+    if tail["arrow"]:
+        outputs = tuple(n.strip() for n in tail["outputs"].split(","))
         if any(not _IDENT_RX.fullmatch(n) for n in outputs):
-            raise GflError(f"bad output binding list {rest.strip()!r}",
-                           line, col + offset)
-        rest = ""
-    else:
-        is_outlet = False
-
-    rest = rest.strip()
-    if rest == ":":
-        is_outlet = True
-    elif rest:
-        raise GflError(f"unexpected trailing text {rest!r}", line, col + offset)
-
-    return CallNode(ns, fn, label, predicate, outputs, is_outlet, line, col,
-                    names)
+            raise GflError(
+                f"bad output binding list {tail['outputs'].strip()!r}", line,
+                col + tail.start("arrow"))
+    return CallNode(ns, fn, label, predicate, outputs,
+                    tail["outlet"] is not None, line, col, names)
 
 
 def _node_kind(namespace: str, function: str) -> str:
@@ -409,11 +402,11 @@ def parse(text: str) -> Flowline:
     flowline = Flowline(tuple(nodes), tuple(edges), entry.vertex_id, outlet)
     report = validate(flowline)
     if not report.ok:
-        # Point at the first vertex the finding names, else at the entry.
+        # Point at the first call among the tasks the finding names, else
+        # at the entry.
         finding = report.violations[0]
-        at = next((c for vid, c in calls.items()
-                   if f"{vid!r}" in finding.detail
-                   or f" {vid}" in finding.detail), entry)
+        at = next((c for vid, c in calls.items() if vid in finding.tasks),
+                  entry)
         raise GflError(f"invalid flowline: {finding}", at.line, at.col)
     return flowline
 

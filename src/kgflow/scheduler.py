@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import re
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from typing import Any, Collection, Mapping, Sequence
@@ -62,6 +61,7 @@ from .flowline import (
     apply_partition,
     makespan,
     n_slices,
+    natural_key,
 )
 
 
@@ -82,13 +82,7 @@ class Compound:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members,
-                                                         key=_natural_key)))
-
-
-@functools.lru_cache(maxsize=4096)
-def _natural_key(text: str):
-    return tuple(int(part) if part.isdigit() else part
-                 for part in re.split(r"(\d+)", text))
+                                                         key=natural_key)))
 
 
 def compound(flowline: Flowline) -> tuple[Compound, ...]:
@@ -109,8 +103,8 @@ def compound(flowline: Flowline) -> tuple[Compound, ...]:
         units.setdefault(head[v.id], []).append(v.id)
     orphans = units.pop(None, [])
     return (*(Compound(tuple(units[a]), a)
-              for a in sorted(units, key=lambda a: (_natural_key(a), a))),
-            *(Compound((t,), None) for t in sorted(orphans, key=_natural_key)))
+              for a in sorted(units, key=lambda a: (natural_key(a), a))),
+            *(Compound((t,), None) for t in sorted(orphans, key=natural_key)))
 
 
 def need(flowline: Flowline, tasks: Collection[str]) -> tuple[int, int]:
@@ -179,6 +173,12 @@ def _place(compiled: Sequence, ledger: Ledger) -> list[int]:
     return placed
 
 
+def _assignment(compiled: Sequence, placed: Sequence[int]) -> dict[str, int]:
+    """The task-to-VM map of a placement: each unit's members on its VM."""
+    return {m: i for (unit, _, _), i in zip(compiled, placed)
+            for m in unit.members}
+
+
 def greedy_partition(flowline: Flowline,
                      vms: Sequence[VmType]) -> dict[str, int]:
     """Assign every task to a VM index, maximizing neighbor overlap.
@@ -199,8 +199,7 @@ def greedy_partition(flowline: Flowline,
             f"no VM can host {name} (needs {cards} GPU card(s), "
             f"{cores} CPU core(s); capacities "
             f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
-    return {m: i for (unit, _, _), i in zip(compiled, placed)
-            for m in unit.members}
+    return _assignment(compiled, placed)
 
 
 @dataclass(frozen=True)
@@ -231,10 +230,6 @@ class SchedulePlan:
         """The procurement expanded, sorted by GPU capacity descending."""
         return self.procurement.expand()
 
-    @property
-    def total_unit_price(self) -> float:
-        return sum(vm.unit_price for vm in self.vms)
-
 
 def check_qualification(plan: SchedulePlan,
                         flowline: Flowline) -> QualificationReport:
@@ -256,11 +251,11 @@ def check_qualification(plan: SchedulePlan,
             unknown.append(task_id)
     uncovered = [v.id for v in flowline.vertices if v.id not in plan.assignment]
     violations = [f"task {t!r} assigned to unknown VM {plan.assignment[t]}"
-                  for t in sorted(unknown, key=_natural_key)]
+                  for t in sorted(unknown, key=natural_key)]
     violations += [f"task {t!r} is not in the flowline"
-                   for t in sorted(foreign, key=_natural_key)]
+                   for t in sorted(foreign, key=natural_key)]
     violations += [f"uncovered task {t!r}"
-                   for t in sorted(uncovered, key=_natural_key)]
+                   for t in sorted(uncovered, key=natural_key)]
     for i, (vm, (cards, cores)) in enumerate(zip(vms, ledger.room)):
         if cards < 0:
             violations.append(
@@ -283,32 +278,34 @@ def require_qualified(plan: SchedulePlan, flowline: Flowline) -> None:
 
 
 def predict_costs(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
-                  corpus_size: float, slice_size: float, eta: float,
+                  corpus_size: float, slice_size: float,
                   net: NetParams) -> dict[str, float]:
+    """A plan's per-slice makespan, corpus time and money."""
     delay = apply_partition(flowline, profile, plan.assignment, net)
     per_slice = makespan(flowline, profile, delay)
     cost_com = n_slices(corpus_size, slice_size) * per_slice
-    cost_mon = plan.total_unit_price * cost_com / 3600.0
     return {
         "makespan_s": per_slice,
         "cost_com_s": cost_com,
-        "cost_mon": cost_mon,
-        "J": objective(cost_com, cost_mon, eta),
+        "cost_mon": plan.procurement.total_price * cost_com / 3600.0,
     }
 
 
 def evaluate_plan(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
                   corpus_size: float, slice_size: float, eta: float,
                   net: NetParams | None = None) -> dict[str, float]:
-    """Analytic cost of an existing plan (must pass qualification)."""
+    """Analytic cost of an existing plan (must pass qualification), with J
+    weighting its corpus time and money by ``eta``."""
     require_qualified(plan, flowline)
     if net is None:
         net = plan.net
     if net is None:
         raise SchedulingError("no network parameters: pass net= or use a "
                               "plan that records them")
-    return predict_costs(plan, flowline, profile, corpus_size, slice_size,
-                         eta, net)
+    costs = predict_costs(plan, flowline, profile, corpus_size, slice_size,
+                          net)
+    costs["J"] = objective(costs["cost_com_s"], costs["cost_mon"], eta)
+    return costs
 
 
 def synthesize_observations(flowline: Flowline, profile: TaskProfile,
@@ -348,10 +345,9 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
             continue
         mk = makespans.get(placed)
         if mk is None:
-            mk = makespans[placed] = makespan(
-                flowline, profile, apply_partition(flowline, profile, {
-                    m: i for (unit, _, _), i in zip(compiled, placed)
-                    for m in unit.members}, net))
+            delay = apply_partition(flowline, profile,
+                                    _assignment(compiled, placed), net)
+            mk = makespans[placed] = makespan(flowline, profile, delay)
         observations.setdefault((round(price, 9), round(mk, 12)),
                                 Observation(price, mk))
     return [observations[k] for k in sorted(observations,

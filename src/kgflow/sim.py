@@ -66,12 +66,12 @@ from .flowline import (
     apply_partition,
     finish_times,
     n_slices,
+    natural_key,
 )
 from .scheduler import (
     Ledger,
     SchedulePlan,
     SchedulingError,
-    _natural_key,
     need,
     predict_costs,
     require_qualified,
@@ -214,7 +214,7 @@ def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
         end += offsets
     start.flags.writeable = end.flags.writeable = False
     total = float(left[-1]) if slices else 0.0
-    cost = plan.total_unit_price * total / 3600.0
+    cost = plan.procurement.total_price * total / 3600.0
     timeline = Timeline(order, tuple(plan.assignment[t] for t in order),
                         start, end)
     return SimResult(total, tuple(per_slice.tolist()), cost, timeline)
@@ -225,7 +225,7 @@ def timeline_to_chrome_trace(result: SimResult) -> list[dict[str, Any]]:
     ordered by start, task id in natural order and slice; events that tie
     on all three, such as tasks "a1" and "a01", keep timeline order."""
     timeline = result.timeline
-    keys = [_natural_key(task) for task in timeline.tasks]
+    keys = [natural_key(task) for task in timeline.tasks]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     start, end = timeline.start.T.ravel(), timeline.end.T.ravel()  # slice-major
     slices, tasks = np.divmod(np.arange(start.size), len(keys))
@@ -249,7 +249,7 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
     """
     types = catalog_types(catalog)
     rng = random.Random(seed)
-    tasks = sorted((v.id for v in flowline.vertices), key=_natural_key)
+    tasks = sorted((v.id for v in flowline.vertices), key=natural_key)
     n_models, n_operators = need(flowline, tasks)
     # Enough of the type with most GPUs plus of the one with most headroom.
     k_cap = max(2, n_models + 1, 1 + math.ceil(
@@ -307,7 +307,7 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
 
     ranks = _upward_ranks(flowline, profile, net)
     tasks = sorted((v.id for v in flowline.vertices),
-                   key=lambda t: (-ranks[t], _natural_key(t)))
+                   key=lambda t: (-ranks[t], natural_key(t)))
     ledger = Ledger(vms)
     assignment: dict[str, int] = {}
     finish: dict[str, float] = {}
@@ -381,10 +381,9 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
 
     # The baselines place a task only where the Ledger has room and place
     # every task, so their plans are costed without qualifying them again.
-    # The eta passed here only weights the J that is not used.
     baseline_metrics = [predict_costs(plan, flowline, profile,
                                       config.corpus_size, config.slice_size,
-                                      etas[0], net) for plan in baselines]
+                                      net) for plan in baselines]
     rows: list[SweepRow] = []
     for eta in etas:
         # schedule() qualified and costed its plan on this corpus and net.

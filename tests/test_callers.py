@@ -1,4 +1,5 @@
-"""Tooling guard: every public name in ``kgflow`` has a caller.
+"""Tooling guards: every public name in ``kgflow`` has a caller, and no
+kgflow module imports a private name from another.
 
 The scan parses ``src/kgflow/*.py`` and ``bench/*.py`` and collects every
 name the code references, as a bare name or as an attribute; an import
@@ -74,3 +75,30 @@ def test_every_public_name_has_a_caller_or_a_reason():
                   if called not in referenced}
     assert callerless == set(CALLERLESS)
     assert all(CALLERLESS.values())
+
+
+def private_imports(path: Path) -> list[str]:
+    """The underscore names ``path`` imports from a kgflow module; a
+    private module itself (``from . import _fields``) is allowed."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module is not None \
+                and (node.level or node.module.split(".")[0] == "kgflow"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_private_import_scan_sees_a_sibling_name(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from . import _fields\n"
+                      "from .scheduler import Ledger, _compile\n"
+                      "from kgflow.gfl import _IDENT\n")
+    assert private_imports(module) == ["scheduler._compile",
+                                       "kgflow.gfl._IDENT"]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    assert {path.name: names
+            for path in sorted((ROOT / "src" / "kgflow").glob("*.py"))
+            if (names := private_imports(path))} == {}

@@ -153,6 +153,42 @@ class TestValidate:
         assert report.ok
         assert any(w.code == "zero-weight-model" for w in report.warnings)
 
+    def test_entry_mismatch_names_both_ends(self):
+        fl = Flowline(vertices=(op("a"), op("b")), edges=(("a", "b"),),
+                      entry="b", exit="b")
+        [finding] = validate(fl).violations
+        assert (finding.code, finding.detail, finding.tasks) == (
+            "entry-mismatch", "declared entry 'b', found 'a'", ("b", "a"))
+
+    def test_findings_name_their_tasks(self):
+        fl = Flowline(vertices=(op("a"), op("b"), op("c", "frobnicate")),
+                      edges=(("a", "c"), ("b", "c")), entry="a", exit="a")
+        assert [(v.code, v.tasks) for v in validate(fl).violations] == [
+            ("multiple-entries", ("a", "b")),
+            ("exit-mismatch", ("a", "c")),
+            ("unknown-operator", ("c",))]
+        pipe = Flowline.build([model("ner"), op("t", function="triple")],
+                              [("ner", "t")])
+        assert [v.tasks for v in validate(pipe).violations] == [("t",)]
+
+    def test_report_text_lists_findings_then_warnings(self):
+        fl = Flowline.build([model("m"), op("o", function="frobnicate")],
+                            [("m", "o")])
+        report = validate(fl, TaskProfile({"m": 0.0, "o": 1.0}))
+        assert str(report) == (
+            "unknown-operator: task 'o': operator 'frobnicate' not registered"
+            "\nwarning: zero-weight-model: model task 'm' has weight 0")
+        assert str(validate(fig5_flowline())) == "ok"
+
+    @pytest.mark.parametrize("edges, message", [
+        ([], "cannot infer entry, candidates: ['a', 'b', 'c']"),
+        ([("a", "b"), ("a", "c")],
+         "cannot infer exit, candidates: ['b', 'c']"),
+    ])
+    def test_build_cannot_infer_an_end(self, edges, message):
+        with pytest.raises(FlowlineError, match=re.escape(message)):
+            Flowline.build([op("a"), op("b"), op("c")], edges)
+
 
 class TestMakespan:
     def test_single_vertex(self):

@@ -174,6 +174,32 @@ class TestParse:
             gfl.parse(":data\n    | opt.frobnicate:\n")
         assert (err.value.line, err.value.col) == (2, 7)
 
+    @pytest.mark.parametrize("src, line, col", [
+        (":data\n"
+         "    | opt.filter[a]\n"
+         "        | opt.relation_filter[a]:\n", 3, 11),
+        (":data\n"
+         "    | opt.filter\n"
+         "        | opt.filter[f]\n"
+         "            | opt.relation_filter:\n", 4, 15),
+    ])
+    def test_pipe_finding_points_at_the_consumer(self, src, line, col):
+        # The message names the precursor too; the consumer is the task.
+        with pytest.raises(gfl.GflError, match="incompatible-pipe") as err:
+            gfl.parse(src)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_repeated_call_with_a_conflicting_predicate(self):
+        src = (":data\n"
+               "    | opt.filter[f](a in xs)\n"
+               "        | opt.triple:\n"
+               "    | opt.filter[f](b in xs)\n")
+        with pytest.raises(gfl.GflError) as err:
+            gfl.parse(src)
+        assert err.value.message == ("conflicting predicate for repeated "
+                                     "call 'filter[f]'")
+        assert (err.value.line, err.value.col) == (4, 7)
+
     def test_binding_after_root_rejected(self):
         src = ":data\nxs := [1]\n    | opt.triple:"
         with pytest.raises(gfl.GflError):
@@ -327,6 +353,96 @@ class TestPredicates:
         assert (err.value.line, err.value.col) == (2, col)
 
 
+def reference_split_call(text: str, line: int, col: int) -> gfl.CallNode:
+    """``gfl._split_call`` as it read a call's tail before the tail pattern:
+    by stripping and slicing ``rest`` and moving ``offset`` along with it."""
+    m = gfl._CALL_RX.match(text)
+    if m is None:
+        raise gfl.GflError(f"expected a namespace.function call, got "
+                           f"{text!r}", line, col)
+    ns, fn, label = m.group("ns"), m.group("fn"), m.group("label")
+    if ns not in (gfl.NAMESPACE_MODEL, gfl.NAMESPACE_OPT):
+        raise gfl.GflError(f"unknown namespace {ns!r}", line, col)
+    if label is not None and not gfl._IDENT_RX.fullmatch(label):
+        raise gfl.GflError(f"instance label {label!r} is not an identifier",
+                           line, col + m.start("label"))
+    offset = m.end()
+    predicate, names = None, frozenset()
+    if text.startswith("(", offset):
+        parser = gfl._PredParser(text, line, col, offset)
+        predicate = parser.predicate()
+        names, offset = frozenset(parser.names), parser.pos
+    rest = text[offset:]
+
+    outputs: tuple[str, ...] = ()
+    stripped = rest.lstrip()
+    offset += len(rest) - len(stripped)
+    rest = stripped
+    if rest.startswith("->"):
+        rest = rest[2:]
+        is_outlet = rest.rstrip().endswith(":")
+        if is_outlet:
+            rest = rest.rstrip()[:-1]
+        outputs = tuple(n.strip() for n in rest.split(","))
+        if any(not gfl._IDENT_RX.fullmatch(n) for n in outputs):
+            raise gfl.GflError(f"bad output binding list {rest.strip()!r}",
+                               line, col + offset)
+        rest = ""
+    else:
+        is_outlet = False
+
+    rest = rest.strip()
+    if rest == ":":
+        is_outlet = True
+    elif rest:
+        raise gfl.GflError(f"unexpected trailing text {rest!r}", line,
+                           col + offset)
+
+    return gfl.CallNode(ns, fn, label, predicate, outputs, is_outlet, line,
+                        col, names)
+
+
+def _split_outcome(split, text):
+    try:
+        return split(text, 3, 5)
+    except gfl.GflError as err:
+        return err.message, err.line, err.col
+
+
+_CALL_HEADS = ("opt.filter", "model.BertNER", "opt.filter[f]",
+               "opt.filter[f](a in xs)", "opt.merge[re](x == 'a:b')")
+_TAIL_PIECES = (" ", "  ", "\t", "\n", "\x1c", "\u00a0", "->", "-> a", "->a,b",
+                "-> ", ", b", "b ", ",", ",,", ":", " :", "::", "-", ">",
+                "a", "x", "(", ")", "[", "a:b")
+
+
+class TestCallTail:
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(_CALL_HEADS),
+           st.lists(st.sampled_from(_TAIL_PIECES), max_size=6).map("".join))
+    def test_tail_pattern_reads_as_the_offset_code(self, head, tail):
+        # Outputs, outlet, predicate and names, or message, line and column.
+        assert _split_outcome(gfl._split_call, head + tail) == \
+            _split_outcome(reference_split_call, head + tail)
+
+    @pytest.mark.parametrize("tail, outputs, outlet", [
+        ("", (), False), (" : ", (), True), ("-> a, b", ("a", "b"), False),
+        (" ->a ,b :", ("a", "b"), True)])
+    def test_outputs_and_outlet(self, tail, outputs, outlet):
+        call = gfl._split_call("opt.filter[f](a in xs)" + tail, 2, 7)
+        assert (call.outputs, call.is_outlet) == (outputs, outlet)
+
+    @pytest.mark.parametrize("tail, message, col", [
+        (" x:", "unexpected trailing text 'x:'", 19),
+        (" ::", "unexpected trailing text '::'", 19),
+        (" -> a, :", "bad output binding list 'a,'", 19),
+        ("  -> a: b", "bad output binding list 'a: b'", 20)])
+    def test_errors_keep_their_columns(self, tail, message, col):
+        with pytest.raises(gfl.GflError) as err:
+            gfl._split_call("opt.filter[f]" + tail, 2, 5)
+        assert (err.value.message, err.value.col) == (message, col)
+
+
 def random_opt_flowline(rng: random.Random, n: int) -> Flowline:
     """Random DAG of labeled integrate operators under a data entry."""
     ids = ["data"] + [f"integrate[x{i}]" for i in range(1, n)]
@@ -394,6 +510,18 @@ class TestFormat:
         assert lines[0] == "names := ['m', 'n']" or lines[0] == "names := ['n', 'm']"
         assert lines[1].startswith("zs := ")
         assert lines[2] == ":data"
+
+
+    def test_inconsistent_bindings_rejected(self):
+        fl = Flowline.build(
+            [TaskNode("data"),
+             TaskNode("filter[a]", config={"bindings": {"xs": [1]}}),
+             TaskNode("filter[b]", config={"bindings": {"xs": [2]}})],
+            [("data", "filter[a]"), ("filter[a]", "filter[b]")])
+        with pytest.raises(gfl.GflError) as err:
+            gfl.format_flowline(fl)
+        assert err.value.message == ("binding 'xs' defined inconsistently "
+                                     "across vertices")
 
 
 class TestDot:

@@ -121,6 +121,30 @@ def test_random_catalogs_match_oracle(catalog, gpus, cpus, x0_steps):
     assert plan == oracle_procure(catalog, x0, demand)
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(catalog=small_catalogs(), gpus=st.integers(0, 3),
+       cpus=st.integers(0, 6), x0_steps=st.integers(0, 600))
+def test_plan_does_not_depend_on_how_far_the_search_looks(catalog, gpus,
+                                                          cpus, x0_steps):
+    # A search up to four times the bound procure stops at finds the same
+    # plan, so a table filled further than one call needs reads the same.
+    assume(gpus == 0 or any(v.gpu_cards for v in catalog))
+    assume(cpus == 0 or any(v.cpu_headroom for v in catalog))
+    types = sorted(catalog, key=lambda v: v.name)
+    x0 = round(min(v.unit_price for v in types) * x0_steps / 200, 4)
+    demand = ResourceDemand(gpus, cpus)
+    # procure's first bound, doubled until the cheapest feasible plan fits.
+    cheapest = procure(catalog, 0.0, demand).total_price
+    bound = max(2.0 * x0, max(v.unit_price for v in types))
+    while bound < cheapest:
+        bound *= 2.0
+    assume(math.prod(4 * bound / v.unit_price + 1 for v in types) <= 20_000)
+    assert procure(catalog, x0, demand) == _oracle_search(types, x0, demand,
+                                                          4 * bound)
+
+
 @pytest.mark.parametrize("x0", [0.0, 2.0, 5.0, 9.0])
 def test_micro_unit_catalog_matches_oracle(x0):
     # The prices' gcd is 1e-6 USD, so the bound spans ~10**7 price units,

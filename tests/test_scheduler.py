@@ -36,6 +36,7 @@ from kgflow.costmodel import (
     bundled_qcloud_catalog,
     catalog_from_dict,
     fit_price_makespan,
+    objective,
     observations_from_dict,
 )
 from kgflow.flowline import (
@@ -46,12 +47,12 @@ from kgflow.flowline import (
     TaskProfile,
     flowline_from_dict,
     flowline_to_dict,
+    natural_key,
 )
 from kgflow.scheduler import (
     Compound,
     SchedulePlan,
     SchedulingError,
-    _natural_key,
     check_qualification,
     compound,
     evaluate_plan,
@@ -59,6 +60,7 @@ from kgflow.scheduler import (
     plan_from_dict,
     plan_to_dict,
     plan_to_json,
+    predict_costs,
     schedule,
     synthesize_observations,
 )
@@ -109,7 +111,7 @@ def reference_compound(flowline):
     topological order for each model, taking an operator when it has
     precursors and all of them are members."""
     units, captured = [], set()
-    for anchor in sorted(sorted(flowline.models), key=_natural_key):
+    for anchor in sorted(sorted(flowline.models), key=natural_key):
         members = {anchor}
         for task in flowline.topological_order:
             preds = flowline.predecessors[task]
@@ -120,7 +122,7 @@ def reference_compound(flowline):
         captured |= members
     units += (Compound((task,), None)
               for task in sorted((v.id for v in flowline.vertices
-                                  if v.id not in captured), key=_natural_key))
+                                  if v.id not in captured), key=natural_key))
     return tuple(units)
 
 
@@ -363,6 +365,14 @@ class TestSchedule:
         assert plan.vms[0].cpu_cores >= 5
         assert set(plan.assignment.values()) == {0}
 
+    def test_cpu_only_flowline_no_vm_can_hold(self):
+        fl, profile = cpu_only_flowline()
+        catalog = [VmType("small", 4, 0, 1.0), VmType("gpu", 4, 1, 2.0)]
+        with pytest.raises(SchedulingError) as err:
+            schedule(fl, profile, catalog, 0.5, NET)
+        assert str(err.value) == ("no catalog VM has 5 spare CPU cores for a "
+                                  "CPU-only flowline")
+
     @pytest.mark.parametrize("shape", ["3m6o", "cpu-only"])
     @pytest.mark.parametrize("catalog, message", [
         ([], "empty catalog"),
@@ -392,7 +402,7 @@ class TestSchedule:
         plan = schedule(nine_task_flowline(), nine_task_profile(),
                         bundled_qcloud_catalog(), 0.5, NET, fit=PAPER_CURVE)
         assert plan.procurement.describe() == "2XLARGE40 x1 + 5XLARGE80 x1"
-        assert plan.total_unit_price == pytest.approx(35.94)
+        assert plan.procurement.total_price == pytest.approx(35.94)
         vm0 = {t for t, i in plan.assignment.items() if i == 0}
         assert vm0 == {"1", "2", "3", "4", "5", "6", "8", "9"}
 
@@ -401,7 +411,7 @@ class TestSchedule:
         plan = schedule(nine_task_flowline(), nine_task_profile(),
                         bundled_qcloud_catalog(), 1e-9, NET, fit=steep)
         # x0 -> c drives the knapsack to the cheapest feasible price.
-        assert plan.total_unit_price == pytest.approx(35.94)
+        assert plan.procurement.total_price == pytest.approx(35.94)
 
     def test_deterministic_byte_identical(self):
         args = (nine_task_flowline(), nine_task_profile(),
@@ -510,6 +520,29 @@ class TestEvaluatePlan:
             b = eta * 12.0 + (1 - eta) * 4.0
             assert a < b
 
+    def test_plan_without_a_network_rejected(self):
+        fl = Flowline.build([op("w")], [])
+        vms = tuple(qcloud_vms("2XLARGE40"))
+        plan = SchedulePlan(ProcurementPlan.of(vms), {"w": 0}, 0.5)
+        with pytest.raises(SchedulingError) as err:
+            evaluate_plan(plan, fl, TaskProfile({"w": 1.0}), 200, 200, 0.5)
+        assert str(err.value) == ("no network parameters: pass net= or use a "
+                                  "plan that records them")
+
+    def test_j_weights_the_predicted_costs_by_eta(self):
+        fl, profile = nine_task_flowline(), nine_task_profile()
+        plan = schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET,
+                        fit=PAPER_CURVE)
+        costs = predict_costs(plan, fl, profile, 8000, 200, NET)
+        assert list(costs) == ["makespan_s", "cost_com_s", "cost_mon"]
+        assert costs["cost_mon"] == (plan.procurement.total_price
+                                     * costs["cost_com_s"] / 3600.0)
+        for eta in (0.1, 0.5, 0.9):
+            assert evaluate_plan(plan, fl, profile, 8000, 200, eta) == {
+                **costs, "J": objective(costs["cost_com_s"],
+                                        costs["cost_mon"], eta)}
+        assert list(plan.predictions) == [*costs, "J"]
+
     def test_unqualified_plan_rejected(self):
         fl = Flowline.build(
             [op("s", "data"), model("a"), model("b"), op("t")],
@@ -555,7 +588,8 @@ class TestPlanSerialization:
         doc = json.loads(plan_to_json(plan))
         plan2 = plan_from_dict(doc)
         assert plan2.assignment == dict(plan.assignment)
-        assert plan2.total_unit_price == pytest.approx(plan.total_unit_price)
+        assert plan2.procurement.total_price == pytest.approx(
+            plan.procurement.total_price)
         assert plan_to_dict(plan2)["procurement"] == doc["procurement"]
         assert plan_to_json(plan2) == plan_to_json(plan)
 

@@ -32,11 +32,11 @@ from kgflow.flowline import (
     apply_partition,
     makespan,
     n_slices,
+    natural_key,
 )
 from kgflow.scheduler import (
     MakespanPriceFit,
     SchedulePlan,
-    _natural_key,
     SchedulingError,
     check_qualification,
     evaluate_plan,
@@ -391,7 +391,7 @@ class TestTimeline:
 def reference_chrome_trace(result):
     """The export as it was when it sorted the events themselves."""
     events = []
-    for ev in sorted(result.timeline, key=lambda e: (e.start, _natural_key(e.task),
+    for ev in sorted(result.timeline, key=lambda e: (e.start, natural_key(e.task),
                                                     e.slice_index)):
         events.append({
             "name": f"{ev.task}#{ev.slice_index}",
@@ -571,6 +571,19 @@ class TestBaselineList:
                             [("a", "b")])
         profile = TaskProfile({"a": 1.0, "b": 1.0}, {("a", "b"): 1e5})
         plan = baseline_list(fl, profile, bundled_qcloud_catalog(), NET)
+        assert check_qualification(plan, fl).ok
+
+    def test_rank_order_that_is_not_topological(self):
+        # a ties b's rank and sorts first, so a is placed before its
+        # precursor b, which its ready time then leaves out.
+        fl = Flowline.build([model("m0"), op("b", "filter"), op("a", "merge")],
+                            [("m0", "b"), ("b", "a")])
+        profile = TaskProfile({"m0": 1.0, "b": 0.0, "a": 0.0})
+        net = NetParams(0.0, 1e9)
+        ranks = _upward_ranks(fl, profile, net)
+        assert sorted(ranks, key=lambda t: (-ranks[t], natural_key(t))) == [
+            "m0", "a", "b"]
+        plan = baseline_list(fl, profile, bundled_qcloud_catalog(), net)
         assert check_qualification(plan, fl).ok
 
 
