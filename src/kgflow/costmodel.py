@@ -15,7 +15,9 @@ grid). Its table has a row per plan price that some multiset reaches under
 a bound of about 2 * x0: at most bound/unit rows, and never more than there
 are multisets. It costs O(rows * (gpus + 1) * (cpus + 1)) per VM type for a
 demand of that many GPU cards and cores, and stops with an error past a
-fixed memory budget.
+fixed memory budget. A ``PlanTable`` keeps that table for one catalog and
+demand, so that procuring at several targets, as an eta sweep does, fills
+it once and grows it only when a target needs a larger bound.
 
 Unit warning: processing time is in seconds and money in currency units, so
 the weighted objective mixes incommensurate quantities. ``objective`` applies
@@ -340,8 +342,8 @@ def normalized_objectives(costs: Sequence[tuple[float, float]],
     return [eta * c + (1.0 - eta) * m for c, m in zip(coms, mons)]
 
 
-def procure(catalog: Sequence[VmType], x0: float,
-            demand: ResourceDemand) -> ProcurementPlan:
+def procure(catalog: Sequence[VmType], x0: float, demand: ResourceDemand,
+            table: PlanTable | None = None) -> ProcurementPlan:
     """Instance multiset closest in total unit price to x0 meeting demand.
 
     Feasibility: total GPU cards >= demand.gpus and total CPU headroom
@@ -350,54 +352,124 @@ def procure(catalog: Sequence[VmType], x0: float,
     count (high-end instances beat stacks of divided low-end ones), then
     lexicographic names.
 
-    Exact unbounded-knapsack dynamic program over integer prices. The price
-    unit is the gcd of the catalog prices, which must lie on a 10**-6 grid:
-    0.002 USD for g4dn, 11.98 CNY for qCloud. The table has one row per
-    plan price that some multiset reaches, so it never has more rows than
-    there are price units up to the bound, nor more than there are
-    multisets. Entry ``[r, g, c]`` holds the fewest instances priced
-    exactly at row r's price with at least ``g`` GPU cards and ``c``
-    headroom cores, g and c capped at the demand. Plans are searched up to
-    a price bound of max(2*x0, dearest unit price), doubled while nothing
-    fits; one pass costs O(rows * (demand.gpus + 1) * (demand.cpus + 1))
-    per VM type. A pass whose table would outgrow ``_MAX_TABLE_BYTES``
-    raises ``CostModelError`` instead.
+    The search is ``PlanTable.closest``. Callers that procure for one
+    catalog and demand at several targets pass one ``table`` to every call,
+    so its dynamic program is filled once and grown only when a target
+    needs a larger bound; a table built for another catalog or demand
+    raises CostModelError. Without one, each call fills its own.
     """
+    if table is None:
+        return PlanTable(catalog, demand).closest(x0)
     types = catalog_types(catalog)
-    if not math.isfinite(x0):
-        raise CostModelError(f"target price x0 must be finite, got {x0}")
-    names = [v.name for v in types]
-    if ((demand.gpus and not any(v.gpu_cards for v in types))
-            or (demand.cpus and not any(v.cpu_headroom for v in types))):
-        raise CostModelError(f"demand {demand} infeasible with catalog "
-                             f"{names}: no VM type supplies it")
-    micros = _micro_prices(types)
-    unit = math.gcd(*micros)
-    weights = [m // unit for m in micros]
-    # A table row: its entries plus one predecessor index per VM type.
-    row_bytes = 4 * (demand.gpus + 1) * (demand.cpus + 1) + 8 * len(types)
-    max_rows = _MAX_TABLE_BYTES // row_bytes
-    bound = max(2.0 * x0, max(v.unit_price for v in types))
-    for _ in range(16):
-        # The epsilon keeps a plan priced exactly at the bound in range.
-        prices = _reachable_prices(weights, int(bound * 1e6 / unit + 1e-9),
-                                   max_rows)
+    if table.types != types or table.demand != demand:
+        raise CostModelError(
+            f"procurement table for demand {table.demand} and catalog "
+            f"{[v.name for v in table.types]} cannot serve demand {demand} "
+            f"with catalog {[v.name for v in types]}")
+    return table.closest(x0)
+
+
+class PlanTable:
+    """The procurement search of one catalog and demand, kept between
+    targets: an exact unbounded-knapsack dynamic program over integer
+    prices.
+
+    The price unit is the gcd of the catalog prices, which must lie on a
+    10**-6 grid: 0.002 USD for g4dn, 11.98 CNY for qCloud. The table has one
+    row per plan price that some multiset reaches, so it never has more
+    rows than there are price units up to its bound, nor more than there
+    are multisets. Entry ``[r, g, c]`` holds the fewest instances priced
+    exactly at row r's price with at least ``g`` GPU cards and ``c``
+    headroom cores, g and c capped at the demand, and one predecessor row
+    per VM type leads back from it. A row and its predecessors depend only
+    on the prices below it, never on the bound, so a table filled to a
+    bound holds, in its rows up to any smaller bound, exactly the table a
+    fresh fill to that bound makes. A fill costs
+    O(rows * (demand.gpus + 1) * (demand.cpus + 1)) per VM type; one whose
+    table would outgrow ``_MAX_TABLE_BYTES`` raises ``CostModelError``.
+    """
+
+    def __init__(self, catalog: Iterable[VmType], demand: ResourceDemand):
+        self.types = types = catalog_types(catalog)
+        self.demand = demand
+        if ((demand.gpus and not any(v.gpu_cards for v in types))
+                or (demand.cpus and not any(v.cpu_headroom for v in types))):
+            raise CostModelError(
+                f"demand {demand} infeasible with catalog "
+                f"{[v.name for v in types]}: no VM type supplies it")
+        micros = _micro_prices(types)
+        self._unit = math.gcd(*micros)
+        self._weights = [m // self._unit for m in micros]
+        # A table row: its entries plus one predecessor index per VM type.
+        row_bytes = 4 * (demand.gpus + 1) * (demand.cpus + 1) + 8 * len(types)
+        self._max_rows = _MAX_TABLE_BYTES // row_bytes
+        self._limit = -1  # the bound filled so far, in price units
+        self._prices = np.zeros(0, dtype=np.int64)
+        self._table = self._preds = None
+        # Per row, the optimal multisets priced there; a fill to a larger
+        # bound keeps every row's index and entries, so they stay valid.
+        self._multisets: dict[int, list[tuple[int, ...]]] = {}
+
+    def closest(self, x0: float) -> ProcurementPlan:
+        """``procure``'s plan for target x0. Plans are searched up to a
+        price bound of max(2*x0, dearest unit price), doubled while nothing
+        fits, reading only the rows up to the bound; the table is filled
+        further only when the bound passes what it holds."""
+        if not math.isfinite(x0):
+            raise CostModelError(f"target price x0 must be finite, got {x0}")
+        types, unit = self.types, self._unit
+        bound = max(2.0 * x0, max(v.unit_price for v in types))
+        for _ in range(16):
+            # The epsilon keeps a plan priced exactly at the bound in range.
+            limit = int(bound * 1e6 / unit + 1e-9)
+            if limit > self._limit:
+                self._fill(limit, bound)
+            best = self._best(int(np.searchsorted(self._prices, limit,
+                                                  "right")), x0)
+            if best is not None:
+                return best
+            bound *= 2.0
+        raise CostModelError(
+            f"demand {self.demand} infeasible with catalog "
+            f"{[v.name for v in types]} (searched up to price {bound:.2f})")
+
+    def _best(self, rows: int, x0: float) -> ProcurementPlan | None:
+        """The best plan priced at one of the first ``rows`` rows; None when
+        none of them meets the demand. A row's optimal multisets do not
+        depend on x0, so each row is walked back once."""
+        demand, types = self.demand, self.types
+        counts = self._table[:rows, demand.gpus, demand.cpus]
+        feasible = np.flatnonzero(counts < _UNREACHED)
+        if not len(feasible):
+            return None
+        gaps = np.abs(self._prices[feasible] * (self._unit / 1e6) - x0)
+        # Rows whose rounded gap can tie the smallest one.
+        near = feasible[gaps <= gaps.min() + 2e-9]
+        best_key = best_counts = None
+        for r in near.tolist():
+            if r not in self._multisets:
+                self._multisets[r] = _optimal_multisets(
+                    self._table, self._preds, types, demand, r,
+                    int(counts[r]))
+            for plan_counts in self._multisets[r]:
+                plan_key = _plan_key(types, plan_counts, x0)
+                if best_key is None or plan_key < best_key:
+                    best_key, best_counts = plan_key, plan_counts
+        return ProcurementPlan(tuple((vm, n) for vm, n in
+                                     zip(types, best_counts) if n > 0))
+
+    def _fill(self, limit: int, bound: float) -> None:
+        prices = _reachable_prices(self._weights, limit, self._max_rows)
         if prices is None:
             raise CostModelError(
-                f"procurement table for demand {demand} outgrows "
-                f"{_MAX_TABLE_BYTES >> 20} MB: more than {max_rows} distinct "
-                f"plan prices up to {bound:.2f} at a price unit of "
-                f"{unit / 1e6:g} {types[0].currency}; lower x0 or quote "
-                "prices on a coarser grid")
-        table, preds = _fewest_instances(types, weights, demand, prices)
-        best = _closest_plan(types, demand, prices, table, preds, x0,
-                             unit / 1e6)
-        if best is not None:
-            return best
-        bound *= 2.0
-    raise CostModelError(
-        f"demand {demand} infeasible with catalog {names} "
-        f"(searched up to price {bound:.2f})")
+                f"procurement table for demand {self.demand} outgrows "
+                f"{_MAX_TABLE_BYTES >> 20} MB: more than {self._max_rows} "
+                f"distinct plan prices up to {bound:.2f} at a price unit of "
+                f"{self._unit / 1e6:g} {self.types[0].currency}; lower x0 or "
+                "quote prices on a coarser grid")
+        self._table, self._preds = _fewest_instances(
+            self.types, self._weights, self.demand, prices)
+        self._prices, self._limit = prices, limit
 
 
 def catalog_types(catalog: Iterable[VmType]) -> tuple[VmType, ...]:
@@ -483,28 +555,6 @@ def _fewest_instances(types: Sequence[VmType], weights: Sequence[int],
             src = flat.take(pred[lo:hi], axis=0).take(need, axis=1)
             np.minimum(block, src + 1, out=block)
     return table, preds
-
-
-def _closest_plan(types: Sequence[VmType], demand: ResourceDemand,
-                  prices: np.ndarray, table: np.ndarray,
-                  preds: Sequence[np.ndarray], x0: float,
-                  unit: float) -> ProcurementPlan | None:
-    counts = table[:-1, demand.gpus, demand.cpus]
-    feasible = np.flatnonzero(counts < _UNREACHED)
-    if not len(feasible):
-        return None
-    gaps = np.abs(prices[feasible] * unit - x0)
-    # Rows whose rounded gap can tie the smallest one.
-    near = feasible[gaps <= gaps.min() + 2e-9]
-    best_key = best_counts = None
-    for r in near.tolist():
-        for plan_counts in _optimal_multisets(table, preds, types, demand, r,
-                                              int(counts[r])):
-            plan_key = _plan_key(types, plan_counts, x0)
-            if best_key is None or plan_key < best_key:
-                best_key, best_counts = plan_key, plan_counts
-    return ProcurementPlan(tuple((vm, n) for vm, n in zip(types, best_counts)
-                                 if n > 0))
 
 
 def _optimal_multisets(table: np.ndarray, preds: Sequence[np.ndarray],

@@ -160,6 +160,11 @@ class Flowline:
         return tuple(order)
 
     @cached_property
+    def natural_order(self) -> tuple[str, ...]:
+        """The task ids sorted by ``natural_key``, ties in vertex order."""
+        return tuple(sorted((v.id for v in self.vertices), key=natural_key))
+
+    @cached_property
     def models(self) -> frozenset[str]:
         """The ids of the model tasks."""
         return frozenset(v.id for v in self.vertices if v.is_model)
@@ -296,7 +301,8 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
     try:
         flowline.topological_order  # sorted once, then cached
     except FlowlineError:
-        violations.append(Violation("cycle", "flowline contains a directed cycle"))
+        violations.append(Violation("cycle", "flowline contains a directed "
+                                    "cycle", _on_cycles(flowline)))
 
     for v in sorted(flowline.vertices, key=lambda v: v.id):
         family = getattr(registry.spec(v.function), "family", None)
@@ -323,6 +329,18 @@ def validate(flowline: Flowline, profile: TaskProfile | None = None) -> Validati
                     (v.id,)))
 
     return ValidationReport(tuple(violations), tuple(warnings))
+
+
+def _on_cycles(flowline: Flowline) -> tuple[str, ...]:
+    """The tasks on a directed cycle or on a path between two: those the
+    topological sort leaves unsorted, less those that lead to no cycle.
+    Tasks without a precursor among those left are peeled off until none
+    is, then tasks without a successor among them."""
+    left = set(flowline.by_id)
+    for links in (flowline.predecessors, flowline.successors):
+        while peel := {t for t in left if left.isdisjoint(links[t])}:
+            left -= peel
+    return tuple(sorted(left, key=lambda t: (natural_key(t), t)))
 
 
 def _check_pipes(flowline: Flowline) -> list[Violation]:

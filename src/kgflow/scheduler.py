@@ -37,11 +37,14 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from typing import Any, Collection, Mapping, Sequence
 
+import numpy as np
+
 from . import _fields
 from .costmodel import (
     CostModelError,
     MakespanPriceFit,
     Observation,
+    PlanTable,
     Preference,
     ProcurementPlan,
     ResourceDemand,
@@ -59,6 +62,7 @@ from .flowline import (
     NetParams,
     TaskProfile,
     apply_partition,
+    finish_times,
     makespan,
     n_slices,
     natural_key,
@@ -128,16 +132,27 @@ class Ledger:
 
     def __init__(self, vms: Sequence[VmType]):
         self.room = [(vm.gpu_cards, vm.cpu_headroom) for vm in vms]
+        # Per demand asked for, the VMs with room for it; room only shrinks.
+        self._fitting: dict[tuple[int, int], list[int]] = {}
 
     def fitting(self, demand: tuple[int, int]) -> list[int]:
-        """The indices, ascending, of the VMs with room for ``demand``."""
-        cards, cores = demand
-        return [i for i, (c, o) in enumerate(self.room)
+        """The indices, ascending, of the VMs with room for ``demand``. The
+        list is the ledger's own, kept current by ``take``: read it, do not
+        change it."""
+        found = self._fitting.get(demand)
+        if found is None:
+            cards, cores = demand
+            found = self._fitting[demand] = [
+                i for i, (c, o) in enumerate(self.room)
                 if cards <= c and cores <= o]
+        return found
 
     def take(self, i: int, demand: tuple[int, int]) -> None:
         cards, cores = self.room[i]
-        self.room[i] = (cards - demand[0], cores - demand[1])
+        self.room[i] = cards, cores = cards - demand[0], cores - demand[1]
+        for (c, o), found in self._fitting.items():
+            if (c > cards or o > cores) and i in found:
+                found.remove(i)
 
 
 def _compile(flowline: Flowline) -> list:
@@ -282,13 +297,45 @@ def predict_costs(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
                   net: NetParams) -> dict[str, float]:
     """A plan's per-slice makespan, corpus time and money."""
     delay = apply_partition(flowline, profile, plan.assignment, net)
-    per_slice = makespan(flowline, profile, delay)
-    cost_com = n_slices(corpus_size, slice_size) * per_slice
+    return _costs(plan, n_slices(corpus_size, slice_size),
+                  makespan(flowline, profile, delay))
+
+
+def _costs(plan: SchedulePlan, slices: int,
+           makespan_s: float) -> dict[str, float]:
+    cost_com = slices * makespan_s
     return {
-        "makespan_s": per_slice,
+        "makespan_s": makespan_s,
         "cost_com_s": cost_com,
         "cost_mon": plan.procurement.total_price * cost_com / 3600.0,
     }
+
+
+def predict_many(plans: Sequence[SchedulePlan], flowline: Flowline,
+                 profile: TaskProfile, corpus_size: float, slice_size: float,
+                 net: NetParams) -> list[dict[str, float]]:
+    """``predict_costs`` of each plan, equal to it bit for bit, from one
+    columnar pass of ``finish_times``: each task's VM is a column over the
+    plans, so each edge's delay is one too, its transfer time where the
+    plan cuts the edge and 0 where it does not."""
+    profile.check_covers(flowline)
+    slices = n_slices(corpus_size, slice_size)
+    order = flowline.topological_order
+    try:
+        vm = {t: np.array([plan.assignment[t] for plan in plans])
+              for t in order}
+    except KeyError:  # the first such plan's error, as predict_costs gives
+        for plan in plans:
+            apply_partition(flowline, profile, plan.assignment, net)
+        raise
+    delay = {(a, b): np.where(vm[a] != vm[b],
+                              net.transfer_time(profile.payload((a, b))), 0.0)
+             for a, b in flowline.edges}
+    weights = {t: profile.weight(t) for t in order}
+    _, ft = finish_times(order, flowline.predecessors, weights, delay,
+                         columns=True)
+    per_slice = np.broadcast_to(ft[flowline.exit], (len(plans),)).tolist()
+    return [_costs(plan, slices, mk) for plan, mk in zip(plans, per_slice)]
 
 
 def evaluate_plan(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
@@ -371,13 +418,15 @@ def schedule(flowline: Flowline, profile: TaskProfile,
              catalog: Sequence[VmType], eta: float, net: NetParams, *,
              fit: MakespanPriceFit | None = None,
              observations: Sequence[Observation] | None = None,
-             corpus_size: float = 8000, slice_size: float = 200
-             ) -> SchedulePlan:
+             corpus_size: float = 8000, slice_size: float = 200,
+             table: PlanTable | None = None) -> SchedulePlan:
     """Full scheduling pipeline; returns a qualified plan with predictions.
 
     The price-to-makespan curve comes from, in order of preference: an
     explicit ``fit``, explicit warm-up ``observations``, or observations
     synthesized from the profile by enumerating candidate procurements.
+    A ``table`` for the catalog and the flowline's demand is searched and
+    grown in place of a fresh one, so that calls at several etas share it.
     """
     Preference(eta)
     profile.check_covers(flowline)
@@ -400,7 +449,8 @@ def schedule(flowline: Flowline, profile: TaskProfile,
                    if observations is not None
                    else synthesized_fit(flowline, profile, types, net))
         x0 = optimal_unit_price(fit, Preference(eta))
-        procurement = procure(types, x0, ResourceDemand(cards, cores))
+        procurement = procure(types, x0, ResourceDemand(cards, cores),
+                              table=table)
         assignment = greedy_partition(flowline, procurement.expand())
 
     plan = SchedulePlan(procurement, assignment, eta, net)

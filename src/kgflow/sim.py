@@ -50,6 +50,7 @@ import numpy as np
 from . import _fields
 from .costmodel import (
     CostModelError,
+    PlanTable,
     Preference,
     ProcurementPlan,
     ResourceDemand,
@@ -73,7 +74,7 @@ from .scheduler import (
     SchedulePlan,
     SchedulingError,
     need,
-    predict_costs,
+    predict_many,
     require_qualified,
     schedule,
     synthesized_fit,
@@ -249,7 +250,7 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
     """
     types = catalog_types(catalog)
     rng = random.Random(seed)
-    tasks = sorted((v.id for v in flowline.vertices), key=natural_key)
+    tasks = list(flowline.natural_order)
     n_models, n_operators = need(flowline, tasks)
     # Enough of the type with most GPUs plus of the one with most headroom.
     k_cap = max(2, n_models + 1, 1 + math.ceil(
@@ -295,14 +296,15 @@ def _upward_ranks(flowline: Flowline, profile: TaskProfile,
 
 
 def baseline_list(flowline: Flowline, profile: TaskProfile,
-                  catalog: Sequence[VmType],
-                  net: NetParams | None = None) -> SchedulePlan:
+                  catalog: Sequence[VmType], net: NetParams | None = None,
+                  table: PlanTable | None = None) -> SchedulePlan:
     """List scheduler: upward-rank order, earliest-finish-time placement,
-    over the cheapest feasible procurement."""
+    over the cheapest feasible procurement, searched in ``table`` when one
+    is given for the catalog and the flowline's demand."""
     net = net or NetParams()
     profile.check_covers(flowline)
     demand = ResourceDemand(*need(flowline, flowline.by_id))
-    procurement = procure(catalog, 0.0, demand)
+    procurement = procure(catalog, 0.0, demand, table=table)
     vms = procurement.expand()
 
     ranks = _upward_ranks(flowline, profile, net)
@@ -366,30 +368,36 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     Each eta cell evaluates every candidate plan analytically, min-max
     normalizes (cost_com, cost_mon) over the whole cell, and weights them
     into J. The random row reports medians over ``config.random_plans``
-    seeded plans. The price-to-makespan curve and the baselines' costs do
-    not depend on eta, so they are computed once and shared by every cell.
+    seeded plans. What does not depend on eta is done once and shared by
+    every cell: the price-to-makespan curve; one ``PlanTable`` for the
+    catalog and the flowline's demand, which the list baseline and every
+    eta's ``schedule`` procure from; and the baselines' costs, from one
+    columnar ``predict_many`` pass.
     """
     if not etas:
         raise CostModelError("empty eta list")
     for eta in etas:  # before any warm-up work
         Preference(eta)
     net = config.net
-    baselines = [baseline_list(flowline, profile, catalog, net)]
+    plan_table = PlanTable(catalog, ResourceDemand(*need(flowline,
+                                                         flowline.by_id)))
+    baselines = [baseline_list(flowline, profile, catalog, net, plan_table)]
     baselines += [baseline_random(flowline, catalog, config.seed + i, net)
                   for i in range(config.random_plans)]
     fit = synthesized_fit(flowline, profile, catalog, net)
 
     # The baselines place a task only where the Ledger has room and place
     # every task, so their plans are costed without qualifying them again.
-    baseline_metrics = [predict_costs(plan, flowline, profile,
-                                      config.corpus_size, config.slice_size,
-                                      net) for plan in baselines]
+    baseline_metrics = predict_many(baselines, flowline, profile,
+                                    config.corpus_size, config.slice_size,
+                                    net)
     rows: list[SweepRow] = []
     for eta in etas:
         # schedule() qualified and costed its plan on this corpus and net.
         predicted = schedule(flowline, profile, catalog, eta, net, fit=fit,
                              corpus_size=config.corpus_size,
-                             slice_size=config.slice_size).predictions
+                             slice_size=config.slice_size,
+                             table=plan_table).predictions
         metrics = [predicted] + baseline_metrics
         js = normalized_objectives(
             [(m["cost_com_s"], m["cost_mon"]) for m in metrics], eta)

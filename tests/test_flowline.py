@@ -120,6 +120,15 @@ class TestValidate:
         codes = {v.code for v in report.violations}
         assert "cycle" in codes
 
+    def test_cycle_finding_names_the_tasks_on_it(self):
+        # s feeds the cycle a -> b -> c -> a and t hangs off it: neither is
+        # on the cycle, though the topological sort leaves t unsorted too.
+        fl = Flowline(vertices=tuple(op(t) for t in "sabct"),
+                      edges=(("s", "a"), ("a", "b"), ("b", "c"), ("c", "a"),
+                             ("c", "t")), entry="s", exit="t")
+        (cycle,) = [v for v in validate(fl).violations if v.code == "cycle"]
+        assert cycle.tasks == ("a", "b", "c")
+
     def test_unreachable_vertex(self):
         fl = Flowline(vertices=(op("a"), op("b"), op("c"), op("d")),
                       edges=(("a", "b"), ("c", "b")), entry="a", exit="b")

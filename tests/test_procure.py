@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kgflow.costmodel import (
     CostModelError,
+    PlanTable,
     ProcurementPlan,
     ResourceDemand,
     VmType,
@@ -143,6 +144,56 @@ def test_plan_does_not_depend_on_how_far_the_search_looks(catalog, gpus,
     assume(math.prod(4 * bound / v.unit_price + 1 for v in types) <= 20_000)
     assert procure(catalog, x0, demand) == _oracle_search(types, x0, demand,
                                                           4 * bound)
+
+
+def _shared_table_plans(catalog, demand, targets):
+    """procure's plan at each target in turn, all from one table."""
+    table = PlanTable(catalog, demand)
+    return [procure(catalog, x0, demand, table=table) for x0 in targets]
+
+
+@settings(max_examples=40, deadline=None)
+@given(catalog_name=st.sampled_from(sorted(CATALOGS)), data=st.data())
+def test_shared_table_matches_fresh_procure_on_bundled_catalogs(catalog_name,
+                                                               data):
+    # Any order of the oracle-checked targets: large before small reads a
+    # prefix of the table, small before large grows it, and on qcloud the
+    # (9, 9) demand doubles the bound of a small target before a plan fits.
+    catalog = CATALOGS[catalog_name]()
+    targets = data.draw(st.permutations(
+        [x0 for name, x0 in GRID_X0 if name == catalog_name]))
+    demand = ResourceDemand(*data.draw(st.sampled_from(GRID_DEMANDS
+                                                       + [(9, 9)])))
+    assert _shared_table_plans(catalog, demand, targets) == [
+        procure(catalog, x0, demand) for x0 in targets]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(catalog=small_catalogs(), gpus=st.integers(0, 4),
+       cpus=st.integers(0, 8),
+       x0_steps=st.lists(st.integers(0, 1200), min_size=1, max_size=5))
+def test_shared_table_matches_fresh_procure_on_random_catalogs(
+        catalog, gpus, cpus, x0_steps):
+    assume(gpus == 0 or any(v.gpu_cards for v in catalog))
+    assume(cpus == 0 or any(v.cpu_headroom for v in catalog))
+    cheapest = min(v.unit_price for v in catalog)
+    targets = [round(cheapest * steps / 200, 4) for steps in x0_steps]
+    demand = ResourceDemand(gpus, cpus)
+    assert _shared_table_plans(catalog, demand, targets) == [
+        procure(catalog, x0, demand) for x0 in targets]
+
+
+def test_table_for_another_catalog_or_demand_is_refused():
+    catalog = bundled_g4dn_catalog()
+    table = PlanTable(catalog, ResourceDemand(3, 7))
+    with pytest.raises(CostModelError, match="cannot serve demand"):
+        procure(catalog, 2.0, ResourceDemand(3, 8), table=table)
+    with pytest.raises(CostModelError, match="cannot serve demand"):
+        procure(catalog[1:], 2.0, ResourceDemand(3, 7), table=table)
+    # The catalog's row order does not matter: a table holds it by name.
+    assert (procure(catalog[::-1], 2.0, ResourceDemand(3, 7), table=table)
+            == procure(catalog, 2.0, ResourceDemand(3, 7)))
 
 
 @pytest.mark.parametrize("x0", [0.0, 2.0, 5.0, 9.0])

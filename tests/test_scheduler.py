@@ -51,6 +51,7 @@ from kgflow.flowline import (
 )
 from kgflow.scheduler import (
     Compound,
+    Ledger,
     SchedulePlan,
     SchedulingError,
     check_qualification,
@@ -61,6 +62,7 @@ from kgflow.scheduler import (
     plan_to_dict,
     plan_to_json,
     predict_costs,
+    predict_many,
     schedule,
     synthesize_observations,
 )
@@ -265,6 +267,35 @@ class TestGreedyPartition:
             plan = SchedulePlan(procurement=ProcurementPlan.of(vms),
                                 assignment=assignment, eta=0.5)
             assert check_qualification(plan, fl).ok
+
+
+class TestLedger:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                    min_size=1, max_size=6), st.data())
+    def test_fitting_matches_a_scan_after_any_takes(self, shapes, data):
+        # Takes may overdraw a VM, as check_qualification's do; a demand
+        # first asked for after some takes must see them too.
+        vms = [VmType(f"v{i}", max(cards + spare, 1), cards, 1.0)
+               for i, (cards, spare) in enumerate(shapes)]
+        ledger = Ledger(vms)
+        room = [[vm.gpu_cards, vm.cpu_headroom] for vm in vms]
+        demands = st.tuples(st.integers(0, 3), st.integers(0, 4))
+        asked = set()
+        for _ in range(data.draw(st.integers(0, 16))):
+            if data.draw(st.booleans()):
+                asked.add(data.draw(demands))
+            else:
+                i, (cards, cores) = (data.draw(st.integers(0, len(vms) - 1)),
+                                     data.draw(demands))
+                ledger.take(i, (cards, cores))
+                room[i][0] -= cards
+                room[i][1] -= cores
+            assert ledger.room == [tuple(r) for r in room]
+            for cards, cores in asked:
+                assert ledger.fitting((cards, cores)) == [
+                    i for i, (c, o) in enumerate(room)
+                    if cards <= c and cores <= o]
 
 
 class TestCheckQualification:
@@ -491,6 +522,44 @@ class TestSchedule:
             fl, profile = flowline_from_dict(doc)
             schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET,
                      fit=PAPER_CURVE)
+
+
+class TestPredictMany:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(EXPERIMENT_SHAPES),
+           st.sampled_from([bundled_qcloud_catalog, bundled_g4dn_catalog]),
+           st.floats(0.0, 1.0), st.floats(1e5, 1e10),
+           st.integers(0, 20_000), st.integers(1, 500), st.integers(0, 99))
+    def test_equals_predict_costs_plan_by_plan(self, shape, catalog, latency,
+                                               bandwidth, corpus, size, seed):
+        fl, profile = synthetic_flowline(*shape, seed=seed)
+        net = NetParams(latency, bandwidth)
+        plans = [baseline_list(fl, profile, catalog(), net)]
+        plans += [baseline_random(fl, catalog(), seed + i, net)
+                  for i in range(8)]
+        assert predict_many(plans, fl, profile, corpus, size, net) == [
+            predict_costs(plan, fl, profile, corpus, size, net)
+            for plan in plans]
+
+    def test_single_task_and_no_plans(self):
+        fl = Flowline.build([op("only")], [])
+        profile = TaskProfile({"only": 0.25})
+        plan = SchedulePlan(ProcurementPlan.of(qcloud_vms("2XLARGE40")),
+                            {"only": 0}, 0.5)
+        assert predict_many([plan, plan], fl, profile, 1000, 200, NET) == [
+            predict_costs(plan, fl, profile, 1000, 200, NET)] * 2
+        assert predict_many([], fl, profile, 1000, 200, NET) == []
+
+    def test_uncovering_plan_raises_as_predict_costs_does(self):
+        fl, profile = nine_task_flowline(), nine_task_profile()
+        full = schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET)
+        short = dataclasses.replace(full, assignment={
+            t: i for t, i in full.assignment.items() if t not in ("3", "8")})
+        with pytest.raises(FlowlineError) as expected:
+            predict_costs(short, fl, profile, 1000, 200, NET)
+        with pytest.raises(FlowlineError) as err:
+            predict_many([full, short], fl, profile, 1000, 200, NET)
+        assert str(err.value) == str(expected.value)
 
 
 class TestEvaluatePlan:
