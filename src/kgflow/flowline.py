@@ -28,21 +28,18 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from . import _fields, registry
+from . import registry
 
 KIND_OPERATOR = "operator"
 
 
 class FlowlineError(ValueError):
     """Structural misuse of a flowline or profile (not a validation finding)."""
-
-
-_field = partial(_fields.field, FlowlineError)
 
 
 @lru_cache(maxsize=4096)
@@ -444,75 +441,3 @@ def n_slices(corpus_size: float, slice_size: float) -> int:
                             f"{corpus_size} / {slice_size}")
     return math.ceil(count)
 
-
-# --- dict serialization (a flowline built in code, with its profile) ----------
-
-def flowline_to_dict(flowline: Flowline,
-                     profile: TaskProfile | None = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "vertices": [
-            {
-                "id": v.id,
-                "label": v.label,
-                "kind": v.kind,
-                "config": dict(v.config),
-            }
-            for v in flowline.vertices
-        ],
-        "edges": [[a, b] for a, b in flowline.edges],
-        "entry": flowline.entry,
-        "exit": flowline.exit,
-    }
-    if profile is not None:
-        doc["profile"] = profile_to_dict(profile)
-    return doc
-
-
-def flowline_from_dict(doc: Mapping[str, Any]) -> tuple[Flowline, TaskProfile | None]:
-    """A flowline and its profile, if any; a missing or malformed field is a
-    FlowlineError naming it."""
-    vertices = [
-        TaskNode(
-            id=_field(v, "id", "flowline vertex", str),
-            label=_field(v, "label", "flowline vertex", str, ""),
-            kind=_field(v, "kind", "flowline vertex", str, KIND_OPERATOR),
-            config=dict(_field(v, "config", "flowline vertex", Mapping, {})),
-        )
-        for v in _field(doc, "vertices", "flowline document", list)
-    ]
-    edges = _field(doc, "edges", "flowline document", list)
-    bad = [e for e in edges if not (isinstance(e, list) and len(e) == 2)]
-    if bad:
-        raise FlowlineError(f"flowline edges must be [from, to] pairs: {bad}")
-    bad = [e for e in edges if not all(isinstance(end, str) for end in e)]
-    if bad:
-        raise FlowlineError(f"flowline edge ends must be task ids (strings): "
-                            f"{bad}")
-    ends = {k: _field(doc, k, "flowline document", str, None)
-            for k in ("entry", "exit")}
-    fl = Flowline.build(vertices, [tuple(e) for e in edges], **ends)
-    profile = _field(doc, "profile", "flowline document", Mapping, None)
-    return fl, None if profile is None else profile_from_dict(profile)
-
-
-def profile_to_dict(profile: TaskProfile) -> dict[str, Any]:
-    return {
-        "vertex_weights": {k: float(v) for k, v in sorted(profile.vertex_weights.items())},
-        "edge_payloads": {f"{a}->{b}": float(s)
-                          for (a, b), s in sorted(profile.edge_payloads.items())},
-    }
-
-
-def profile_from_dict(doc: Mapping[str, Any]) -> TaskProfile:
-    """A profile; a malformed weight or payload is a FlowlineError naming
-    its field."""
-    weights = _field(doc, "vertex_weights", "profile", Mapping, {})
-    sizes = _field(doc, "edge_payloads", "profile", Mapping, {})
-    payloads: dict[tuple[str, str], float] = {}
-    for key in sizes:
-        a, _, b = key.partition("->")
-        if not b:
-            raise FlowlineError(f"bad edge key in profile: {key!r}")
-        payloads[(a, b)] = _field(sizes, key, "profile edge_payloads", float)
-    return TaskProfile({k: _field(weights, k, "profile vertex_weights", float)
-                        for k in weights}, payloads)

@@ -1,22 +1,28 @@
 """Graphic Flowline Language: parse, canonical formatting, DOT export.
 
 GFL is the textual twin of the visual flowline designer. ``:=`` binds a name
-to a literal list, ``:<name>`` opens the unique entry, ``|`` pipes data from
-the enclosing (less indented) call into the nested one, and the single call
-suffixed ``:`` is the outlet. A call is ``namespace.function`` with an
+to a literal list, the root line opens the unique entry, ``|`` pipes data
+from the enclosing (less indented) call into the nested one, and the single
+call suffixed ``:`` is the outlet. A call is ``namespace.function`` with an
 optional ``[label]`` instance tag, an optional ``(...)`` predicate, and an
-optional ``-> a, b`` output binding list. A predicate is checked against
-its grammar and read for the names it uses, which is how a vertex picks up
-the bindings it needs; kgflow never evaluates one, so ``and`` and ``or``
-form one level. A predicate is lexed once, inside its call: one parser
-reads it token by token, stops at the ``)`` that closes it, and reports an
-error at the column of the token that raised it. Two calls with the same
-(namespace, function, label) denote the same DAG vertex; a repeated call
-adds an in-edge, except directly under the entry where a repetition merely
-re-opens the vertex to continue its pipeline.
+optional ``-> a, b`` output binding list. The root is a bare ``:<name>``,
+the operator ``opt.<name>``, or a call with its namespace written out, such
+as ``:model.BertNER[m0]``, which may be the outlet too. A predicate is
+checked against its grammar and read for the names it uses, which is how a
+vertex picks up the bindings it needs; kgflow never evaluates one, so
+``and`` and ``or`` form one level. A predicate is lexed once, inside its
+call: one parser reads it token by token, stops at the ``)`` that closes it,
+and reports an error at the column of the token that raised it. Two calls
+with the same (namespace, function, label) denote the same DAG vertex; a
+repeated call adds an in-edge, except directly under the entry where a
+repetition merely re-opens the vertex to continue its pipeline.
 
 Indentation is significant: spaces only, one level per nesting step, using
 any consistent multiple of four spaces.
+
+A call's vertex id is ``function`` or ``function[label]``, so
+``format_flowline`` writes a task whose id is neither, ``b0f0`` running
+``filter``, with the id as its label: ``opt.filter[b0f0]``.
 
 ``parse`` lexes every line before it builds the graph, so a lex error
 anywhere in the text is reported ahead of a graph error (an over-indented
@@ -27,6 +33,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Any
 
 from . import registry
@@ -217,7 +225,11 @@ _TAIL_RX = re.compile(
     r"\s*(?:(?P<arrow>->)(?P<outputs>.*?))?\s*(?P<outlet>:)?\s*\Z"
     r"|\s*(?P<rest>.+?)\s*\Z", re.DOTALL)
 _BINDING_RX = re.compile(rf"^(?P<name>{_IDENT})\s*:=\s*(?P<rest>.+)$")
+# The root is `:name`, the call `opt.name`, or `:` and a call whose
+# `model.` or `opt.` namespace is written out, read as a pipe's call is.
 _ROOT_RX = re.compile(rf"^:(?P<name>{_IDENT})\s*$")
+_ROOT_CALL = (f":{NAMESPACE_MODEL}.", f":{NAMESPACE_OPT}.")
+_VERTEX_ID_RX = re.compile(rf"{_IDENT}(?:\[{_IDENT}\])?")
 
 
 def _parse_literal_list(text: str, line: int, col: int) -> tuple:
@@ -302,10 +314,12 @@ def parse(text: str) -> Flowline:
                 definitions[name] = _parse_literal_list(
                     m.group("rest"), lineno, m.start("rest") + 1)
                 continue
+            if stripped.startswith(_ROOT_CALL):
+                entry = _split_call(stripped[1:], lineno, 2)
+                continue
             m = _ROOT_RX.match(stripped)
             if m:
-                entry = CallNode(NAMESPACE_OPT, m.group("name"), None, None,
-                                 (), False, lineno, 1)
+                entry = _split_call(f"{NAMESPACE_OPT}.{m['name']}", lineno, 1)
                 continue
             raise GflError("expected a binding or the ':<entry>' root",
                            lineno, 1)
@@ -335,7 +349,7 @@ def parse(text: str) -> Flowline:
     calls: dict[str, CallNode] = {entry.vertex_id: entry}
     edges: dict[tuple[str, str], None] = {}
     stack: list[str] = [entry.vertex_id]
-    outlet: str | None = None
+    outlet = entry.vertex_id if entry.is_outlet else None
     for depth, call in lexed:
         if depth > len(stack):
             raise GflError("over-indented pipe (skips a nesting level)",
@@ -420,28 +434,15 @@ def _format_literal(value) -> str:
     return repr(value)
 
 
-def _call_text(node: TaskNode, with_details: bool) -> str:
-    config = node.config
-    ns = config.get("namespace",
-                    NAMESPACE_MODEL if node.is_model else NAMESPACE_OPT)
+def _vertex_id(node: TaskNode) -> str:
+    """The vertex id a task is written as: its own id if that is its
+    function or ``function[label]``, else ``function[<task id>]``."""
     function = node.function
-    label = config.get("label")
-    if label is None:
-        # Programmatically built vertices: recover the label of "fn[label]".
-        m = re.fullmatch(rf"{re.escape(function)}\[(?P<label>{_IDENT})\]",
-                         node.id)
-        label = m and m.group("label")
-    text = f"{ns}.{function}"
-    if label:
-        text += f"[{label}]"
-    if with_details:
-        predicate = config.get("predicate")
-        if predicate is not None:
-            text += f"({predicate})"
-        outputs = config.get("outputs") or ()
-        if outputs:
-            text += " -> " + ", ".join(outputs)
-    return text
+    vid = (node.id if node.id.split("[", 1)[0] == function
+           else f"{function}[{node.id}]")
+    if not _VERTEX_ID_RX.fullmatch(vid):
+        raise GflError(f"task {node.id!r} cannot be written as a GFL call")
+    return vid
 
 
 def format_flowline(flowline: Flowline) -> str:
@@ -450,63 +451,95 @@ def format_flowline(flowline: Flowline) -> str:
     Deterministic: bindings first (sorted), four-space indents, children in
     vertex-id order, each vertex expanded at its first occurrence, and
     cross-edges into entry-level siblings emitted as trailing continuation
-    blocks. ``parse(format_flowline(f))`` is vertex/edge-isomorphic to ``f``.
+    blocks. A root that is not a bare operator is written as a call.
+
+    A task id other than the function or ``function[label]`` becomes the
+    label, ``m1`` running ``BERTRE`` is written ``model.BERTRE[m1]``, and
+    ``parse(format_flowline(f))`` equals ``f`` under that id map and
+    formats to the same text. Raises GflError naming the task for an id
+    that is not an identifier either, two tasks written alike, or a task
+    the entry does not reach.
     """
-    entry = flowline.entry
+    tasks: dict[str, TaskNode] = {}  # vertex id -> the task written as it
     bindings: dict[str, tuple] = {}
     for v in flowline.vertices:
+        vid = _vertex_id(v)
+        if tasks.setdefault(vid, v) is not v:
+            raise GflError(f"tasks {tasks[vid].id!r} and {v.id!r} would both "
+                           f"be written as {vid!r}")
         for name, value in (v.config.get("bindings") or {}).items():
             value = tuple(value)
             if name in bindings and bindings[name] != value:
                 raise GflError(
                     f"binding {name!r} defined inconsistently across vertices")
             bindings[name] = value
+    written = {v.id: vid for vid, v in tasks.items()}
+    successors = {written[t]: sorted(written[c] for c in children)
+                  for t, children in flowline.successors.items()}
+    entry, exit = written[flowline.entry], written[flowline.exit]
 
-    lines: list[tuple[int, str, str]] = []  # (depth, vertex id, text)
+    def call(vid: str, first: bool = False) -> str:
+        """The call of ``vid``: at its first occurrence with its details,
+        and with the outlet marker if it is the exit."""
+        task = tasks[vid]
+        text = f"{NAMESPACE_MODEL if task.is_model else NAMESPACE_OPT}.{vid}"
+        if first:
+            predicate = task.config.get("predicate")
+            if predicate is not None:
+                text += f"({predicate})"
+            outputs = task.config.get("outputs") or ()
+            if outputs:
+                text += " -> " + ", ".join(outputs)
+            if vid == exit:
+                text += ":"
+        return text
+
+    lines: list[tuple[int, str]] = []  # (depth, call)
     expanded: set[str] = set()
-    entry_children = set(flowline.successors[entry])
+    entry_children = set(successors[entry])
     deferred: list[tuple[str, str]] = []
 
-    def expand(vid: str, depth: int) -> None:
-        lines.append((depth, vid, _call_text(flowline.node(vid), True)))
-        expanded.add(vid)
-        for child in flowline.successors[vid]:
-            if child in expanded:
-                lines.append((depth + 1, child,
-                              _call_text(flowline.node(child), False)))
-            elif child in entry_children:
-                deferred.append((vid, child))
-            else:
-                expand(child, depth + 1)
+    # Depth first, children in order, each task settled when it is reached;
+    # a stack of (depth, parent, task), so no chain is too deep for it.
+    stack = [(1, entry, child) for child in reversed(successors[entry])]
+    while stack:
+        depth, parent, vid = stack.pop()
+        if vid in expanded:
+            lines.append((depth, call(vid)))
+        elif vid in entry_children and parent != entry:
+            deferred.append((parent, vid))
+        else:
+            lines.append((depth, call(vid, True)))
+            expanded.add(vid)
+            stack += [(depth + 1, vid, child)
+                      for child in reversed(successors[vid])]
+    unreached = sorted(tasks[vid].id for vid in tasks.keys() - expanded
+                       if vid != entry)
+    if unreached:
+        raise GflError(f"tasks {unreached} are not reached from the entry "
+                       f"{flowline.entry!r}")
 
-    for child in flowline.successors[entry]:
-        expand(child, 1)
+    for parent, pairs in groupby(sorted(deferred), key=itemgetter(0)):
+        lines.append((1, call(parent)))
+        lines += [(2, call(child)) for _, child in pairs]
 
-    by_parent: dict[str, list[str]] = {}
-    for parent, child in deferred:
-        by_parent.setdefault(parent, []).append(child)
-    for parent in sorted(by_parent):
-        lines.append((1, parent, _call_text(flowline.node(parent), False)))
-        for child in sorted(by_parent[parent]):
-            lines.append((2, child, _call_text(flowline.node(child), False)))
-
-    # The outlet marker goes on the exit vertex's first occurrence.
-    out = []
-    marked = False
-    for depth, vid, text in lines:
-        if not marked and vid == flowline.exit:
-            text += ":"
-            marked = True
-        out.append(" " * (4 * depth) + "| " + text)
-
+    root = call(entry, True)
+    if root == f"{NAMESPACE_OPT}.{tasks[entry].function}":
+        root = entry  # a bare root
+    out = [" " * (4 * depth) + "| " + text for depth, text in lines]
     header = [f"{name} := [" + ", ".join(_format_literal(v) for v in values) + "]"
               for name, values in sorted(bindings.items())]
-    return "\n".join(header + [f":{entry}"] + out) + "\n"
+    return "\n".join(header + [f":{root}"] + out) + "\n"
 
 
 # --- DOT export ---------------------------------------------------------------
 
 _DOT_SHAPES = {True: "ellipse", False: "box"}
+
+
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, its ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def emit_dot(flowline: Flowline, name: str = "flowline") -> str:
@@ -515,9 +548,9 @@ def emit_dot(flowline: Flowline, name: str = "flowline") -> str:
     for v in sorted(flowline.vertices, key=lambda v: v.id):
         attrs = [f"shape={_DOT_SHAPES[v.is_model]}"]
         if v.label and v.label != v.id:
-            attrs.append(f'label="{v.label}"')
-        lines.append(f'    "{v.id}" [{", ".join(attrs)}];')
+            attrs.append(f"label={_dot_string(v.label)}")
+        lines.append(f'    {_dot_string(v.id)} [{", ".join(attrs)}];')
     for a, b in sorted(flowline.edges):
-        lines.append(f'    "{a}" -> "{b}";')
+        lines.append(f"    {_dot_string(a)} -> {_dot_string(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

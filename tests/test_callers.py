@@ -19,10 +19,6 @@ CALLERLESS = {
     "gfl.emit_dot": "the CLI's dot command (item 8)",
     "scheduler.plan_from_dict": "the CLI reads plan files with it (item 8)",
     "sim.timeline_to_chrome_trace": "the CLI's simulate --trace (item 8)",
-    "flowline.flowline_to_dict": "kept until the GFL round trip holds "
-                                 "(item 7)",
-    "flowline.flowline_from_dict": "kept until the GFL round trip holds "
-                                   "(item 7)",
     "costmodel.MakespanPriceFit.makespan_at": "the plan diagnostics show the "
                                               "fitted curve (item 8)",
 }

@@ -7,7 +7,6 @@ the recursion must match the oracle bit-for-bit.
 """
 
 import heapq
-import json
 import math
 import random
 import re
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgflow import gfl
 from kgflow.flowline import (
     Flowline,
     FlowlineError,
@@ -25,8 +23,6 @@ from kgflow.flowline import (
     TaskProfile,
     apply_partition,
     finish_times,
-    flowline_from_dict,
-    flowline_to_dict,
     makespan,
     n_slices,
     validate,
@@ -454,102 +450,6 @@ class TestPartitionedTime:
                                                             together)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        fl = fig5_flowline()
-        profile = TaskProfile({v.id: 1.0 for v in fl.vertices},
-                              {e: 100.0 for e in fl.edges})
-        doc = flowline_to_dict(fl, profile)
-        blob = json.dumps(doc, sort_keys=True)
-        fl2, profile2 = flowline_from_dict(json.loads(blob))
-        assert fl2.entry == fl.entry and fl2.exit == fl.exit
-        assert {v.id for v in fl2.vertices} == {v.id for v in fl.vertices}
-        assert set(fl2.edges) == set(fl.edges)
-        assert profile2 is not None
-        assert profile2.vertex_weights == profile.vertex_weights
-        assert profile2.edge_payloads == profile.edge_payloads
-
-    def test_older_document_loads(self):
-        # Written by an older flowline_to_dict, which also stored each
-        # vertex's operator family and resource class; both are ignored.
-        doc = json.loads("""{"vertices": [
-          {"id": "data", "label": "data", "kind": "operator",
-           "operator_family": "controller", "resource_class": "CPU-only",
-           "config": {"namespace": "opt", "function": "data"}},
-          {"id": "BertNER", "label": "BertNER", "kind": "model-CE",
-           "operator_family": null, "resource_class": "GPU-intensive",
-           "config": {"namespace": "model", "function": "BertNER",
-                      "outputs": ["ent", "ent_t"]}},
-          {"id": "permutate", "label": "permutate", "kind": "operator",
-           "operator_family": "constructor", "resource_class": "CPU-only",
-           "config": {"namespace": "opt", "function": "permutate"}}],
-          "edges": [["data", "BertNER"], ["BertNER", "permutate"]],
-          "entry": "data", "exit": "permutate",
-          "profile": {"vertex_weights": {"BertNER": 1.0, "data": 0.0,
-                                         "permutate": 0.03},
-                      "edge_payloads": {"BertNER->permutate": 500000.0}}}""")
-        fl, profile = flowline_from_dict(doc)
-        assert fl == gfl.parse(":data\n    | model.BertNER -> ent, ent_t\n"
-                               "        | opt.permutate:\n")
-        assert profile.edge_payloads == {("BertNER", "permutate"): 5e5}
-        for row in doc["vertices"]:
-            del row["operator_family"], row["resource_class"]
-        assert flowline_to_dict(fl, profile) == doc
-
-    @pytest.mark.parametrize("doc, message", [
-        ({}, "flowline document {} has no 'vertices' field"),
-        ({"vertices": 5, "edges": []},
-         "flowline document field 'vertices' must be a list: 5"),
-        ({"vertices": [{"label": "a"}], "edges": []},
-         "flowline vertex {'label': 'a'} has no 'id' field"),
-        ({"vertices": [5], "edges": []}, "flowline vertex 5 has no 'id'"),
-        ({"vertices": [{"id": "a"}]}, "has no 'edges' field"),
-        ({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a"]]},
-         "flowline edges must be [from, to] pairs: [['a']]"),
-        ({"vertices": [{"id": "a"}], "edges": [],
-          "profile": {"vertex_weights": {"a": "x"}}},
-         "profile vertex_weights {'a': 'x'} has a non-numeric a: 'x'"),
-        ({"vertices": [{"id": "a"}], "edges": [],
-          "profile": {"vertex_weights": {"a": None}}},
-         "profile vertex_weights {'a': None} has a non-numeric a: None"),
-        ({"vertices": [{"id": "a"}], "edges": [],
-          "profile": {"edge_payloads": {"a->b": "big"}}},
-         "profile edge_payloads {'a->b': 'big'} has a non-numeric a->b: "
-         "'big'"),
-        ({"vertices": [{"id": "a"}], "edges": [],
-          "profile": {"vertex_weights": [1.0]}},
-         "profile field 'vertex_weights' must be a Mapping: [1.0]"),
-        ({"vertices": [{"id": "a"}], "edges": [], "profile": 5},
-         "flowline document field 'profile' must be a Mapping: 5"),
-        ({"vertices": [{"id": "1"}, {"id": "b"}], "edges": [[1, "b"]]},
-         "flowline edge ends must be task ids (strings): [[1, 'b']]"),
-        ({"vertices": [{"id": "{}"}, {"id": "b"}], "edges": [[{}, "b"]]},
-         "flowline edge ends must be task ids (strings): [[{}, 'b']]"),
-    ])
-    def test_malformed_document_names_the_field(self, doc, message):
-        with pytest.raises(FlowlineError, match=re.escape(message)):
-            flowline_from_dict(doc)
-
-    def test_edge_ends_are_not_coerced(self):
-        # build() checks edges as the constructor does: 1 is no task "1".
-        message = re.escape("edges join unknown tasks: [(1, 'b')]")
-        with pytest.raises(FlowlineError, match=message):
-            Flowline.build([op("1"), op("b")], [(1, "b")])
-        with pytest.raises(FlowlineError, match=message):
-            Flowline((op("1"), op("b")), ((1, "b"),), "1", "b")
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(FlowlineError, match="duplicate"):
-            Flowline.build([op("a"), op("a")], [])
-        with pytest.raises(FlowlineError,
-                           match=r"duplicate task ids: \['a', 'b'\]"):
-            Flowline.build([op("b"), op("a"), op("c"), op("b"), op("a")], [])
-        with pytest.raises(FlowlineError,
-                           match=r"duplicate task ids: \['a', 'b'\]"):
-            Flowline(vertices=(op("b"), op("a"), op("b"), op("a")),
-                     edges=(), entry="a", exit="b")
-
-
 def reference_topo_sort(ids, edges):
     """Sorted-list Kahn's algorithm over the graph ``edges`` draws on
     ``ids``: pop the smallest ready id each step."""
@@ -668,20 +568,32 @@ class TestInvariant:
     def build(edges, entry, exit):
         return Flowline.build([op("a"), op("b")], edges, entry, exit)
 
-    @staticmethod
-    def from_dict(edges, entry, exit):
-        doc = flowline_to_dict(Flowline.build([op("a"), op("b")],
-                                              [("a", "b")]))
-        doc.update(edges=[list(e) for e in edges], entry=entry, exit=exit)
-        return flowline_from_dict(doc)
-
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("make", ["direct", "build", "from_dict"])
+    @pytest.mark.parametrize("make", ["direct", "build"])
     def test_rejected_naming_the_offender(self, make, case):
         fields, offender = self.CASES[case]
         args = {"edges": [("a", "b")], "entry": None, "exit": None, **fields}
         with pytest.raises(FlowlineError, match=re.escape(offender)):
             getattr(self, make)(**args)
+
+    def test_edge_ends_are_not_coerced(self):
+        # build() checks edges as the constructor does: 1 is no task "1".
+        message = re.escape("edges join unknown tasks: [(1, 'b')]")
+        with pytest.raises(FlowlineError, match=message):
+            Flowline.build([op("1"), op("b")], [(1, "b")])
+        with pytest.raises(FlowlineError, match=message):
+            Flowline((op("1"), op("b")), ((1, "b"),), "1", "b")
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(FlowlineError, match="duplicate"):
+            Flowline.build([op("a"), op("a")], [])
+        with pytest.raises(FlowlineError,
+                           match=r"duplicate task ids: \['a', 'b'\]"):
+            Flowline.build([op("b"), op("a"), op("c"), op("b"), op("a")], [])
+        with pytest.raises(FlowlineError,
+                           match=r"duplicate task ids: \['a', 'b'\]"):
+            Flowline(vertices=(op("b"), op("a"), op("b"), op("a")),
+                     edges=(), entry="a", exit="b")
 
 
 def fig5_flowline() -> Flowline:

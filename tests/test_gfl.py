@@ -7,8 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgflow import gfl
-from kgflow.flowline import Flowline, TaskNode
+from kgflow import gfl, registry
+from kgflow.flowline import Flowline, TaskNode, validate
+from kgflow.synth import EXPERIMENT_SHAPES, synthetic_flowline
 
 # The running two-branch NER/RE pipeline, written in GFL.
 PIPELINE_SRC = """\
@@ -206,6 +207,42 @@ class TestParse:
         src = ":data\nxs := [1]\n    | opt.triple:"
         with pytest.raises(gfl.GflError):
             gfl.parse(src)
+
+    def test_root_call_opens_a_model_entry(self):
+        src = (":model.BertNER[m0] -> ent, ent_t\n"
+               "    | opt.permutate[p]\n"
+               "        | model.BERTRE[m1]\n"
+               "            | opt.triple:\n")
+        fl = gfl.parse(src)
+        assert (fl.entry, fl.exit) == ("BertNER[m0]", "triple")
+        entry = fl.node("BertNER[m0]")
+        assert entry.kind == "model-CE"
+        assert entry.config == {"namespace": "model", "function": "BertNER",
+                                "label": "m0", "outputs": ["ent", "ent_t"]}
+
+    def test_bare_root_is_the_operator_call(self):
+        assert gfl.parse(":opt.data\n    | opt.triple:") == \
+            gfl.parse(":data\n    | opt.triple:")
+
+    def test_root_call_may_be_the_outlet(self):
+        fl = gfl.parse("xs := [1]\n:opt.filter[f](a in xs):\n")
+        assert (fl.entry, fl.exit, fl.edges) == ("filter[f]", "filter[f]", ())
+        assert fl.node("filter[f]").config["bindings"] == {"xs": [1]}
+
+    @pytest.mark.parametrize("src, message, col", [
+        (":opt.filter[1x]\n    | opt.triple:",
+         "instance label '1x' is not an identifier", 13),
+        (":model.\n    | opt.triple:",
+         "expected a namespace.function call, got 'model.'", 2),
+        (":opt.data:\n    | opt.triple:",
+         "multiple outlets: 'data' and 'triple'", 7),
+        (":opt.data x\n    | opt.triple:",
+         "unexpected trailing text 'x'", 11),
+    ])
+    def test_root_call_errors(self, src, message, col):
+        with pytest.raises(gfl.GflError) as err:
+            gfl.parse(src)
+        assert (err.value.message, err.value.col) == (message, col)
 
     def test_eight_space_unit_accepted(self):
         src = (":data\n"
@@ -469,6 +506,90 @@ def random_opt_flowline(rng: random.Random, n: int) -> Flowline:
     return Flowline.build([node(v) for v in ids], sorted(edges))
 
 
+def assert_round_trip(fl: Flowline, written: dict[str, str]) -> str:
+    """Check that ``fl`` formats to text that parses back to it, task ``t``
+    as the vertex ``written[t]``: the same kinds, functions, predicates,
+    outputs, bindings, edges, entry and exit; and that formatting the
+    parsed flowline gives the same text, which is returned."""
+    def facts(v):
+        config = v.config
+        return (v.kind, v.function, config.get("predicate"),
+                list(config.get("outputs") or ()),
+                {k: list(x)
+                 for k, x in (config.get("bindings") or {}).items()})
+
+    text = gfl.format_flowline(fl)
+    back = gfl.parse(text)
+    assert {v.id: facts(v) for v in back.vertices} == \
+        {written[v.id]: facts(v) for v in fl.vertices}
+    assert set(back.edges) == {(written[a], written[b]) for a, b in fl.edges}
+    assert (back.entry, back.exit) == (written[fl.entry], written[fl.exit])
+    assert gfl.format_flowline(back) == text
+    return text
+
+
+_ENTRY_FUNCTIONS = ("data", "filter", "BertNER", "BERTRE")
+_TASK_FUNCTIONS = ("BertNER", "FastNER", "BERTRE", "LSTMRE", "filter",
+                   "merge", "integrate", "permutate", "triple")
+_BOUND_NAMES = ("XS", "YS", "ZS")  # upper case, so no _PRED_NAMES name
+_OUTPUT_NAMES = ("ent", "ent_t", "rel", "a1")
+
+
+@st.composite
+def valid_flowlines(draw):
+    """A random valid flowline of CE models, CC models and operators under
+    a model or an operator entry, with ids in all three forms the formatter
+    writes (the function, ``function[label]``, and an identifier that
+    becomes the label) and a predicate, outputs and bindings on any task,
+    the entry included; with the vertex id each task is written as. Each
+    task's function is drawn among those its precursors can feed."""
+    n = draw(st.integers(1, 8))
+    definitions = draw(st.dictionaries(st.sampled_from(_BOUND_NAMES), st.lists(
+        st.one_of(st.integers(-99, 99), st.text("ab '\"\\", max_size=4)),
+        max_size=3)))
+    preds = [sorted(set(draw(st.lists(st.integers(0, i - 1), min_size=1,
+                                      max_size=2)))) for i in range(1, n)]
+    preds.insert(0, [])
+    fed = {p for ps in preds for p in ps}
+    preds[-1] += [i for i in range(n - 1) if i not in fed]  # one exit
+
+    tasks, edges, written, columns = [], [], {}, []
+
+    def received(spec, i):
+        feeds = [columns[p] for p in preds[i]] if i else [
+            frozenset({registry.SAMPLE, registry.ANY})]
+        return frozenset().union(*map(spec.received_columns, feeds))
+
+    for i in range(n):
+        specs = map(registry.spec, _TASK_FUNCTIONS if i else _ENTRY_FUNCTIONS)
+        spec = draw(st.sampled_from(
+            [s for s in specs if set(s.requires) <= received(s, i)]))
+        columns.append(spec.output_columns(received(spec, i)))
+        fn = spec.name
+        tid = draw(st.sampled_from(
+            (fn, f"{fn}[v{i}]", f"t{i}") if fn not in written.values()
+            else (f"{fn}[v{i}]", f"t{i}")))
+        written[tid] = tid if "[" in tid or tid == fn else f"{fn}[{tid}]"
+        config = {"function": fn}
+        if draw(st.booleans()):
+            bound = draw(st.lists(st.sampled_from(_BOUND_NAMES), max_size=2))
+            config["predicate"] = " and ".join(
+                [draw(grammar_predicates())]
+                + [f"{_OUTPUT_NAMES[0]} in {name}" for name in bound])
+            if set(bound) & definitions.keys():
+                config["bindings"] = {name: definitions[name]
+                                      for name in bound if name in definitions}
+        outputs = draw(st.lists(st.sampled_from(_OUTPUT_NAMES), max_size=3))
+        if outputs:
+            config["outputs"] = outputs
+        kind = spec.family if spec.family in registry.PARADIGMS else "operator"
+        tasks.append(TaskNode(tid, kind=kind, config=config))
+        edges += [(tasks[p].id, tid) for p in preds[i]]
+    fl = Flowline.build(tasks, edges)
+    assert validate(fl).ok
+    return fl, written
+
+
 class TestFormat:
     def test_trivial_canonical_text(self):
         fl = gfl.parse(":data\n    | opt.triple:")
@@ -494,11 +615,94 @@ class TestFormat:
         corpus += [random_opt_flowline(rng, rng.randint(3, 10))
                    for _ in range(22)]
         for fl in corpus:
-            text = gfl.format_flowline(fl)
-            fl2 = gfl.parse(text)
-            assert {v.id for v in fl2.vertices} == {v.id for v in fl.vertices}
-            assert edge_set(fl2) == edge_set(fl)
-            assert gfl.format_flowline(fl2) == text
+            assert_round_trip(fl, {v.id: v.id for v in fl.vertices})
+
+    @pytest.mark.parametrize("shape", EXPERIMENT_SHAPES,
+                             ids=lambda s: f"{s[0]}m{s[1]}o")
+    def test_experiment_shapes_round_trip(self, shape):
+        fl, _ = synthetic_flowline(*shape)
+        text = assert_round_trip(fl, {
+            v.id: v.id if v.id == v.function else f"{v.function}[{v.id}]"
+            for v in fl.vertices})
+        assert text.startswith(":model.BertNER[m0]\n")
+        assert "    | opt.filter[b0f0]\n" in text
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_flowlines())
+    def test_round_trip_property(self, case):
+        assert_round_trip(*case)
+
+    @pytest.mark.parametrize("task, text", [
+        (TaskNode("data"), ":opt.data:\n"),
+        (TaskNode("m0", kind="model-CE",
+                  config={"function": "BertNER", "outputs": ["e"]}),
+         ":model.BertNER[m0] -> e:\n"),
+    ], ids=["operator", "model"])
+    def test_one_task_flowline_writes_its_root_as_the_outlet(self, task,
+                                                             text):
+        fl = Flowline.build([task], [])
+        assert assert_round_trip(fl, {"data": "data", "m0": "BertNER[m0]"}) \
+            == text
+
+    def test_a_labelled_controller_entry_is_written_as_a_call(self):
+        fl = Flowline.build([TaskNode("data[v0]"), TaskNode("triple")],
+                            [("data[v0]", "triple")])
+        assert gfl.format_flowline(fl) == ":opt.data[v0]\n    | opt.triple:\n"
+
+    def test_children_are_ordered_by_the_id_they_are_written_as(self):
+        # "t1" sorts after "integrate[u]" but is written "integrate[t1]".
+        fl = Flowline.build(
+            [TaskNode("data"),
+             TaskNode("t1", config={"function": "integrate"}),
+             TaskNode("integrate[u]"), TaskNode("triple")],
+            [("data", "t1"), ("data", "integrate[u]"), ("t1", "triple"),
+             ("integrate[u]", "triple")])
+        assert assert_round_trip(fl, {
+            "data": "data", "t1": "integrate[t1]",
+            "integrate[u]": "integrate[u]", "triple": "triple"}) == (
+            ":data\n    | opt.integrate[t1]\n        | opt.triple:\n"
+            "    | opt.integrate[u]\n        | opt.triple\n")
+
+    def test_a_chain_deeper_than_the_recursion_limit_round_trips(self):
+        ids = ["data", *(f"integrate[c{i}]" for i in range(1500)), "triple"]
+        fl = Flowline.build([TaskNode(i) for i in ids], zip(ids, ids[1:]))
+        assert_round_trip(fl, {i: i for i in ids})
+
+    def test_a_task_the_entry_does_not_reach_is_refused(self):
+        fl = Flowline.build(
+            [TaskNode("data"), TaskNode("start"), TaskNode("merge[m]"),
+             TaskNode("triple")],
+            [("data", "merge[m]"), ("start", "merge[m]"),
+             ("merge[m]", "triple")], entry="data")
+        with pytest.raises(gfl.GflError) as err:
+            gfl.format_flowline(fl)
+        assert err.value.message == ("tasks ['start'] are not reached from "
+                                     "the entry 'data'")
+
+    @pytest.mark.parametrize("task", [
+        TaskNode("x-y", config={"function": "filter"}),
+        TaskNode("filter[1x]"),
+        TaskNode("filter[a]b"),
+        TaskNode("x-y"),
+    ], ids=["id", "label", "after-label", "function"])
+    def test_an_id_that_is_no_call_is_refused(self, task):
+        fl = Flowline.build([TaskNode("data"), task], [("data", task.id)])
+        with pytest.raises(gfl.GflError) as err:
+            gfl.format_flowline(fl)
+        assert err.value.message == \
+            f"task {task.id!r} cannot be written as a GFL call"
+
+    def test_two_tasks_written_alike_are_refused(self):
+        fl = Flowline.build(
+            [TaskNode("data"), TaskNode("filter[a]"),
+             TaskNode("a", config={"function": "filter"}),
+             TaskNode("triple")],
+            [("data", "filter[a]"), ("data", "a"), ("filter[a]", "triple"),
+             ("a", "triple")])
+        with pytest.raises(gfl.GflError) as err:
+            gfl.format_flowline(fl)
+        assert err.value.message == ("tasks 'filter[a]' and 'a' would both "
+                                     "be written as 'filter[a]'")
 
     def test_bindings_emitted_first_and_sorted(self):
         src = ("zs := ['z']\n"
@@ -552,6 +756,14 @@ class TestDot:
     def test_deterministic(self):
         fl = gfl.parse(PIPELINE_SRC)
         assert gfl.emit_dot(fl) == gfl.emit_dot(fl)
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        fl = Flowline.build([TaskNode('x"y', label='say "hi"'),
+                             TaskNode("a\\b")], [('x"y', "a\\b")])
+        lines = gfl.emit_dot(fl).splitlines()
+        assert '    "x\\"y" [shape=box, label="say \\"hi\\""];' in lines
+        assert '    "a\\\\b" [shape=box];' in lines
+        assert '    "x\\"y" -> "a\\\\b";' in lines
 
 
 # --- pinned parse outcomes ---------------------------------------------------

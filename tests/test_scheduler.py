@@ -45,8 +45,6 @@ from kgflow.flowline import (
     NetParams,
     TaskNode,
     TaskProfile,
-    flowline_from_dict,
-    flowline_to_dict,
     natural_key,
 )
 from kgflow.scheduler import (
@@ -510,19 +508,6 @@ class TestSchedule:
         for unit in compound(fl):
             assert len({plan.assignment[m] for m in unit.members}) == 1
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc["edges"].append(["9", "zz"]),
-        lambda doc: doc.update(entry="zz"),
-        lambda doc: doc.update(exit="zz"),
-    ], ids=["dangling-edge", "unknown-entry", "unknown-exit"])
-    def test_malformed_document_is_a_flowline_error(self, edit):
-        doc = flowline_to_dict(nine_task_flowline(), nine_task_profile())
-        edit(doc)
-        with pytest.raises(FlowlineError, match="zz"):
-            fl, profile = flowline_from_dict(doc)
-            schedule(fl, profile, bundled_qcloud_catalog(), 0.5, NET,
-                     fit=PAPER_CURVE)
-
 
 class TestPredictMany:
     @settings(max_examples=40, deadline=None)
@@ -770,10 +755,6 @@ def _edited_plan(edit):
     return make
 
 
-def _vertex(**fields):
-    return {"vertices": [{"id": "a", **fields}], "edges": []}
-
-
 class TestLoadersRaiseTypedErrors:
     """A malformed document raises its module's error naming the field,
     never a bare TypeError, AttributeError or ValueError, and a whole-number
@@ -818,12 +799,6 @@ class TestLoadersRaiseTypedErrors:
          CostModelError, "has a non-integral cpu_cores: 4.7"),
         (observations_from_dict, 5, CostModelError,
          "observation document 5 has no 'observations' field"),
-        (flowline_from_dict, _vertex(config=5), FlowlineError,
-         "flowline vertex field 'config' must be a Mapping: 5"),
-        (flowline_from_dict, _vertex(config="ab"), FlowlineError,
-         "flowline vertex field 'config' must be a Mapping: 'ab'"),
-        (flowline_from_dict, {"vertices": [{"id": None}], "edges": []},
-         FlowlineError, "flowline vertex field 'id' must be a str: None"),
         (plan_from_dict, _edited_plan(lambda d: d["predictions"].update(J="x")),
          SchedulingError,
          "plan predictions {doc[predictions]!r} has a non-numeric J: 'x'"),
@@ -837,8 +812,7 @@ class TestLoadersRaiseTypedErrors:
             "assignment-5", "assignment-[]", "net-5", "predictions-5",
             "count-1.7", "index-1.7", "plan-cores-4.7", "catalog-5",
             "catalog-[]", "catalog-cores-4.7", "observations-5",
-            "config-5", "config-ab", "id-None", "predictions-J-x",
-            "predictions-None", "scheduler-5"])
+            "predictions-J-x", "predictions-None", "scheduler-5"])
     def test_field_is_named(self, load, doc, error, message):
         doc = doc() if callable(doc) else doc
         with pytest.raises(error, match=re.escape(message.format(doc=doc))):
@@ -960,13 +934,10 @@ def _valid_documents():
     plans = [schedule(fl, profile, catalog, 0.5, NET),
              baseline_random(fl, catalog, 0)]  # the latter has no net
     catalogs = [bundled("g4dn_catalog.json"), bundled("qcloud_catalog.json")]
-    flowline_doc = json.loads(json.dumps(flowline_to_dict(fl, profile)))
     return {
         "vm_type_from_dict": [c["vm_types"][0] for c in catalogs],
         "catalog_from_dict": catalogs,
         "observations_from_dict": [bundled("qcloud_observations.json")],
-        "flowline_from_dict": [flowline_doc],
-        "profile_from_dict": [flowline_doc["profile"]],
         "plan_from_dict": [json.loads(plan_to_json(p)) for p in plans],
     }
 
