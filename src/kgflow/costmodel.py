@@ -12,12 +12,13 @@ picks the instance multiset whose total unit price is closest to ``x0``:
 an unbounded knapsack with a target price, solved exactly by a dynamic
 program over integer price units (the gcd of the catalog prices on a 10**-6
 grid). Its table has a row per plan price that some multiset reaches under
-a bound of about 2 * x0: at most bound/unit rows, and never more than there
-are multisets. It costs O(rows * (gpus + 1) * (cpus + 1)) per VM type for a
-demand of that many GPU cards and cores, and stops with an error past a
-fixed memory budget. A ``PlanTable`` keeps that table for one catalog and
-demand, so that procuring at several targets, as an eta sweep does, fills
-it once and grows it only when a target needs a larger bound.
+a bound of x0 plus the cheapest unit price (``PlanTable.closest``): at
+most bound/unit rows, and never more than there are multisets. It costs
+O(rows * (gpus + 1) * (cpus + 1)) per VM type for a demand of that many
+GPU cards and cores, and stops with an error past a fixed memory budget.
+A ``PlanTable`` keeps that table for one catalog and demand, so that
+procuring at several targets, as an eta sweep does, fills it once and
+grows it only when a target needs a larger bound.
 
 Unit warning: processing time is in seconds and money in currency units, so
 the weighted objective mixes incommensurate quantities. ``objective`` applies
@@ -352,11 +353,14 @@ def procure(catalog: Sequence[VmType], x0: float, demand: ResourceDemand,
     count (high-end instances beat stacks of divided low-end ones), then
     lexicographic names.
 
-    The search is ``PlanTable.closest``. Callers that procure for one
-    catalog and demand at several targets pass one ``table`` to every call,
-    so its dynamic program is filled once and grown only when a target
-    needs a larger bound; a table built for another catalog or demand
-    raises CostModelError. Without one, each call fills its own.
+    The search is ``PlanTable.closest``: plans priced up to x0 plus the
+    cheapest unit price first, since padding any feasible plan priced at
+    most x0 with the cheapest type leaves it less than that price below
+    x0. Callers that procure for one catalog and demand at several targets
+    pass one ``table`` to every call, so its dynamic program is filled once
+    and grown only when a target needs a larger bound; a table built for
+    another catalog or demand raises CostModelError. Without one, each call
+    fills its own.
     """
     if table is None:
         return PlanTable(catalog, demand).closest(x0)
@@ -384,7 +388,10 @@ class PlanTable:
     per VM type leads back from it. A row and its predecessors depend only
     on the prices below it, never on the bound, so a table filled to a
     bound holds, in its rows up to any smaller bound, exactly the table a
-    fresh fill to that bound makes. A fill costs
+    fresh fill to that bound makes, and growing the table computes only
+    its new rows. ``closest`` bounds the search by x0 plus the cheapest
+    unit price where it can, so the table holds about that many price
+    units, not 2 * x0. A fill costs
     O(rows * (demand.gpus + 1) * (demand.cpus + 1)) per VM type; one whose
     table would outgrow ``_MAX_TABLE_BYTES`` raises ``CostModelError``.
     """
@@ -411,21 +418,41 @@ class PlanTable:
         self._multisets: dict[int, list[tuple[int, ...]]] = {}
 
     def closest(self, x0: float) -> ProcurementPlan:
-        """``procure``'s plan for target x0. Plans are searched up to a
-        price bound of max(2*x0, dearest unit price), doubled while nothing
-        fits, reading only the rows up to the bound; the table is filled
-        further only when the bound passes what it holds."""
+        """``procure``'s plan for target x0, read from the rows up to a
+        price bound; the table is filled further only when a bound passes
+        what it holds.
+
+        The first bound is x0 + cheapest, the cheapest unit price, when x0
+        >= cheapest and that is below max(2*x0, dearest unit price). Adding
+        an instance never makes a plan infeasible, so a feasible plan priced
+        at most x0, padded with cheapest instances until one more would
+        pass x0, is less than cheapest below it: the best gap is below
+        cheapest, and every plan that ties on it is inside the bound. With
+        no feasible plan priced at most x0 the best is the cheapest feasible
+        one, inside the bound whenever any feasible plan is. Only if none
+        is does the search go on, as it does for any other x0: up to
+        max(2*x0, dearest unit price), doubled while nothing fits."""
         if not math.isfinite(x0):
             raise CostModelError(f"target price x0 must be finite, got {x0}")
         types, unit = self.types, self._unit
         bound = max(2.0 * x0, max(v.unit_price for v in types))
-        for _ in range(16):
-            # The epsilon keeps a plan priced exactly at the bound in range.
-            limit = int(bound * 1e6 / unit + 1e-9)
+
+        def best_within(limit: int) -> ProcurementPlan | None:
             if limit > self._limit:
                 self._fill(limit, bound)
-            best = self._best(int(np.searchsorted(self._prices, limit,
+            return self._best(int(np.searchsorted(self._prices, limit,
                                                   "right")), x0)
+
+        # The epsilon keeps a plan priced exactly at a bound in range; the
+        # short limit's extra unit covers the rounding of x0 * 1e6 / unit.
+        short = int(x0 * 1e6 / unit + 1e-9) + min(self._weights) + 1
+        if x0 >= min(v.unit_price for v in types) \
+                and short < int(bound * 1e6 / unit + 1e-9):
+            best = best_within(short)
+            if best is not None:
+                return best
+        for _ in range(16):
+            best = best_within(int(bound * 1e6 / unit + 1e-9))
             if best is not None:
                 return best
             bound *= 2.0
@@ -468,7 +495,7 @@ class PlanTable:
                 f"{self._unit / 1e6:g} {self.types[0].currency}; lower x0 or "
                 "quote prices on a coarser grid")
         self._table, self._preds = _fewest_instances(
-            self.types, self._weights, self.demand, prices)
+            self.types, self._weights, self.demand, prices, self._table)
         self._prices, self._limit = prices, limit
 
 
@@ -520,18 +547,25 @@ def _reachable_prices(weights: Sequence[int], limit: int,
 
 
 def _fewest_instances(types: Sequence[VmType], weights: Sequence[int],
-                      demand: ResourceDemand, prices: np.ndarray
+                      demand: ResourceDemand, prices: np.ndarray,
+                      done: np.ndarray | None = None
                       ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The (rows + 1, gpus + 1, cpus + 1) fewest-instances table and, per
     VM type, the row of each price minus that type's price.
 
     The extra last row is never reached; it is the predecessor of a price
-    from which no multiset reaches back by that type.
+    from which no multiset reaches back by that type. ``done``, a table
+    this returned for a prefix of ``prices``, is copied: its rows are
+    final, so only the rows past them are computed.
     """
     rows = len(prices)
     table = np.full((rows + 1, demand.gpus + 1, demand.cpus + 1),
                     _UNREACHED, dtype=np.int32)
     table[0, 0, 0] = 0
+    start = 0
+    if done is not None:
+        start = len(done) - 1
+        table[:start] = done[:start]
     flat = table.reshape(rows + 1, -1)
     gpu_levels = np.arange(demand.gpus + 1)
     cpu_levels = np.arange(demand.cpus + 1)
@@ -546,8 +580,9 @@ def _fewest_instances(types: Sequence[VmType], weights: Sequence[int],
         need_c = np.maximum(cpu_levels - vm.cpu_headroom, 0)[None, :]
         need = (need_g * (demand.cpus + 1) + need_c).ravel()
         # Rows priced in [k*w, (k+1)*w) only read rows priced in
-        # [(k-1)*w, k*w), which are final.
-        edges = np.searchsorted(prices, w * np.arange(1, prices[-1] // w + 2))
+        # [(k-1)*w, k*w), which are final. Rows before ``start`` are done.
+        edges = np.maximum(np.searchsorted(
+            prices, w * np.arange(1, prices[-1] // w + 2)), start)
         for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
             if lo == hi:
                 continue

@@ -457,8 +457,10 @@ def format_flowline(flowline: Flowline) -> str:
     label, ``m1`` running ``BERTRE`` is written ``model.BERTRE[m1]``, and
     ``parse(format_flowline(f))`` equals ``f`` under that id map and
     formats to the same text. Raises GflError naming the task for an id
-    that is not an identifier either, two tasks written alike, or a task
-    the entry does not reach.
+    that is not an identifier either, two tasks written alike, a task the
+    entry does not reach, or bindings that would not parse back: a task
+    whose predicate names a list another task binds but that does not bind
+    it, or a task that binds a name its predicate does not use.
     """
     tasks: dict[str, TaskNode] = {}  # vertex id -> the task written as it
     bindings: dict[str, tuple] = {}
@@ -473,6 +475,25 @@ def format_flowline(flowline: Flowline) -> str:
                 raise GflError(
                     f"binding {name!r} defined inconsistently across vertices")
             bindings[name] = value
+    # ``parse`` binds each list that a task's predicate names to that task.
+    for v in flowline.vertices:
+        names: set[str] = set()
+        if v.config.get("predicate") is not None:
+            parser = _PredParser(f"({v.config['predicate']})", 0, 0)
+            try:
+                parser.predicate()
+            except GflError as err:
+                raise GflError(f"task {v.id!r}: {err.message}") from None
+            names = parser.names
+        bound = (v.config.get("bindings") or {}).keys()
+        missing = sorted(names & (bindings.keys() - bound))
+        if missing:
+            raise GflError(f"task {v.id!r} does not bind {missing}, which "
+                           "its predicate uses and another task binds")
+        unused = sorted(bound - names)
+        if unused:
+            raise GflError(f"task {v.id!r} binds {unused}, which its "
+                           "predicate does not use")
     written = {v.id: vid for vid, v in tasks.items()}
     successors = {written[t]: sorted(written[c] for c in children)
                   for t, children in flowline.successors.items()}

@@ -729,6 +729,43 @@ class TestFormat:
         assert err.value.message == ("binding 'xs' defined inconsistently "
                                      "across vertices")
 
+    @staticmethod
+    def _two_filters(a_config, b_config):
+        return Flowline.build(
+            [TaskNode("data"), TaskNode("filter[a]", config=a_config),
+             TaskNode("filter[b]", config=b_config), TaskNode("triple")],
+            [("data", "filter[a]"), ("filter[a]", "filter[b]"),
+             ("filter[b]", "triple")])
+
+    def test_bindings_that_parse_back_alike_round_trip(self):
+        fl = self._two_filters(
+            {"predicate": "x in XS", "bindings": {"XS": [1]}},
+            {"predicate": "y in XS or y in YS", "bindings": {"XS": [1]}})
+        assert assert_round_trip(fl, {v.id: v.id for v in fl.vertices}) \
+            .startswith("XS := [1]\n:data\n")
+
+    @pytest.mark.parametrize("a_config, b_config, message", [
+        # parse would bind XS on filter[a] too.
+        ({"predicate": "x in XS"},
+         {"predicate": "y in XS", "bindings": {"XS": [1]}},
+         "task 'filter[a]' does not bind ['XS'], which its predicate uses "
+         "and another task binds"),
+        # parse would drop XS from filter[b].
+        ({"predicate": "x in XS", "bindings": {"XS": [1]}},
+         {"predicate": "y in YS", "bindings": {"XS": [1]}},
+         "task 'filter[b]' binds ['XS'], which its predicate does not use"),
+        ({"bindings": {"XS": [1]}}, {},
+         "task 'filter[a]' binds ['XS'], which its predicate does not use"),
+        ({"predicate": "x in"}, {},
+         "task 'filter[a]': predicate: unexpected token ')'"),
+    ], ids=["unbound-use", "unused-binding", "no-predicate", "bad-predicate"])
+    def test_bindings_that_would_not_parse_back_are_refused(
+            self, a_config, b_config, message):
+        fl = self._two_filters(a_config, b_config)
+        with pytest.raises(gfl.GflError) as err:
+            gfl.format_flowline(fl)
+        assert err.value.message == message
+
 
 class TestDot:
     def test_trivial_counts(self):

@@ -10,8 +10,9 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgflow.costmodel import (
@@ -24,6 +25,7 @@ from kgflow.costmodel import (
     bundled_qcloud_catalog,
     procure,
 )
+from kgflow.costmodel import _reachable_prices
 
 
 def oracle_procure(catalog, x0, demand):
@@ -90,6 +92,42 @@ def test_bundled_catalogs_match_oracle(catalog_name, x0):
             catalog, x0, demand), (x0, demand)
 
 
+def edge_targets(catalog, demand):
+    """Targets at the edges of the search's first bound, x0 + cheapest:
+    below zero, below the cheapest unit price, at it, and x0 = the
+    cheapest feasible plan's price less cheapest, where that plan is the
+    best one and priced exactly at the bound, and just either side."""
+    cheapest = min(v.unit_price for v in catalog)
+    at_bound = procure(catalog, 0.0, demand).total_price - cheapest
+    return [-5.0, -0.6, -cheapest, 0.0, cheapest / 2, cheapest * 0.999,
+            cheapest, at_bound - 1e-7, at_bound, at_bound + 1e-7]
+
+
+@pytest.mark.parametrize("catalog_name,fallback_x0",
+                         [("g4dn", [4.0]), ("qcloud", [25.08, 60.0])])
+def test_bundled_catalogs_match_oracle_at_the_bound_edges(catalog_name,
+                                                          fallback_x0):
+    # Demand (9, 9) costs 8.35 USD or 9 units of 11.98 CNY at least, so at
+    # the fallback targets no plan fits in x0 + cheapest, and only the
+    # bounds from max(2*x0, dearest unit price) on find one.
+    catalog = CATALOGS[catalog_name]()
+    for gpus, cpus in GRID_DEMANDS + [(9, 9)]:
+        demand = ResourceDemand(gpus, cpus)
+        for x0 in edge_targets(catalog, demand) + fallback_x0:
+            assert procure(catalog, x0, demand) == oracle_procure(
+                catalog, x0, demand), (x0, demand)
+
+
+def test_best_plan_priced_at_the_short_bound():
+    # 9 cards cost 9 units of 11.98 CNY at least, so at x0 = 8 units the
+    # best plan is priced exactly at x0 + cheapest, the first bound.
+    catalog = bundled_qcloud_catalog()
+    demand = ResourceDemand(9, 9)
+    plan = procure(catalog, 95.84, demand)
+    assert plan.total_price == pytest.approx(95.84 + 11.98)
+    assert plan == oracle_procure(catalog, 95.84, demand)
+
+
 @st.composite
 def small_catalogs(draw):
     size = draw(st.integers(1, 4))
@@ -144,6 +182,85 @@ def test_plan_does_not_depend_on_how_far_the_search_looks(catalog, gpus,
     assume(math.prod(4 * bound / v.unit_price + 1 for v in types) <= 20_000)
     assert procure(catalog, x0, demand) == _oracle_search(types, x0, demand,
                                                           4 * bound)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(catalog=small_catalogs(), gpus=st.integers(0, 4),
+       cpus=st.integers(0, 8), data=st.data())
+def test_random_catalogs_match_oracle_at_the_bound_edges(catalog, gpus, cpus,
+                                                         data):
+    assume(gpus == 0 or any(v.gpu_cards for v in catalog))
+    assume(cpus == 0 or any(v.cpu_headroom for v in catalog))
+    demand = ResourceDemand(gpus, cpus)
+    x0 = data.draw(st.sampled_from(edge_targets(catalog, demand)))
+    plan = procure(catalog, x0, demand)
+    bound = max(2 * x0, 2 * plan.total_price,
+                max(v.unit_price for v in catalog))
+    assume(math.prod(bound / v.unit_price + 1 for v in catalog) <= 20_000)
+    assert plan == oracle_procure(catalog, x0, demand)
+
+
+def _first_bound_rows(table, x0):
+    """The rows a search up to max(2*x0, dearest unit price), doubled
+    until a plan fits, fills: the most a fresh ``closest(x0)`` may fill."""
+    def limit(price):
+        return int(price * 1e6 / table._unit + 1e-9)
+
+    cheapest_plan = procure(table.types, 0.0, table.demand).total_price
+    bound = max(2.0 * x0, max(v.unit_price for v in table.types))
+    while limit(bound) < round(cheapest_plan * 1e6 / table._unit):
+        bound *= 2.0
+    return len(_reachable_prices(table._weights, limit(bound),
+                                 table._max_rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalog=st.one_of(small_catalogs(),
+                         st.sampled_from(sorted(CATALOGS)).map(
+                             lambda name: CATALOGS[name]())),
+       gpus=st.integers(0, 9), cpus=st.integers(0, 30),
+       x0_steps=st.integers(-100, 2000))
+# x0 + cheapest is one price unit past 2 * x0, where a + b is priced.
+@example(catalog=[VmType("a", 2, 0, 1.0), VmType("b", 2, 0, 1.01)],
+         gpus=0, cpus=1, x0_steps=100)
+def test_closest_fills_no_more_rows_than_the_first_bound(catalog, gpus, cpus,
+                                                         x0_steps):
+    # Keeps the table-size cap and peak memory where the doubling search
+    # alone had them: the short bound is tried only below the first one.
+    assume(gpus == 0 or any(v.gpu_cards for v in catalog))
+    assume(cpus == 0 or any(v.cpu_headroom for v in catalog))
+    x0 = min(v.unit_price for v in catalog) * x0_steps / 100
+    table = PlanTable(catalog, ResourceDemand(gpus, cpus))
+    table.closest(x0)
+    assert len(table._prices) <= _first_bound_rows(table, x0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog=st.one_of(small_catalogs(),
+                         st.sampled_from(sorted(CATALOGS)).map(
+                             lambda name: CATALOGS[name]())),
+       gpus=st.integers(0, 9), cpus=st.integers(0, 30),
+       steps=st.lists(st.integers(0, 800), min_size=2, max_size=5,
+                      unique=True))
+def test_a_grown_table_equals_a_fresh_fill(catalog, gpus, cpus, steps):
+    # A row depends only on lower prices, so growing keeps the rows it has
+    # and computes the rest; the result is the table one fill would make.
+    assume(gpus == 0 or any(v.gpu_cards for v in catalog))
+    assume(cpus == 0 or any(v.cpu_headroom for v in catalog))
+    demand = ResourceDemand(gpus, cpus)
+    grown, fresh = PlanTable(catalog, demand), PlanTable(catalog, demand)
+    weight = max(grown._weights)
+    limits = [weight * s // 100 for s in sorted(steps)]
+    assume(len(set(limits)) == len(limits))
+    for limit in limits:
+        grown._fill(limit, 0.0)
+    fresh._fill(limits[-1], 0.0)
+    assert np.array_equal(grown._prices, fresh._prices)
+    assert np.array_equal(grown._table, fresh._table)
+    assert len(grown._preds) == len(fresh._preds)
+    for ours, theirs in zip(grown._preds, fresh._preds):
+        assert np.array_equal(ours, theirs)
 
 
 def _shared_table_plans(catalog, demand, targets):
