@@ -12,7 +12,8 @@ picks the instance multiset whose total unit price is closest to ``x0``:
 an unbounded knapsack with a target price, solved exactly by a dynamic
 program over integer price units (the gcd of the catalog prices on a 10**-6
 grid). Its table has a row per plan price that some multiset reaches under
-a bound of x0 plus the cheapest unit price (``PlanTable.closest``): at
+a bound of x0 plus the cheapest unit price, or for x0 below that price a
+bound doubled up to the cheapest feasible plan (``PlanTable.closest``): at
 most bound/unit rows, and never more than there are multisets. It costs
 O(rows * (gpus + 1) * (cpus + 1)) per VM type for a demand of that many
 GPU cards and cores, and stops with an error past a fixed memory budget.
@@ -356,8 +357,10 @@ def procure(catalog: Sequence[VmType], x0: float, demand: ResourceDemand,
     The search is ``PlanTable.closest``: plans priced up to x0 plus the
     cheapest unit price first, since padding any feasible plan priced at
     most x0 with the cheapest type leaves it less than that price below
-    x0. Callers that procure for one catalog and demand at several targets
-    pass one ``table`` to every call, so its dynamic program is filled once
+    x0; below the cheapest unit price, the cheapest feasible plan, under a
+    bound doubled up from a price no feasible plan is below. Callers that
+    procure for one catalog and demand at several targets pass one
+    ``table`` to every call, so its dynamic program is filled once
     and grown only when a target needs a larger bound; a table built for
     another catalog or demand raises CostModelError. Without one, each call
     fills its own.
@@ -391,9 +394,11 @@ class PlanTable:
     fresh fill to that bound makes, and growing the table computes only
     its new rows. ``closest`` bounds the search by x0 plus the cheapest
     unit price where it can, so the table holds about that many price
-    units, not 2 * x0. A fill costs
-    O(rows * (demand.gpus + 1) * (demand.cpus + 1)) per VM type; one whose
-    table would outgrow ``_MAX_TABLE_BYTES`` raises ``CostModelError``.
+    units, not 2 * x0; for x0 below that price, by a bound doubled up to
+    the cheapest feasible plan from a price no feasible plan is below. A
+    fill costs O(rows * (demand.gpus + 1) * (demand.cpus + 1)) per VM type;
+    one whose table would outgrow ``_MAX_TABLE_BYTES`` raises
+    ``CostModelError``.
     """
 
     def __init__(self, catalog: Iterable[VmType], demand: ResourceDemand):
@@ -429,8 +434,15 @@ class PlanTable:
         pass x0, is less than cheapest below it: the best gap is below
         cheapest, and every plan that ties on it is inside the bound. With
         no feasible plan priced at most x0 the best is the cheapest feasible
-        one, inside the bound whenever any feasible plan is. Only if none
-        is does the search go on, as it does for any other x0: up to
+        one, inside the bound whenever any feasible plan is. Below cheapest
+        every plan but the empty one is priced above x0, so the best is the
+        cheapest feasible plan or, when nothing is demanded, the empty plan
+        or a cheapest instance. The bounds are then f, 2f, 4f, ... while
+        twice the bound is at most max(2*x0, dearest unit price), f being
+        the larger of cheapest and what the demand's cards or cores cost at
+        the lowest price per card or per core, below which no feasible plan
+        but the empty one lies. Only if no feasible plan is inside these
+        bounds does the search go on, as it does for any other x0: up to
         max(2*x0, dearest unit price), doubled while nothing fits."""
         if not math.isfinite(x0):
             raise CostModelError(f"target price x0 must be finite, got {x0}")
@@ -445,10 +457,19 @@ class PlanTable:
 
         # The epsilon keeps a plan priced exactly at a bound in range; the
         # short limit's extra unit covers the rounding of x0 * 1e6 / unit.
-        short = int(x0 * 1e6 / unit + 1e-9) + min(self._weights) + 1
-        if x0 >= min(v.unit_price for v in types) \
-                and short < int(bound * 1e6 / unit + 1e-9):
-            best = best_within(short)
+        first, cheapest = int(bound * 1e6 / unit + 1e-9), min(self._weights)
+        if x0 < min(v.unit_price for v in types):
+            # A bound is worth a fill of its own only while it halves the
+            # first one: a fill costs about as much at a few rows as at many.
+            floor = _price_floor(types, self._weights, self.demand)
+            limits = [floor << k for k in range(first.bit_length())
+                      if 2 * (floor << k) <= first]
+        else:
+            limits = [int(x0 * 1e6 / unit + 1e-9) + cheapest + 1]
+        for limit in limits:
+            if limit >= first:
+                break
+            best = best_within(limit)
             if best is not None:
                 return best
         for _ in range(16):
@@ -497,6 +518,21 @@ class PlanTable:
         self._table, self._preds = _fewest_instances(
             self.types, self._weights, self.demand, prices, self._table)
         self._prices, self._limit = prices, limit
+
+
+def _price_floor(types: Sequence[VmType], weights: Sequence[int],
+                 demand: ResourceDemand) -> int:
+    """A price, in price units, below which no plan meeting ``demand`` but
+    the empty one lies: the cheapest unit price, or if more, what the
+    demand's GPU cards or cores cost at the lowest price per card or per
+    headroom core."""
+    floor = min(weights)
+    for need, have in ((demand.gpus, [v.gpu_cards for v in types]),
+                       (demand.cpus, [v.cpu_headroom for v in types])):
+        if need:
+            floor = max(floor, min(-(-need * w // h)
+                                   for w, h in zip(weights, have) if h > 0))
+    return floor
 
 
 def catalog_types(catalog: Iterable[VmType]) -> tuple[VmType, ...]:

@@ -14,8 +14,9 @@ its total processing time is ``n_slices(corpus_size, slice_size)`` (that
 is, ceil(corpus_size / slice_size)) times the makespan; ``n_slices`` is the
 one place that rule is written. ``finish_times`` is the one implementation
 of the recurrence: ``makespan`` and the list baseline's upward ranks run it
-on floats, and the simulator on numpy columns holding one value per slice,
-so that one pass over the tasks times every slice of a corpus.
+on floats, and the simulator and ``predict_many`` on (tasks, columns) numpy
+arrays, one column per slice or per plan, so that one pass over the tasks
+times every slice of a corpus.
 
 All types are immutable after construction and every operation is a pure
 function, so evaluation is safe from multiple threads.
@@ -367,10 +368,9 @@ def _check_pipes(flowline: Flowline) -> list[Violation]:
 
 
 def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
-                 duration: Mapping[str, Any],
-                 delay: Mapping[tuple[str, str], float],
+                 duration: Any, delay: Mapping[tuple[str, str], Any],
                  columns: bool = False, serial: bool = False
-                 ) -> tuple[dict[str, Any], dict[str, Any]]:
+                 ) -> tuple[Any, Any]:
     """Start and finish times of the tasks in ``order``, a topological order
     of the graph ``preds`` describes, with no delay on a pair missing from
     ``delay``:
@@ -378,30 +378,52 @@ def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
         ST(v) = max(0, FT(u) + delay[u, v] for u in preds[v])
         FT(v) = ST(v) + duration[v]
 
-    A duration is a float, or with ``columns`` a numpy column holding one
-    value per slice, so one pass times every slice at once and each time is
-    a column too. With ``serial`` as well, a task runs its slices in order:
-    slice s also waits for FT(s - 1, v), and the finish column solves
+    Durations and times are dicts of floats keyed by task. With ``columns``
+    ``duration`` is instead a 2-D numpy array whose row j holds task
+    ``order[j]``'s durations, one column per slice (or per plan), and the
+    times come back as two arrays of its shape, row j again ``order[j]``,
+    so one pass over the tasks times every column at once; a delay may be
+    a float or a row. Each task's ready and finish times are written
+    straight into its rows. With ``serial`` as well, a task runs its
+    columns in order: column s also waits for FT(s - 1, v), and the finish
+    row solves
 
         FT(s, v) = max(R(s), FT(s - 1, v)) + D(s)
 
-    (R the ready column above, D the durations) as one max-plus scan,
-    FT = C + maximum.accumulate(R - (C - D)) with C = cumsum(D).
+    (R the ready row above, D the durations) as one max-plus scan,
+    FT = C + maximum.accumulate(R - (C - D)) with C the row's prefix sums,
+    taken for every task by one ``cumsum`` over ``duration``.
     """
-    maximum = np.maximum if columns else max
-    st: dict[str, Any] = {}
-    ft: dict[str, Any] = {}
-    for v in order:
-        ready = 0.0
+    if not columns:
+        st: dict[str, float] = {}
+        ft: dict[str, float] = {}
+        for v in order:
+            ready = 0.0
+            for u in preds[v]:
+                ready = max(ready, ft[u] + delay.get((u, v), 0.0))
+            st[v] = ready
+            ft[v] = ready + duration[v]
+        return st, ft
+    row: dict[str, int] = {}
+    start = np.zeros(duration.shape)
+    end = np.empty_like(start)
+    starts, ends = list(start), list(end)  # each row's view, made once
+    if serial:
+        cum = np.cumsum(duration, axis=1)
+    for j, v in enumerate(order):
+        row[v] = j
+        ready = starts[j]
         for u in preds[v]:
-            ready = maximum(ready, ft[u] + delay.get((u, v), 0.0))
+            pause = delay.get((u, v))  # None: FT(u) + 0 is FT(u), as FT >= 0
+            np.maximum(ready, ends[row[u]] if pause is None
+                       else ends[row[u]] + pause, out=ready)
         if serial:
-            cum = np.cumsum(duration[v])
-            done = cum + np.maximum.accumulate(ready - (cum - duration[v]))
-            ready = np.maximum(ready, np.concatenate(([0.0], done))[:-1])
-        st[v] = ready
-        ft[v] = ready + duration[v]
-    return st, ft
+            done = ready - (cum[j] - duration[j])
+            np.maximum.accumulate(done, out=done)
+            done += cum[j]
+            np.maximum(ready[1:], done[:-1], out=ready[1:])
+        np.add(ready, duration[j], out=ends[j])
+    return start, end
 
 
 def makespan(flowline: Flowline, profile: TaskProfile,

@@ -315,9 +315,9 @@ def predict_many(plans: Sequence[SchedulePlan], flowline: Flowline,
                  profile: TaskProfile, corpus_size: float, slice_size: float,
                  net: NetParams) -> list[dict[str, float]]:
     """``predict_costs`` of each plan, equal to it bit for bit, from one
-    columnar pass of ``finish_times``: each task's VM is a column over the
-    plans, so each edge's delay is one too, its transfer time where the
-    plan cuts the edge and 0 where it does not."""
+    columnar pass of ``finish_times``, column p for plan p: each task's VM
+    is a row over the plans, so each edge's delay is one too, its transfer
+    time where the plan cuts the edge and 0 where it does not."""
     profile.check_covers(flowline)
     slices = n_slices(corpus_size, slice_size)
     order = flowline.topological_order
@@ -331,10 +331,11 @@ def predict_many(plans: Sequence[SchedulePlan], flowline: Flowline,
     delay = {(a, b): np.where(vm[a] != vm[b],
                               net.transfer_time(profile.payload((a, b))), 0.0)
              for a, b in flowline.edges}
-    weights = {t: profile.weight(t) for t in order}
-    _, ft = finish_times(order, flowline.predecessors, weights, delay,
-                         columns=True)
-    per_slice = np.broadcast_to(ft[flowline.exit], (len(plans),)).tolist()
+    weights = np.array([profile.weight(t) for t in order])[:, None]
+    _, ft = finish_times(order, flowline.predecessors,
+                         np.broadcast_to(weights, (len(order), len(plans))),
+                         delay, columns=True)
+    per_slice = ft[order.index(flowline.exit)].tolist()
     return [_costs(plan, slices, mk) for plan, mk in zip(plans, per_slice)]
 
 

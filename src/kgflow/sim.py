@@ -14,22 +14,27 @@ experimentation mode where tasks run ahead across slices (per-task serial
 order still holds); throughput then exceeds the analytic model's, so only
 the default mode matches it.
 
-Every slice is timed at once: ``finish_times`` makes one pass over the
-tasks in topological order, each time a numpy column with one value per
-slice. Without overlap each slice's times come out relative to its own
-admission, and the admissions are the exclusive cumulative sum of the
-slices' exit finishes. With overlap, a task's slices form the max-plus scan
-FT(s) = max(R(s), FT(s - 1)) + D(s), R the slice's ready time and D the
-duration, which ``finish_times`` solves with a cumulative maximum. A run
-holds a few float64 columns per event, so one that would outgrow
-``_MAX_SIM_BYTES`` is refused before anything is allocated. The result's
-``timeline`` keeps the start and finish columns and builds a
+Every slice is timed at once, in one (tasks, slices) pair of start and
+finish arrays, row j for task ``topological_order[j]``: ``finish_times``
+makes one pass over the tasks and writes each task's rows in place. The
+durations are one product of the tasks' weight column with the jitter
+draw; with zero jitter and no overlap every slice is alike, so they are a
+(tasks, 1) column, timed once. Without overlap each slice's times come out
+relative to its own admission; the admissions, the exclusive cumulative
+sum of the slices' exit finishes, are then added to the arrays in place,
+or broadcast against a (tasks, 1) column into fresh ones. With overlap, a
+task's slices form the max-plus scan FT(s) = max(R(s), FT(s - 1)) + D(s),
+R the slice's ready time and D the duration, which ``finish_times`` solves
+with a cumulative maximum over prefix sums taken by one ``cumsum`` over
+the durations. A run holds a few float64 arrays of that shape, so one that
+would outgrow ``_MAX_SIM_BYTES`` is refused before anything is allocated.
+The result's ``timeline`` keeps the start and finish arrays and builds a
 ``TimelineEvent`` only when one is read.
 
 Task durations can be jittered with a multiplicative log-normal factor
 (mean 1, fractional std-dev ``jitter``), drawn as one (slices, tasks) array
 from ``numpy.random.Generator(PCG64(seed))``, so a seed gives the same run
-every time.
+every time; its transpose is scaled in place into the durations.
 
 Also here: the two comparison baselines (seeded random plans and an
 earliest-finish-time list scheduler) and the eta sweep that produces
@@ -133,7 +138,7 @@ class TimelineEvent:
 @dataclass(frozen=True, eq=False)
 class Timeline(Sequence[TimelineEvent]):
     """A run's events, slice by slice and within a slice in ``tasks``
-    order, kept as read-only (tasks, slices) start and end columns; an
+    order, kept as read-only (tasks, slices) start and end arrays; an
     event is built only when it is read."""
 
     tasks: tuple[str, ...]
@@ -168,9 +173,11 @@ class SimResult:
     timeline: Timeline
 
 
-# A run's arrays hold this many float64 bytes per event at their peak: the
-# jitter factor, the duration, the kernel's start and finish, and the
-# timeline's start and end; a run needing more than the budget is refused.
+# A run's arrays hold at most 32 float64 bytes per event at their peak, with
+# overlap and jitter: the durations (the jitter draw, scaled in place), their
+# prefix sums, and the start and finish arrays the timeline keeps. A run is
+# charged 48, its peak before the arrays were filled in place, so the runs
+# refused, those charged more than the budget, stay the same.
 _EVENT_BYTES = 48
 _MAX_SIM_BYTES = 1 << 27
 
@@ -189,30 +196,31 @@ def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
             f"{config.slice_size:g} is {slices} slices of {len(order)} tasks, "
             f"more events than {_MAX_SIM_BYTES >> 20} MB holds; raise "
             "slice_size or split the corpus")
+    weights = np.array([profile.weight(task) for task in order])[:, None]
     sigma = config.jitter
-    shape = (slices, len(order))
-    factor = np.ones(shape) if not sigma else np.random.Generator(
-        np.random.PCG64(config.seed)).lognormal(-0.5 * sigma * sigma, sigma,
-                                                shape)  # mean 1
-    duration = {task: profile.weight(task) * factor[:, j]
-                for j, task in enumerate(order)}
-    st, ft = finish_times(order, flowline.predecessors, duration, delay,
-                          columns=True, serial=config.overlap)
-
-    start = np.empty((len(order), slices))
-    end = np.empty_like(start)
-    for j, task in enumerate(order):
-        start[j], end[j] = st[task], ft[task]
-    exit_finish = ft[flowline.exit]
+    if sigma:  # drawn slice by slice, scaled in place into (tasks, slices)
+        draw = np.random.Generator(np.random.PCG64(config.seed)).lognormal(
+            -0.5 * sigma * sigma, sigma, (slices, len(order))).T  # mean 1
+        duration = np.multiply(weights, draw, out=draw)
+    elif config.overlap:
+        duration = np.broadcast_to(weights, (len(order), slices))
+    else:  # every slice alike: time one and shift it to each admission
+        duration = weights
+    start, end = finish_times(order, flowline.predecessors, duration, delay,
+                              columns=True, serial=config.overlap)
+    exit_finish = np.broadcast_to(end[order.index(flowline.exit)], (slices,))
     if config.overlap:  # a slice runs from its first start to its exit
         per_slice = exit_finish - start.min(axis=0)
         left = exit_finish
     else:  # a slice is admitted when the one before it leaves the exit
-        per_slice = exit_finish
+        per_slice = exit_finish.copy()  # a view of ``end``, shifted below
         left = np.cumsum(exit_finish)
         offsets = np.concatenate(([0.0], left))[:-1]
-        start += offsets
-        end += offsets
+        if sigma:  # a column per slice
+            start += offsets
+            end += offsets
+        else:  # one column, broadcast to every slice
+            start, end = start + offsets, end + offsets
     start.flags.writeable = end.flags.writeable = False
     total = float(left[-1]) if slices else 0.0
     cost = plan.procurement.total_price * total / 3600.0

@@ -277,50 +277,104 @@ class TestFinishTimes:
                                                 None)
             assert st == {t: ft[t] - duration[t] for t in ft}
 
+    @staticmethod
+    def rows(fl, slices, rng):
+        """Random dyadic durations, row j for topological_order[j]."""
+        return np.array([[rng.randint(0, 100) / 8 for _ in range(slices)]
+                         for _ in fl.topological_order]).reshape(-1, slices)
+
+    @staticmethod
+    def column(fl, times, s):
+        """Column s of order-aligned ``times``, keyed by task."""
+        return {t: float(times[j, s])
+                for j, t in enumerate(fl.topological_order)}
+
     def test_columns_time_each_slice_as_the_float_path(self):
         rng = random.Random(5)
         for _ in range(30):
-            fl, duration, delay = random_case(rng)
+            fl, _, delay = random_case(rng)
             slices = rng.randint(1, 6)
-            columns = {t: np.array([rng.randint(0, 100) / 8
-                                    for _ in range(slices)])
-                       for t in duration}
+            duration = self.rows(fl, slices, rng)
             st, ft = finish_times(fl.topological_order, fl.predecessors,
-                                  columns, delay, columns=True)
+                                  duration, delay, columns=True)
+            assert st.shape == ft.shape == duration.shape
             for s in range(slices):
-                one = {t: float(columns[t][s]) for t in columns}
                 want_st, want_ft = finish_times(
-                    fl.topological_order, fl.predecessors, one, delay)
-                assert {t: float(np.broadcast_to(st[t], slices)[s])
-                        for t in st} == want_st
-                assert {t: float(ft[t][s]) for t in ft} == want_ft
+                    fl.topological_order, fl.predecessors,
+                    self.column(fl, duration, s), delay)
+                assert self.column(fl, st, s) == want_st
+                assert self.column(fl, ft, s) == want_ft
+
+    def test_delay_rows_time_each_column_as_the_float_path(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            fl, duration, _ = random_case(rng)
+            plans = rng.randint(1, 5)
+            delay = {e: np.array([rng.randint(0, 40) / 8
+                                  for _ in range(plans)])
+                     for e in fl.edges}
+            weights = np.array([[duration[t]] for t in fl.topological_order])
+            wide = np.broadcast_to(weights, (len(weights), plans))
+            _, ft = finish_times(fl.topological_order, fl.predecessors, wide,
+                                 delay, columns=True)
+            for p in range(plans):
+                one = {e: float(d[p]) for e, d in delay.items()}
+                _, want = finish_times(fl.topological_order, fl.predecessors,
+                                       duration, one)
+                assert self.column(fl, ft, p) == want
 
     def test_serial_waits_for_the_previous_slice(self):
         rng = random.Random(9)
         for _ in range(30):
-            fl, duration, delay = random_case(rng)
+            fl, _, delay = random_case(rng)
             slices = rng.randint(1, 8)
-            columns = {t: np.array([rng.randint(0, 100) / 8
-                                    for _ in range(slices)])
-                       for t in duration}
+            duration = self.rows(fl, slices, rng)
             st, ft = finish_times(fl.topological_order, fl.predecessors,
-                                  columns, delay, columns=True, serial=True)
+                                  duration, delay, columns=True, serial=True)
             before = None
             for s in range(slices):
-                one = {t: float(columns[t][s]) for t in columns}
+                one = self.column(fl, duration, s)
                 want = enumerate_paths_finish(fl, one, delay, 0.0, before)
-                assert {t: float(ft[t][s]) for t in ft} == want
-                assert {t: float(st[t][s]) for t in st} == {
+                assert self.column(fl, ft, s) == want
+                assert self.column(fl, st, s) == {
                     t: want[t] - one[t] for t in want}
                 before = want
 
+    def test_one_column_broadcasts_against_slices(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            fl, duration, delay = random_case(rng)
+            slices = rng.randint(1, 6)
+            weights = np.array([[duration[t]] for t in fl.topological_order])
+            st, ft = finish_times(fl.topological_order, fl.predecessors,
+                                  weights, delay, columns=True)
+            want_st, want_ft = finish_times(fl.topological_order,
+                                            fl.predecessors, duration, delay)
+            assert self.column(fl, st, 0) == want_st
+            assert self.column(fl, ft, 0) == want_ft
+            wide = np.broadcast_to(weights, (len(weights), slices))
+            wide_st, wide_ft = finish_times(fl.topological_order,
+                                            fl.predecessors, wide, delay,
+                                            columns=True)
+            assert np.array_equal(wide_st, np.broadcast_to(st, wide.shape))
+            assert np.array_equal(wide_ft, np.broadcast_to(ft, wide.shape))
+            # Serially, each slice queues behind the one before.
+            _, serial_ft = finish_times(fl.topological_order,
+                                        fl.predecessors, wide, delay,
+                                        columns=True, serial=True)
+            before = None
+            for s in range(slices):
+                before = enumerate_paths_finish(fl, duration, delay, 0.0,
+                                                before)
+                assert self.column(fl, serial_ft, s) == before
+
     def test_no_slices(self):
         fl, duration, delay = random_case(random.Random(1))
-        empty = {t: np.zeros(0) for t in duration}
+        empty = np.zeros((len(duration), 0))
         for serial in (False, True):
             st, ft = finish_times(fl.topological_order, fl.predecessors,
                                   empty, delay, columns=True, serial=serial)
-            assert all(np.shape(ft[t]) == (0,) for t in ft)
+            assert st.shape == ft.shape == empty.shape
 
 
 class TestRejectBadNumbers:

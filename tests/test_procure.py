@@ -25,7 +25,7 @@ from kgflow.costmodel import (
     bundled_qcloud_catalog,
     procure,
 )
-from kgflow.costmodel import _reachable_prices
+from kgflow.costmodel import _price_floor, _reachable_prices
 
 
 def oracle_procure(catalog, x0, demand):
@@ -201,9 +201,9 @@ def test_random_catalogs_match_oracle_at_the_bound_edges(catalog, gpus, cpus,
     assert plan == oracle_procure(catalog, x0, demand)
 
 
-def _first_bound_rows(table, x0):
-    """The rows a search up to max(2*x0, dearest unit price), doubled
-    until a plan fits, fills: the most a fresh ``closest(x0)`` may fill."""
+def _first_bound_limit(table, x0):
+    """The price limit a search up to max(2*x0, dearest unit price),
+    doubled until a plan fits, reaches."""
     def limit(price):
         return int(price * 1e6 / table._unit + 1e-9)
 
@@ -211,7 +211,13 @@ def _first_bound_rows(table, x0):
     bound = max(2.0 * x0, max(v.unit_price for v in table.types))
     while limit(bound) < round(cheapest_plan * 1e6 / table._unit):
         bound *= 2.0
-    return len(_reachable_prices(table._weights, limit(bound),
+    return limit(bound)
+
+
+def _first_bound_rows(table, x0):
+    """The rows the search of ``_first_bound_limit`` fills: the most a
+    fresh ``closest(x0)`` may fill."""
+    return len(_reachable_prices(table._weights, _first_bound_limit(table, x0),
                                  table._max_rows))
 
 
@@ -234,6 +240,46 @@ def test_closest_fills_no_more_rows_than_the_first_bound(catalog, gpus, cpus,
     table = PlanTable(catalog, ResourceDemand(gpus, cpus))
     table.closest(x0)
     assert len(table._prices) <= _first_bound_rows(table, x0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalog=st.one_of(small_catalogs(),
+                         st.sampled_from(sorted(CATALOGS)).map(
+                             lambda name: CATALOGS[name]())),
+       gpus=st.integers(0, 9), cpus=st.integers(0, 30),
+       x0_steps=st.integers(-300, 99))
+# The list baseline's x0 = 0 on g4dn for the 3m11o flowline's demand.
+@example(catalog=CATALOGS["g4dn"](), gpus=3, cpus=11, x0_steps=0)
+def test_closest_below_the_cheapest_price_doubles_up_from_it(catalog, gpus,
+                                                             cpus, x0_steps):
+    # Every plan but the empty one is dearer than such an x0, so the search
+    # stops at the first of f, 2f, 4f, ... that reaches the cheapest
+    # feasible plan, f >= the cheapest unit price a price no feasible plan
+    # but the empty one is below, when at most half the first bound
+    # max(2 * x0, dearest unit price), and is that search if not. The plan
+    # is the one the rows up to the first bound give.
+    assume(gpus == 0 or any(v.gpu_cards for v in catalog))
+    assume(cpus == 0 or any(v.cpu_headroom for v in catalog))
+    x0 = min(v.unit_price for v in catalog) * x0_steps / 100
+    table = PlanTable(catalog, ResourceDemand(gpus, cpus))
+    plan = table.closest(x0)
+    fresh = PlanTable(catalog, table.demand)
+    fresh._fill(_first_bound_limit(fresh, x0), 0.0)
+    assert plan == fresh._best(len(fresh._prices), x0)
+    price = round(procure(catalog, 0.0, table.demand).total_price * 1e6
+                  / table._unit)
+    floor = _price_floor(table.types, table._weights, table.demand)
+    assert min(table._weights) <= floor <= max(price, min(table._weights))
+    limit = floor
+    while limit < price:
+        limit *= 2
+    first = max(2.0 * x0, max(v.unit_price for v in catalog))
+    rows = len(table._prices)
+    if 2 * limit <= int(first * 1e6 / table._unit + 1e-9):
+        assert rows == len(_reachable_prices(table._weights, limit,
+                                             table._max_rows))
+    else:  # a bound past half the first one is not worth a fill of its own
+        assert rows == _first_bound_rows(table, x0)
 
 
 @settings(max_examples=100, deadline=None)

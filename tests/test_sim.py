@@ -790,3 +790,65 @@ class TestPinnedOutputs:
                        for seed in range(50))
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == PINNED[shape, catalog_name][1])
+
+
+# sha256 of each sweep pair's eta-0.5 plan simulated in each mode over
+# corpora of 0, 200 and 80000 rows (total time, per-slice makespans, cost
+# and the timeline's start and end bytes), taken before the simulator timed
+# its slices in one start/finish array pair: a faster simulator must leave
+# them byte-identical.
+SIM_MODES = {"zero-jitter": {}, "jitter-0.1": {"jitter": 0.1},
+             "overlap": {"overlap": True},
+             "overlap-jitter-0.3": {"overlap": True, "jitter": 0.3}}
+PINNED_SIM = {
+    ((3, 11), "g4dn"): {
+        "jitter-0.1":
+            "cfb8cdf91b5a71da2180624262fbec643f09f3964c036a1fe6c37ed3c4ef1b37",
+        "overlap":
+            "345ab214d066e88ac6fb75de2096dad136dd87b1ef7171747123ef0c04d8ba85",
+        "overlap-jitter-0.3":
+            "f0520d9b9c850780bfe3953e3c76de78c100cbb89b2508b92055f83433ff49d7",
+        "zero-jitter":
+            "803523aa886b2e65148d56abc1ec8d8a6a1f183337d9c67f890449133b28fecf",
+    },
+    ((6, 29), "qcloud"): {
+        "jitter-0.1":
+            "f976ad03c0b3669d2e330cd51bbe76cf6789cb2dbb7fcc4ae2450c533f71f407",
+        "overlap":
+            "4de4fa1d3ed1ba3d83d638c72dd1c92b1eee4558f919458c44a1dd4dac78ece9",
+        "overlap-jitter-0.3":
+            "a15272b96a4865b2186c416722e87043875508dd32807fc1e6692d61c7bd14ef",
+        "zero-jitter":
+            "da6d7075e1c1a0ad8371f88b280d6587c5f9e27aeddc93685400db194dc2cec7",
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_pair_plan(shape, catalog_name):
+    fl, profile = synthetic_flowline(*shape)
+    catalog = {"qcloud": bundled_qcloud_catalog,
+               "g4dn": bundled_g4dn_catalog}[catalog_name]()
+    return fl, profile, schedule(fl, profile, catalog, 0.5, NET)
+
+
+def simulate_digest(shape, catalog_name, mode):
+    fl, profile, plan = sweep_pair_plan(shape, catalog_name)
+    digest = hashlib.sha256()
+    for corpus in (0, 200, 80_000):
+        config = SimConfig(latency_s=NET.latency_s,
+                           bandwidth_Bps=NET.bandwidth_Bps,
+                           corpus_size=corpus, seed=7, **SIM_MODES[mode])
+        result = simulate(plan, fl, profile, config)
+        digest.update(repr((result.total_time, result.per_slice_makespan,
+                            result.monetary_cost)).encode())
+        digest.update(result.timeline.start.tobytes())
+        digest.update(result.timeline.end.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(SIM_MODES))
+@pytest.mark.parametrize("shape, catalog_name", sorted(PINNED))
+def test_pinned_simulate(shape, catalog_name, mode):
+    assert (simulate_digest(shape, catalog_name, mode)
+            == PINNED_SIM[shape, catalog_name][mode])
