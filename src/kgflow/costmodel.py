@@ -435,15 +435,13 @@ class PlanTable:
         cheapest, and every plan that ties on it is inside the bound. With
         no feasible plan priced at most x0 the best is the cheapest feasible
         one, inside the bound whenever any feasible plan is. Below cheapest
-        every plan but the empty one is priced above x0, so the best is the
-        cheapest feasible plan or, when nothing is demanded, the empty plan
-        or a cheapest instance. The bounds are then f, 2f, 4f, ... while
-        twice the bound is at most max(2*x0, dearest unit price), f being
-        the larger of cheapest and what the demand's cards or cores cost at
-        the lowest price per card or per core, below which no feasible plan
-        but the empty one lies. Only if no feasible plan is inside these
-        bounds does the search go on, as it does for any other x0: up to
-        max(2*x0, dearest unit price), doubled while nothing fits."""
+        every plan but the empty one costs more than x0, so the best is the
+        cheapest feasible plan (with nothing demanded, the empty plan or a
+        cheapest instance), and the bounds are f, 2f, 4f, ... up to half of
+        max(2*x0, dearest unit price), f the ``_price_floor``. Only if none
+        of these bounds holds a feasible plan does the search go on, as it
+        does for any other x0: up to max(2*x0, dearest unit price), doubled
+        while nothing fits."""
         if not math.isfinite(x0):
             raise CostModelError(f"target price x0 must be finite, got {x0}")
         types, unit = self.types, self._unit
