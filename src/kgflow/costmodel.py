@@ -118,6 +118,16 @@ class ResourceDemand:
         _count("demand gpus", self.gpus, 0)
         _count("demand cpus", self.cpus, 0)
 
+    def check_supplied(self, types: Sequence[VmType]) -> None:
+        """Raise CostModelError unless some multiset of ``types`` meets the
+        demand: some type has GPU cards if any are asked for, and some has
+        headroom cores if any are."""
+        if ((self.gpus and not any(v.gpu_cards for v in types))
+                or (self.cpus and not any(v.cpu_headroom for v in types))):
+            raise CostModelError(
+                f"demand {self} infeasible with catalog "
+                f"{[v.name for v in types]}: no VM type supplies it")
+
 
 @dataclass(frozen=True)
 class ProcurementPlan:
@@ -404,11 +414,7 @@ class PlanTable:
     def __init__(self, catalog: Iterable[VmType], demand: ResourceDemand):
         self.types = types = catalog_types(catalog)
         self.demand = demand
-        if ((demand.gpus and not any(v.gpu_cards for v in types))
-                or (demand.cpus and not any(v.cpu_headroom for v in types))):
-            raise CostModelError(
-                f"demand {demand} infeasible with catalog "
-                f"{[v.name for v in types]}: no VM type supplies it")
+        demand.check_supplied(types)
         micros = _micro_prices(types)
         self._unit = math.gcd(*micros)
         self._weights = [m // self._unit for m in micros]

@@ -154,6 +154,16 @@ class Ledger:
             if (c > cards or o > cores) and i in found:
                 found.remove(i)
 
+    def stock(self, unit: tuple[int, int]) -> tuple[list[int], list[int]]:
+        """For one ``CARD`` or one ``CORE``: ``fitting(unit)`` as a list of
+        the caller's own, and how many units each of those VMs has room
+        for. Handing a unit out is a decrement of its VM's count, and the
+        VM leaves both lists when that reaches 0: the first list then stays
+        what ``fitting`` gives after the same ``take`` calls."""
+        found = self.fitting(unit)
+        k = unit.index(1)
+        return list(found), [self.room[i][k] for i in found]
+
 
 def _compile(flowline: Flowline) -> list:
     """The units of ``compound`` in order, each with its (cards, cores)
@@ -186,6 +196,50 @@ def _place(compiled: Sequence, ledger: Ledger) -> list[int]:
         placed.append(max(fitting, key=overlap.__getitem__))
         ledger.take(placed[-1], demand)
     return placed
+
+
+def _place_many(compiled: Sequence, room: np.ndarray) -> np.ndarray:
+    """``_place`` of many VM lists at once. ``room`` is (lists, VMs, 2):
+    each list's (cards, cores) per VM, as a fresh ``Ledger`` holds them,
+    a shorter list padded with VMs that have no room. Row r of the result
+    is ``_place`` of list r, followed by -1 from the unit that fits nowhere
+    on. Per unit, each row takes the argmax of its VMs' scores: neighbour
+    overlap, plus a bonus above any overlap on the VMs with room, so the
+    lowest index wins ties. A row keeps placing after it stops, on VMs
+    without room, and its later entries are masked at the end."""
+    cards, cores = room[..., 0].copy(), room[..., 1].copy()
+    first = np.arange(0, cards.size, cards.shape[1])  # each row's VM 0, flat
+    bonus = 1 + sum(count for _, _, near in compiled for _, count in near)
+    placed = np.empty((len(room), len(compiled)), dtype=np.intp)
+    hosted = np.empty(placed.shape, dtype=bool)
+    for k, (_, (need_cards, need_cores), neighbours) in enumerate(compiled):
+        fits = cores >= need_cores  # cards >= 0 wherever a row still places
+        if need_cards:
+            fits &= cards >= need_cards
+        score = (fits * bonus).ravel()
+        for j, count in neighbours:
+            score[first + placed[:, j]] += count
+        placed[:, k] = choice = score.reshape(fits.shape).argmax(axis=1)
+        at = first + choice
+        hosted[:, k] = score[at] >= bonus
+        if need_cards:
+            cards.ravel()[at] -= need_cards
+        if need_cores:
+            cores.ravel()[at] -= need_cores
+    return np.where(np.logical_and.accumulate(hosted, axis=1), placed, -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _multisets(n: int, most: int) -> np.ndarray:
+    """Every multiset of 1 to ``most`` of the indices 0..n-1, read-only: a
+    row of indices ascending each, padded with -1, the rows in
+    lexicographic order (a multiset before those that extend it)."""
+    rows = sorted(chain.from_iterable(
+        combinations_with_replacement(range(n), k)
+        for k in range(1, most + 1)))
+    multisets = np.array([row + (-1,) * (most - len(row)) for row in rows])
+    multisets.flags.writeable = False
+    return multisets
 
 
 def _assignment(compiled: Sequence, placed: Sequence[int]) -> dict[str, int]:
@@ -364,40 +418,47 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     Enumerates procurement multisets of up to max(3, min(models, 4)) + 1
     instances, partitions the flowline onto each, and records the analytic
     per-slice makespan; combinations that cannot host the flowline become
-    infeasible observations (they cap the fitted curve's pole). The units
-    compile once; a multiset places as itself less its last VM in expand
-    order when that hosts them, as the empty last VM never wins the choice.
+    infeasible observations (they cap the fitted curve's pole).
+
+    The units compile once, and one ``_place_many`` pass places every
+    multiset, a row of its VMs in expand order each. A multiset's price
+    adds its unit prices left to right in name order, one column of all
+    multisets at a time (the floats Python 3.11's ``sum`` makes). The
+    makespan depends only on the edges a placement cuts, so it is computed
+    once per distinct placement. The multisets go in lexicographic order of
+    their type indices in name order, and each (price, makespan) key keeps
+    the observation of the first multiset that reaches it, the only one
+    built.
     """
     max_instances = max(3, min(len(flowline.models), 4)) + 1
     types = catalog_types(catalog)
     compiled = _compile(flowline)
-    by_rank = [types.index(vm) for vm in ProcurementPlan.of(types).expand()]
-    # Type indices in expand order, smallest multisets first -> placement.
-    placements: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    for vms in chain.from_iterable(combinations_with_replacement(by_rank, k)
-                                   for k in range(1, max_instances + 1)):
-        placed = placements.get(vms[:-1]) or tuple(
-            _place(compiled, Ledger([types[i] for i in vms])))
-        placements[vms] = placed if len(placed) == len(compiled) else None
+    multisets = _multisets(len(types), max_instances)
+    unit_prices = np.array([vm.unit_price for vm in types] + [0.0])
+    prices = np.zeros(len(multisets))
+    for column in multisets.T:
+        prices += unit_prices[column]
+    expand = ProcurementPlan.of(types).expand()
+    rank = np.array([expand.index(vm) for vm in types] + [len(types)])
+    room = np.array([(vm.gpu_cards, vm.cpu_headroom) for vm in expand]
+                    + [(0, 0)])[np.sort(rank[multisets], axis=1)]
     observations: dict[tuple[float, float | None], Observation] = {}
-    # The makespan depends only on the edges a placement cuts, and the
-    # enumerated procurements collapse onto a few distinct placements.
-    makespans: dict[tuple[int, ...], float] = {}
-    # Lexicographic order, so each key keeps its first-seen observation.
-    for combo, placed in sorted((tuple(sorted(vms)), placed)
-                                for vms, placed in placements.items()):
-        price = sum(types[i].unit_price for i in combo)
-        if placed is None:
-            observations.setdefault((round(price, 9), None),
-                                    Observation(price, None))
-            continue
-        mk = makespans.get(placed)
-        if mk is None:
-            delay = apply_partition(flowline, profile,
-                                    _assignment(compiled, placed), net)
-            mk = makespans[placed] = makespan(flowline, profile, delay)
-        observations.setdefault((round(price, 9), round(mk, 12)),
-                                Observation(price, mk))
+    # Per placement, its makespan and that rounded; (None, None) where the
+    # multiset does not host the flowline.
+    makespans: dict[tuple[int, ...], tuple[float | None, float | None]] = {}
+    for price, placed in zip(prices.tolist(),
+                             map(tuple, _place_many(compiled, room).tolist())):
+        if placed not in makespans:
+            if placed[-1] < 0:
+                makespans[placed] = None, None
+            else:
+                mk = makespan(flowline, profile, apply_partition(
+                    flowline, profile, _assignment(compiled, placed), net))
+                makespans[placed] = mk, round(mk, 12)
+        mk, rounded = makespans[placed]
+        key = (round(price, 9), rounded)
+        if key not in observations:
+            observations[key] = Observation(price, mk)
     return [observations[k] for k in sorted(observations,
                                             key=lambda k: (k[0], k[1] is None,
                                                            k[1] or 0.0))]
@@ -427,13 +488,34 @@ def schedule(flowline: Flowline, profile: TaskProfile,
     explicit ``fit``, explicit warm-up ``observations``, or observations
     synthesized from the profile by enumerating candidate procurements.
     A ``table`` for the catalog and the flowline's demand is searched and
-    grown in place of a fresh one, so that calls at several etas share it.
+    grown in place of a fresh one, so that calls at several etas share it;
+    ``schedule_many`` shares the rest of the work as well.
     """
-    Preference(eta)
+    return schedule_many(flowline, profile, catalog, (eta,), net, fit=fit,
+                         observations=observations, corpus_size=corpus_size,
+                         slice_size=slice_size, table=table)[0]
+
+
+def schedule_many(flowline: Flowline, profile: TaskProfile,
+                  catalog: Sequence[VmType], etas: Sequence[float],
+                  net: NetParams, *, fit: MakespanPriceFit | None = None,
+                  observations: Sequence[Observation] | None = None,
+                  corpus_size: float = 8000, slice_size: float = 200,
+                  table: PlanTable | None = None) -> list[SchedulePlan]:
+    """``schedule`` at each of ``etas``, equal to it plan by plan, with the
+    work that does not depend on eta done once. Every eta is checked
+    first; then the curve is fitted once, each eta's procurement is read
+    from the one ``table``, and each distinct procurement is placed,
+    qualified and costed once, by the first eta that buys it. A later eta
+    that buys it shares its assignment, makespan, corpus time and money,
+    none of which depends on eta, and weighs its own J from them. An error
+    is raised where ``schedule`` would raise it, at the first eta it
+    would."""
+    for eta in etas:
+        Preference(eta)
     profile.check_covers(flowline)
     types = catalog_types(catalog)
     cards, cores = need(flowline, flowline.by_id)
-
     if not cards:
         # CPU-only corner case: keep the flowline whole on one adequate VM.
         adequate = [vm for vm in types if vm.cpu_headroom >= cores]
@@ -442,21 +524,34 @@ def schedule(flowline: Flowline, profile: TaskProfile,
                 f"no catalog VM has {cores} spare CPU cores for a CPU-only "
                 "flowline")
         chosen = min(adequate, key=lambda v: (v.unit_price, v.name))
-        procurement = ProcurementPlan(((chosen, 1),))
-        assignment = {v.id: 0 for v in flowline.vertices}
-    else:
-        if fit is None:
-            fit = (fit_price_makespan(list(observations))
-                   if observations is not None
-                   else synthesized_fit(flowline, profile, types, net))
-        x0 = optimal_unit_price(fit, Preference(eta))
-        procurement = procure(types, x0, ResourceDemand(cards, cores),
-                              table=table)
-        assignment = greedy_partition(flowline, procurement.expand())
-
-    plan = SchedulePlan(procurement, assignment, eta, net)
-    return dataclasses.replace(plan, predictions=evaluate_plan(
-        plan, flowline, profile, corpus_size, slice_size, eta, net))
+        bought = ProcurementPlan(((chosen, 1),))
+    elif fit is None:
+        fit = (fit_price_makespan(list(observations))
+               if observations is not None
+               else synthesized_fit(flowline, profile, types, net))
+    plans: list[SchedulePlan] = []
+    placed: dict[ProcurementPlan, SchedulePlan] = {}
+    for eta in etas:
+        if cards:
+            x0 = optimal_unit_price(fit, Preference(eta))
+            bought = procure(types, x0, ResourceDemand(cards, cores),
+                             table=table)
+        plan = placed.get(bought)
+        if plan is None:
+            assignment = (greedy_partition(flowline, bought.expand())
+                          if cards else {v.id: 0 for v in flowline.vertices})
+            plan = SchedulePlan(bought, assignment, eta, net)
+            plan = placed[bought] = dataclasses.replace(
+                plan, predictions=evaluate_plan(plan, flowline, profile,
+                                                corpus_size, slice_size, eta,
+                                                net))
+        else:
+            costs = plan.predictions
+            plan = dataclasses.replace(plan, eta=eta, predictions={
+                **costs, "J": objective(costs["cost_com_s"],
+                                        costs["cost_mon"], eta)})
+        plans.append(plan)
+    return plans
 
 
 # --- plan JSON ------------------------------------------------------------------

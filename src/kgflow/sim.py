@@ -81,7 +81,7 @@ from .scheduler import (
     need,
     predict_many,
     require_qualified,
-    schedule,
+    schedule_many,
     synthesized_fit,
 )
 
@@ -254,12 +254,24 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
                     seed: int, net: NetParams | None = None) -> SchedulePlan:
     """Uniformly random feasible procurement and qualified assignment.
 
-    Deterministic per seed (rejection sampling off a seeded generator).
+    Deterministic per seed: every draw comes from one
+    ``random.Random(seed)`` stream, in this order. Up to 10,000 times, k
+    is drawn from 1..k_cap and then k instances, each of a type drawn
+    uniformly; the first draw that covers the demand is bought. Then the
+    tasks, in natural order, are shuffled, and each in turn goes to a VM
+    drawn uniformly from those with room for it (``Ledger.fitting``, in
+    index order). Should all 10,000 draws fall short, the last one is
+    topped up with instances of types drawn uniformly from those with GPU
+    cards until it has enough cards, then from those with headroom cores
+    until it has enough cores. A catalog in which no type supplies the
+    demand raises ``ResourceDemand.check_supplied``'s CostModelError
+    before any draw.
     """
     types = catalog_types(catalog)
     rng = random.Random(seed)
     tasks = list(flowline.natural_order)
     n_models, n_operators = need(flowline, tasks)
+    ResourceDemand(n_models, n_operators).check_supplied(types)
     # Enough of the type with most GPUs plus of the one with most headroom.
     k_cap = max(2, n_models + 1, 1 + math.ceil(
         n_models / (max(vm.gpu_cards for vm in types) or 1)) + math.ceil(
@@ -271,23 +283,27 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
         if (sum(vm.gpu_cards for vm in drawn) >= n_models
                 and sum(vm.cpu_headroom for vm in drawn) >= n_operators):
             break
-    else:
-        raise CostModelError("could not sample a feasible procurement; "
-                             "catalog cannot host the flowline")
+    else:  # top the last draw up; check_supplied found both supplies
+        gpus = [vm for vm in types if vm.gpu_cards]
+        while sum(vm.gpu_cards for vm in drawn) < n_models:
+            drawn.append(gpus[rng.randrange(len(gpus))])
+        cores = [vm for vm in types if vm.cpu_headroom]
+        while sum(vm.cpu_headroom for vm in drawn) < n_operators:
+            drawn.append(cores[rng.randrange(len(cores))])
 
     procurement = ProcurementPlan.of(drawn)
-    vms = procurement.expand()
-    ledger = Ledger(vms)
+    ledger = Ledger(procurement.expand())
+    card, core = ledger.stock(Ledger.CARD), ledger.stock(Ledger.CORE)
+    models = flowline.models
     assignment: dict[str, int] = {}
     rng.shuffle(tasks)
-    for task in tasks:
-        unit = Ledger.CARD if task in flowline.models else Ledger.CORE
-        options = ledger.fitting(unit)
-        if not options:
-            raise SchedulingError(f"random assignment stuck at {task!r}")
-        pick = options[rng.randrange(len(options))]
-        ledger.take(pick, unit)
-        assignment[task] = pick
+    for task in tasks:  # the draw covers the demand, so a VM has room
+        vms, left = card if task in models else core
+        pick = rng.randrange(len(vms))
+        assignment[task] = vms[pick]
+        left[pick] -= 1
+        if not left[pick]:
+            del vms[pick], left[pick]
     return SchedulePlan(procurement, assignment, eta=0.5, net=net,
                         scheduler="random")
 
@@ -379,8 +395,11 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     seeded plans. What does not depend on eta is done once and shared by
     every cell: the price-to-makespan curve; one ``PlanTable`` for the
     catalog and the flowline's demand, which the list baseline and every
-    eta's ``schedule`` procure from; and the baselines' costs, from one
-    columnar ``predict_many`` pass.
+    eta's procurement read; the baselines' costs, from one columnar
+    ``predict_many`` pass; and, through ``schedule_many``, the placement
+    and costs of each distinct procurement, made once for the first eta
+    that buys it, as its makespan, corpus time and money do not depend on
+    eta.
     """
     if not etas:
         raise CostModelError("empty eta list")
@@ -399,14 +418,13 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     baseline_metrics = predict_many(baselines, flowline, profile,
                                     config.corpus_size, config.slice_size,
                                     net)
+    # schedule_many qualified and costed its plans on this corpus and net.
+    plans = schedule_many(flowline, profile, catalog, etas, net, fit=fit,
+                          corpus_size=config.corpus_size,
+                          slice_size=config.slice_size, table=plan_table)
     rows: list[SweepRow] = []
-    for eta in etas:
-        # schedule() qualified and costed its plan on this corpus and net.
-        predicted = schedule(flowline, profile, catalog, eta, net, fit=fit,
-                             corpus_size=config.corpus_size,
-                             slice_size=config.slice_size,
-                             table=plan_table).predictions
-        metrics = [predicted] + baseline_metrics
+    for eta, plan in zip(etas, plans):
+        metrics = [plan.predictions] + baseline_metrics
         js = normalized_objectives(
             [(m["cost_com_s"], m["cost_mon"]) for m in metrics], eta)
         table = [(m["makespan_s"], m["cost_com_s"], m["cost_mon"], j)

@@ -6,9 +6,15 @@ replaced (overlap = |tasks placed on the VM & unit neighbours|, candidates
 sorted by (-overlap, index), the first that fits wins). The observation
 oracle expands every enumerated procurement into its plan, partitions it
 with that oracle and times it, without the compiled units or the
-per-placement makespan memo.
+per-placement makespan memo. ``reference_synthesize`` is the scalar
+synthesis that the columnar ``_place_many`` pass replaced: each multiset
+placed through a ``Ledger``, its price a ``sum``, an ``Observation`` built
+for each multiset.
 """
 
+from itertools import chain, combinations_with_replacement
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +26,7 @@ from kgflow.costmodel import (
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
+    catalog_types,
 )
 from kgflow.flowline import (
     Flowline,
@@ -30,14 +37,24 @@ from kgflow.flowline import (
     makespan,
 )
 from kgflow.scheduler import (
+    Ledger,
     SchedulingError,
+    _assignment,
+    _compile,
+    _place,
+    _place_many,
     compound,
     greedy_partition,
     synthesize_observations,
 )
 from kgflow.synth import EXPERIMENT_SHAPES, synthetic_flowline
 
-from test_scheduler import nine_task_flowline, nine_task_profile
+from test_scheduler import (
+    fuzz_catalogs,
+    nine_task_flowline,
+    nine_task_profile,
+    unit_dags,
+)
 
 NET = NetParams(latency_s=0.05, bandwidth_Bps=1.0e7)
 
@@ -117,6 +134,47 @@ def oracle_observations(flowline, profile, catalog, net):
                                 Observation(price, mk))
     return [observations[k] for k in sorted(
         observations, key=lambda k: (k[0], k[1] is None, k[1] or 0.0))]
+
+
+def reference_synthesize(flowline, profile, catalog, net):
+    """``synthesize_observations`` as it was before ``_place_many``."""
+    max_instances = max(3, min(len(flowline.models), 4)) + 1
+    types = catalog_types(catalog)
+    compiled = _compile(flowline)
+    by_rank = [types.index(vm) for vm in ProcurementPlan.of(types).expand()]
+    # Type indices in expand order, smallest multisets first -> placement.
+    placements = {}
+    for vms in chain.from_iterable(combinations_with_replacement(by_rank, k)
+                                   for k in range(1, max_instances + 1)):
+        placed = placements.get(vms[:-1]) or tuple(
+            _place(compiled, Ledger([types[i] for i in vms])))
+        placements[vms] = placed if len(placed) == len(compiled) else None
+    observations = {}
+    makespans = {}
+    # Lexicographic order, so each key keeps its first-seen observation.
+    for combo, placed in sorted((tuple(sorted(vms)), placed)
+                                for vms, placed in placements.items()):
+        price = sum(types[i].unit_price for i in combo)
+        if placed is None:
+            observations.setdefault((round(price, 9), None),
+                                    Observation(price, None))
+            continue
+        mk = makespans.get(placed)
+        if mk is None:
+            delay = apply_partition(flowline, profile,
+                                    _assignment(compiled, placed), net)
+            mk = makespans[placed] = makespan(flowline, profile, delay)
+        observations.setdefault((round(price, 9), round(mk, 12)),
+                                Observation(price, mk))
+    return [observations[k] for k in sorted(observations,
+                                            key=lambda k: (k[0], k[1] is None,
+                                                           k[1] or 0.0))]
+
+
+def random_profile(fl, data):
+    return TaskProfile(
+        {v.id: data.draw(st.integers(0, 40)) / 8 for v in fl.vertices},
+        {e: float(data.draw(st.integers(0, 4000))) for e in fl.edges})
 
 
 def outcome(fn, *args):
@@ -216,9 +274,7 @@ class TestSynthesizeObservations:
         catalog = [VmType(vm.name, vm.cpu_cores, vm.gpu_cards,
                           data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
                    for vm in vms]
-        profile = TaskProfile(
-            {v.id: data.draw(st.integers(0, 40)) / 8 for v in fl.vertices},
-            {e: float(data.draw(st.integers(0, 4000))) for e in fl.edges})
+        profile = random_profile(fl, data)
         assert (synthesize_observations(fl, profile, catalog, NET)
                 == oracle_observations(fl, profile, catalog, NET))
 
@@ -243,3 +299,67 @@ class TestSynthesizeObservations:
         observations = synthesize_observations(fl, profile, catalog, NET)
         assert observations and assignments
         assert makespans <= len(assignments)
+
+
+class TestPlaceMany:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(unit_dags(), fuzz_catalogs(), st.data())
+    def test_rows_equal_place(self, fl, catalog, data):
+        # Each list in any order, as _place takes it; a shorter one padded.
+        lists = data.draw(st.lists(st.lists(st.sampled_from(catalog),
+                                            min_size=1, max_size=6),
+                                   min_size=1, max_size=8))
+        width = max(map(len, lists))
+        room = np.array([[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]
+                         + [(0, 0)] * (width - len(vms)) for vms in lists])
+        compiled = _compile(fl)
+        rows = _place_many(compiled, room)
+        assert rows.shape == (len(lists), len(compiled))
+        for vms, row in zip(lists, rows.tolist()):
+            placed = _place(compiled, Ledger(vms))
+            # Equal where _place places a unit, -1 from where it stops.
+            assert row == placed + [-1] * (len(compiled) - len(placed))
+
+    def test_room_is_not_changed(self):
+        fl, _ = synthetic_flowline(3, 11)
+        room = np.array([[(1, 3), (1, 7), (0, 0)], [(4, 44), (1, 3), (1, 3)]])
+        before = room.copy()
+        _place_many(_compile(fl), room)
+        assert (room == before).all()
+
+
+class TestSynthesizeEqualsReference:
+    """The columnar synthesis gives the scalar one's observations, prices
+    and makespans equal as floats."""
+
+    @pytest.mark.parametrize("shape", EXPERIMENT_SHAPES,
+                             ids=lambda shape: "%dm%do" % shape)
+    @pytest.mark.parametrize("catalog", [bundled_qcloud_catalog,
+                                         bundled_g4dn_catalog])
+    def test_experiment_shapes(self, shape, catalog):
+        fl, profile = synthetic_flowline(*shape)
+        assert (synthesize_observations(fl, profile, catalog(), NET)
+                == reference_synthesize(fl, profile, catalog(), NET))
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 6), st.integers(1, 12), st.integers(0, 99),
+           fuzz_catalogs())
+    def test_synthetic_shapes_on_random_catalogs(self, models, extra, seed,
+                                                 catalog):
+        fl, profile = synthetic_flowline(models, models + extra, seed)
+        assert (synthesize_observations(fl, profile, catalog, NET)
+                == reference_synthesize(fl, profile, catalog, NET))
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(unit_dags(), fuzz_catalogs(max_types=4), st.data())
+    def test_random_dags_on_random_catalogs(self, fl, catalog, data):
+        # Few distinct prices, so observations collide on their keys.
+        catalog = [VmType(vm.name, vm.cpu_cores, vm.gpu_cards,
+                          data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+                   for vm in catalog]
+        profile = random_profile(fl, data)
+        assert (synthesize_observations(fl, profile, catalog, NET)
+                == reference_synthesize(fl, profile, catalog, NET))

@@ -62,6 +62,7 @@ from kgflow.scheduler import (
     predict_costs,
     predict_many,
     schedule,
+    schedule_many,
     synthesize_observations,
 )
 from kgflow.sim import baseline_list, baseline_random
@@ -149,6 +150,20 @@ def unit_dags(draw):
     return Flowline(tuple(TaskNode(id=t, kind=k) for t, k in zip(ids, kinds)),
                     tuple(sorted((ids[a], ids[b]) for a, b in edges)),
                     ids[0], ids[-1])
+
+
+@st.composite
+def fuzz_catalogs(draw, max_types=7):
+    """1 to ``max_types`` VM types drawn as in ROADMAP item 18's fuzz: 0, 1,
+    2, 4 or 8 GPU cards, 1-32 cores more than cards, and a price from
+    U(0.1, 5) on a 1e-3 grid."""
+    n = draw(st.integers(1, max_types))
+    catalog = []
+    for i in range(n):
+        cards = draw(st.sampled_from([0, 1, 2, 4, 8]))
+        catalog.append(VmType(f"t{i}", cards + draw(st.integers(1, 32)),
+                              cards, draw(st.integers(100, 5000)) / 1000))
+    return catalog
 
 
 def assert_units_partition(fl):
@@ -507,6 +522,66 @@ class TestSchedule:
         assert plan.vms == plan.procurement.expand()
         for unit in compound(fl):
             assert len({plan.assignment[m] for m in unit.members}) == 1
+
+
+class TestScheduleMany:
+    """``schedule_many`` is ``schedule`` at each eta, plan JSON for plan
+    JSON, while each distinct procurement is placed and costed once."""
+
+    @staticmethod
+    def count_placements(monkeypatch):
+        calls = []
+        original = kgflow.scheduler.greedy_partition
+
+        def counted(flowline, vms):
+            calls.append(tuple(vm.name for vm in vms))
+            return original(flowline, vms)
+
+        monkeypatch.setattr(kgflow.scheduler, "greedy_partition", counted)
+        return calls
+
+    @pytest.mark.parametrize("shape, make_catalog, etas, placements", [
+        ((6, 29), bundled_qcloud_catalog, (0.1, 0.3, 0.5, 0.7, 0.9), 1),
+        ((3, 11), bundled_g4dn_catalog, (0.1, 0.3, 0.5, 0.7, 0.9), 2),
+        # Two multisets, then the first one again at another eta.
+        ((3, 11), bundled_g4dn_catalog, (0.1, 0.9, 0.3), 2),
+        ((3, 6), bundled_qcloud_catalog, (0.9, 0.0, 0.9, 0.5), None),
+    ])
+    def test_equals_schedule_eta_by_eta(self, monkeypatch, shape,
+                                        make_catalog, etas, placements):
+        fl, profile = synthetic_flowline(*shape)
+        catalog = make_catalog()
+        expected = [plan_to_json(schedule(fl, profile, catalog, eta, NET))
+                    for eta in etas]
+        calls = self.count_placements(monkeypatch)
+        plans = schedule_many(fl, profile, catalog, etas, NET)
+        assert [plan_to_json(plan) for plan in plans] == expected
+        distinct = {plan.procurement for plan in plans}
+        assert len(calls) == len(distinct)
+        if placements is not None:
+            assert len(distinct) == placements
+
+    def test_cpu_only_flowline(self):
+        fl, profile = cpu_only_flowline()
+        catalog = bundled_qcloud_catalog()
+        etas = (0.2, 0.6)
+        plans = schedule_many(fl, profile, catalog, etas, NET)
+        assert [plan_to_json(plan) for plan in plans] == [
+            plan_to_json(schedule(fl, profile, catalog, eta, NET))
+            for eta in etas]
+
+    def test_every_eta_is_checked_before_any_work(self, monkeypatch):
+        calls = self.count_placements(monkeypatch)
+        fl, profile = synthetic_flowline(3, 6)
+        with pytest.raises(CostModelError, match="eta out of range"):
+            schedule_many(fl, profile, bundled_qcloud_catalog(),
+                          (0.5, 1.0), NET, fit=PAPER_CURVE)
+        assert calls == []
+
+    def test_no_etas_no_plans(self):
+        fl, profile = synthetic_flowline(3, 6)
+        assert schedule_many(fl, profile, bundled_qcloud_catalog(), (), NET,
+                             fit=PAPER_CURVE) == []
 
 
 class TestPredictMany:

@@ -4,12 +4,16 @@
 slice at once: a dict recurrence per slice, each slice admitted at the
 previous one's exit (or, overlapping, each task after its own previous
 slice). The columnar ``simulate`` must agree with it event by event.
+``reference_baseline_random`` is the random baseline as it was before its
+assignment stopped calling the ``Ledger`` per task; every plan it returns
+must come out byte for byte the same.
 """
 
 import functools
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,9 +23,12 @@ from hypothesis import example, given, settings, strategies as st
 from kgflow.costmodel import (
     CostModelError,
     ProcurementPlan,
+    ResourceDemand,
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
+    catalog_types,
+    procure,
 )
 from kgflow.flowline import (
     Flowline,
@@ -35,15 +42,17 @@ from kgflow.flowline import (
     natural_key,
 )
 from kgflow.scheduler import (
+    Ledger,
     MakespanPriceFit,
     SchedulePlan,
     SchedulingError,
     check_qualification,
     evaluate_plan,
+    need,
     plan_to_json,
     schedule,
 )
-from kgflow import sim
+from kgflow import scheduler, sim
 from kgflow.sim import (
     SimConfig,
     SweepConfig,
@@ -61,11 +70,13 @@ from test_flowline import random_dag
 from test_scheduler import (  # fixtures shared with the scheduler suite
     NET,
     PAPER_CURVE,
+    fuzz_catalogs,
     model,
     nine_task_flowline,
     nine_task_profile,
     op,
     qcloud_vms,
+    unit_dags,
 )
 
 
@@ -471,6 +482,53 @@ class TestMemoryBudget:
             simulate(plan, fl, profile, config)
 
 
+def reference_baseline_random(flowline, catalog, seed, net=None):
+    """``baseline_random`` with a ``Ledger.fitting`` and a ``Ledger.take``
+    call per task, raising where its draws run out."""
+    types = catalog_types(catalog)
+    rng = random.Random(seed)
+    tasks = list(flowline.natural_order)
+    n_models, n_operators = need(flowline, tasks)
+    k_cap = max(2, n_models + 1, 1 + math.ceil(
+        n_models / (max(vm.gpu_cards for vm in types) or 1)) + math.ceil(
+        n_operators / (max(vm.cpu_headroom for vm in types) or 1)))
+    for _ in range(10000):
+        k = rng.randint(1, k_cap)
+        drawn = [types[rng.randrange(len(types))] for _ in range(k)]
+        if (sum(vm.gpu_cards for vm in drawn) >= n_models
+                and sum(vm.cpu_headroom for vm in drawn) >= n_operators):
+            break
+    else:
+        raise CostModelError("could not sample a feasible procurement; "
+                             "catalog cannot host the flowline")
+    procurement = ProcurementPlan.of(drawn)
+    ledger = Ledger(procurement.expand())
+    assignment = {}
+    rng.shuffle(tasks)
+    for task in tasks:
+        unit = Ledger.CARD if task in flowline.models else Ledger.CORE
+        options = ledger.fitting(unit)
+        if not options:
+            raise SchedulingError(f"random assignment stuck at {task!r}")
+        pick = options[rng.randrange(len(options))]
+        ledger.take(pick, unit)
+        assignment[task] = pick
+    return SchedulePlan(procurement, assignment, eta=0.5, net=net,
+                        scheduler="random")
+
+
+def hostable(flowline, catalog):
+    cards, cores = need(flowline, flowline.by_id)
+    return ((not cards or any(vm.gpu_cards for vm in catalog))
+            and (not cores or any(vm.cpu_headroom for vm in catalog)))
+
+
+# 20 CPU-only types and one GPU type, which only some sampled plans hold.
+CPU_TYPES = [VmType(f"cpu{i:02d}", 32, 0, round(0.10 + 0.01 * i, 2))
+             for i in range(20)]
+ONE_GPU = VmType("gpu1", 8, 1, 1.0)
+
+
 class TestBaselineRandom:
     def test_seed_reproducibility(self):
         fl = nine_task_flowline()
@@ -506,6 +564,102 @@ class TestBaselineRandom:
         plan = baseline_random(fl, catalog, seed)
         assert sum(n for _, n in plan.procurement.items) >= 10
         assert check_qualification(plan, fl).ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_dags(), fuzz_catalogs(), st.integers(0, 10_000))
+    def test_plans_keep_their_bytes(self, fl, catalog, seed):
+        try:
+            expected = reference_baseline_random(fl, catalog, seed, NET)
+        except CostModelError:  # no draw hosted it: the fallback's case
+            return
+        assert (plan_to_json(baseline_random(fl, catalog, seed, NET))
+                == plan_to_json(expected))
+
+    @pytest.mark.parametrize("shape", EXPERIMENT_SHAPES)
+    @pytest.mark.parametrize("make_catalog", [bundled_qcloud_catalog,
+                                              bundled_g4dn_catalog])
+    def test_experiment_shapes_keep_their_bytes(self, shape, make_catalog):
+        fl, _ = synthetic_flowline(*shape)
+        for seed in range(50, 90):
+            assert (plan_to_json(baseline_random(fl, make_catalog(), seed))
+                    == plan_to_json(reference_baseline_random(
+                        fl, make_catalog(), seed)))
+
+    def test_hostable_catalog_beyond_the_draw_budget(self):
+        # Hosting 6 models takes 6 gpu1 among the <= 8 instances of a draw
+        # from 21 types: no draw does, and the last one is topped up.
+        fl, _ = synthetic_flowline(6, 18)
+        catalog = CPU_TYPES + [ONE_GPU]
+        demand = ResourceDemand(*need(fl, fl.by_id))
+        assert procure(catalog, 0.0, demand).describe() == "gpu1 x6"
+        with pytest.raises(CostModelError, match="could not sample"):
+            reference_baseline_random(fl, catalog, 0)
+        plan = baseline_random(fl, catalog, 0)
+        assert check_qualification(plan, fl).ok
+        assert dict(plan.procurement.items)[ONE_GPU] == 6
+        assert plan_to_json(plan) == plan_to_json(
+            baseline_random(fl, catalog, 0))
+        assert plan_to_json(plan) != plan_to_json(
+            baseline_random(fl, catalog, 1))
+
+    def test_top_up_adds_cores_after_cards(self):
+        # The GPU type brings no spare core, so the top-up's cards leave
+        # the cores short until the two-core types make them up.
+        fl, _ = synthetic_flowline(6, 29)
+        catalog = ([VmType(f"cpu{i:02d}", 2, 0, 0.5) for i in range(40)]
+                   + [VmType("gpu0", 1, 1, 1.0)])
+        with pytest.raises(CostModelError, match="could not sample"):
+            reference_baseline_random(fl, catalog, 3)
+        plan = baseline_random(fl, catalog, 3)
+        assert check_qualification(plan, fl).ok
+
+    def test_unhostable_catalog_raises_before_any_draw(self, monkeypatch):
+        draws = 0
+
+        class Counting(random.Random):
+            def randrange(self, *args):
+                nonlocal draws
+                draws += 1
+                return super().randrange(*args)
+
+            def shuffle(self, x):
+                nonlocal draws
+                draws += 1
+                return super().shuffle(x)
+
+        fl, _ = synthetic_flowline(6, 18)
+        monkeypatch.setattr(sim.random, "Random", Counting)
+        with pytest.raises(CostModelError, match=re.escape(
+                "demand ResourceDemand(gpus=6, cpus=18) infeasible with "
+                "catalog ") + ".*no VM type supplies it"):
+            baseline_random(fl, CPU_TYPES, 0)
+        assert draws == 0
+        baseline_random(fl, CPU_TYPES + [ONE_GPU], 0)
+        assert draws > 10_000
+
+    def test_sweep_on_a_catalog_beyond_the_draw_budget(self):
+        # The baselines are planned; the warm-up's 5 instances cannot hold
+        # 6 gpu1, so the curve fit is what fails (ROADMAP item 18).
+        fl, profile = synthetic_flowline(6, 18)
+        with pytest.raises(CostModelError, match="Pareto-frontier points"):
+            sweep_eta(fl, profile, CPU_TYPES + [ONE_GPU], [0.5],
+                      SweepConfig(random_plans=2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 12), st.integers(0, 99),
+           fuzz_catalogs(), st.integers(0, 10_000))
+    def test_hostable_plans_unhostable_raises_the_demand_error(
+            self, models, extra, shape_seed, catalog, seed):
+        fl, _ = synthetic_flowline(models, models + extra, shape_seed)
+        if not hostable(fl, catalog):
+            with pytest.raises(CostModelError,
+                               match="no VM type supplies it"):
+                baseline_random(fl, catalog, seed)
+            return
+        plan = baseline_random(fl, catalog, seed)
+        assert check_qualification(plan, fl).ok
+        assert plan_to_json(plan) == plan_to_json(
+            baseline_random(fl, catalog, seed))
 
     def test_single_type_catalog_colocates_when_possible(self):
         fl = Flowline.build([model("m"), op("o", "integrate")], [("m", "o")])
@@ -687,6 +841,48 @@ class TestSweep:
             sweep_eta(fl, profile, bundled_g4dn_catalog(),
                       (0.5, float("nan")))
         assert calls == 0
+
+    @pytest.mark.parametrize("shape, catalog_name, placements",
+                             [((6, 29), "qcloud", 1), ((3, 11), "g4dn", 2)])
+    def test_places_each_distinct_procurement_once(
+            self, monkeypatch, shape, catalog_name, placements):
+        calls = 0
+        original = scheduler.greedy_partition
+
+        def counting_partition(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(scheduler, "greedy_partition", counting_partition)
+        fl, profile = synthetic_flowline(*shape)
+        catalog = {"qcloud": bundled_qcloud_catalog,
+                   "g4dn": bundled_g4dn_catalog}[catalog_name]()
+        csv = sweep_to_csv(sweep_eta(fl, profile, catalog,
+                                     (0.1, 0.3, 0.5, 0.7, 0.9)))
+        assert calls == placements
+        assert (hashlib.sha256(csv.encode()).hexdigest()
+                == PINNED[shape, catalog_name][0])
+
+    def test_a_procurement_bought_again_after_another(self, monkeypatch):
+        # 0.1 and 0.3 buy g4dn.2xlarge + 2 g4dn.xlarge, 0.9 three 2xlarge.
+        fl, profile = synthetic_flowline(3, 11)
+        catalog = bundled_g4dn_catalog()
+        config = SweepConfig(random_plans=6)
+        alone = [sweep_eta(fl, profile, catalog, [eta], config)
+                 for eta in (0.1, 0.9, 0.3)]
+        calls = []
+        original = scheduler.greedy_partition
+
+        def counting_partition(flowline, vms):
+            calls.append(ProcurementPlan.of(vms).describe())
+            return original(flowline, vms)
+
+        monkeypatch.setattr(scheduler, "greedy_partition", counting_partition)
+        rows = sweep_eta(fl, profile, catalog, (0.1, 0.9, 0.3), config)
+        assert calls == ["g4dn.2xlarge x1 + g4dn.xlarge x2",
+                         "g4dn.2xlarge x3"]
+        assert rows == [row for cell in alone for row in cell]
 
     def test_csv_shape(self):
         fl, profile = synthetic_flowline(3, 6, seed=1)
