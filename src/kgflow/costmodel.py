@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
@@ -165,8 +166,9 @@ class ProcurementPlan:
 
     @property
     def total_price(self) -> float:
-        """The unit prices of the VMs of ``expand()``, summed one by one."""
-        return sum(vm.unit_price for vm in self._vms)
+        """The unit prices of the VMs of ``expand()``, folded left to right
+        (``_fold``)."""
+        return _fold(vm.unit_price for vm in self._vms)
 
     def expand(self) -> tuple[VmType, ...]:
         """Individual VMs, sorted by GPU capacity descending (stable)."""
@@ -174,6 +176,12 @@ class ProcurementPlan:
 
     def describe(self) -> str:
         return " + ".join(f"{vm.name} x{n}" for vm, n in self.items)
+
+
+def _fold(prices: Iterable[float]) -> float:
+    """``prices`` added left to right, the float the builtin ``sum`` gives
+    before Python 3.12, which compensates its float sums."""
+    return functools.reduce(operator.add, prices, 0)
 
 
 def _bounded_ab(u: np.ndarray, y: np.ndarray, lo: float) -> tuple[
@@ -459,9 +467,17 @@ class PlanTable:
             return self._best(int(np.searchsorted(self._prices, limit,
                                                   "right")), x0)
 
-        # The epsilon keeps a plan priced exactly at a bound in range; the
-        # short limit's extra unit covers the rounding of x0 * 1e6 / unit.
-        first, cheapest = int(bound * 1e6 / unit + 1e-9), min(self._weights)
+        def units(price: float) -> int:
+            # The epsilon keeps a plan priced exactly at a bound in range.
+            scaled = price * 1e6 / unit + 1e-9
+            if scaled == math.inf:
+                raise CostModelError(
+                    f"target price x0 {x0:g} is too large: price bound "
+                    f"{bound:g} overflows the 10**-6 price grid; lower x0")
+            return int(scaled)
+
+        # The short limit's extra unit covers the rounding of x0 in units.
+        first, cheapest = units(bound), min(self._weights)
         if x0 < min(v.unit_price for v in types):
             # A bound is worth a fill of its own only while it halves the
             # first one: a fill costs about as much at a few rows as at many.
@@ -469,7 +485,7 @@ class PlanTable:
             limits = [floor << k for k in range(first.bit_length())
                       if 2 * (floor << k) <= first]
         else:
-            limits = [int(x0 * 1e6 / unit + 1e-9) + cheapest + 1]
+            limits = [units(x0) + cheapest + 1]
         for limit in limits:
             if limit >= first:
                 break
@@ -477,7 +493,7 @@ class PlanTable:
             if best is not None:
                 return best
         for _ in range(16):
-            best = best_within(int(bound * 1e6 / unit + 1e-9))
+            best = best_within(units(bound))
             if best is not None:
                 return best
             bound *= 2.0
@@ -661,7 +677,7 @@ def _optimal_multisets(table: np.ndarray, preds: Sequence[np.ndarray],
 
 def _plan_key(types: Sequence[VmType], counts: Sequence[int], x0: float):
     """The tie key: price gap, instance count, -largest GPU count, names."""
-    price = sum(v.unit_price * n for v, n in zip(types, counts))
+    price = _fold(v.unit_price * n for v, n in zip(types, counts))
     max_gpu = max((v.gpu_cards for v, n in zip(types, counts) if n > 0),
                   default=0)
     names = tuple(v.name for v, n in zip(types, counts) for _ in range(n))

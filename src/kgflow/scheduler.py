@@ -125,44 +125,35 @@ def need(flowline: Flowline, tasks: Collection[str]) -> tuple[int, int]:
 
 
 class Ledger:
-    """GPU cards and headroom cores left on each VM of ``vms``; ``room``
-    goes negative on a VM that was given more than it has."""
+    """``room``, the GPU cards and headroom cores left on each VM of
+    ``vms``, is all a ledger keeps; it goes negative on a VM that was
+    given more than it has."""
 
     CARD, CORE = (1, 0), (0, 1)  # what ``need`` charges a model, an operator
 
     def __init__(self, vms: Sequence[VmType]):
         self.room = [(vm.gpu_cards, vm.cpu_headroom) for vm in vms]
-        # Per demand asked for, the VMs with room for it; room only shrinks.
-        self._fitting: dict[tuple[int, int], list[int]] = {}
 
     def fitting(self, demand: tuple[int, int]) -> list[int]:
-        """The indices, ascending, of the VMs with room for ``demand``. The
-        list is the ledger's own, kept current by ``take``: read it, do not
-        change it."""
-        found = self._fitting.get(demand)
-        if found is None:
-            cards, cores = demand
-            found = self._fitting[demand] = [
-                i for i, (c, o) in enumerate(self.room)
+        """The indices, ascending, of the VMs with room for ``demand``,
+        scanned from ``room`` at each call."""
+        cards, cores = demand
+        return [i for i, (c, o) in enumerate(self.room)
                 if cards <= c and cores <= o]
-        return found
 
     def take(self, i: int, demand: tuple[int, int]) -> None:
         cards, cores = self.room[i]
-        self.room[i] = cards, cores = cards - demand[0], cores - demand[1]
-        for (c, o), found in self._fitting.items():
-            if (c > cards or o > cores) and i in found:
-                found.remove(i)
+        self.room[i] = cards - demand[0], cores - demand[1]
 
     def stock(self, unit: tuple[int, int]) -> tuple[list[int], list[int]]:
-        """For one ``CARD`` or one ``CORE``: ``fitting(unit)`` as a list of
-        the caller's own, and how many units each of those VMs has room
-        for. Handing a unit out is a decrement of its VM's count, and the
-        VM leaves both lists when that reaches 0: the first list then stays
-        what ``fitting`` gives after the same ``take`` calls."""
+        """For one ``CARD`` or one ``CORE``: ``fitting(unit)``, and how many
+        units each of those VMs has room for. Handing a unit out is a
+        decrement of its VM's count, and the VM leaves both lists when that
+        reaches 0: the first list then stays what ``fitting`` gives after
+        the same ``take`` calls."""
         found = self.fitting(unit)
         k = unit.index(1)
-        return list(found), [self.room[i][k] for i in found]
+        return found, [self.room[i][k] for i in found]
 
 
 def _compile(flowline: Flowline) -> list:
@@ -423,12 +414,12 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     The units compile once, and one ``_place_many`` pass places every
     multiset, a row of its VMs in expand order each. A multiset's price
     adds its unit prices left to right in name order, one column of all
-    multisets at a time (the floats Python 3.11's ``sum`` makes). The
-    makespan depends only on the edges a placement cuts, so it is computed
-    once per distinct placement. The multisets go in lexicographic order of
-    their type indices in name order, and each (price, makespan) key keeps
-    the observation of the first multiset that reaches it, the only one
-    built.
+    multisets at a time, as ``costmodel._fold`` does on any Python
+    version. The makespan depends only on the edges a placement cuts, so
+    it is computed once per distinct placement. The multisets go in
+    lexicographic order of their type indices in name order, and each
+    (price, makespan) key keeps the observation of the first multiset that
+    reaches it, the only one built.
     """
     max_instances = max(3, min(len(flowline.models), 4)) + 1
     types = catalog_types(catalog)
@@ -464,36 +455,23 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
                                                            k[1] or 0.0))]
 
 
-def synthesized_fit(flowline: Flowline, profile: TaskProfile,
-                    catalog: Sequence[VmType], net: NetParams
-                    ) -> MakespanPriceFit | None:
-    """The price-to-makespan curve ``schedule`` fits when given neither a
-    fit nor observations; None for a CPU-only flowline, which needs none."""
-    types = catalog_types(catalog)
-    if not flowline.models:
-        return None
-    return fit_price_makespan(synthesize_observations(flowline, profile,
-                                                      types, net))
-
-
 def schedule(flowline: Flowline, profile: TaskProfile,
              catalog: Sequence[VmType], eta: float, net: NetParams, *,
              fit: MakespanPriceFit | None = None,
              observations: Sequence[Observation] | None = None,
-             corpus_size: float = 8000, slice_size: float = 200,
-             table: PlanTable | None = None) -> SchedulePlan:
+             corpus_size: float = 8000, slice_size: float = 200
+             ) -> SchedulePlan:
     """Full scheduling pipeline; returns a qualified plan with predictions.
 
     The price-to-makespan curve comes from, in order of preference: an
     explicit ``fit``, explicit warm-up ``observations``, or observations
     synthesized from the profile by enumerating candidate procurements.
-    A ``table`` for the catalog and the flowline's demand is searched and
-    grown in place of a fresh one, so that calls at several etas share it;
-    ``schedule_many`` shares the rest of the work as well.
+    ``schedule_many`` schedules at several etas, sharing the work that does
+    not depend on eta.
     """
     return schedule_many(flowline, profile, catalog, (eta,), net, fit=fit,
                          observations=observations, corpus_size=corpus_size,
-                         slice_size=slice_size, table=table)[0]
+                         slice_size=slice_size)[0]
 
 
 def schedule_many(flowline: Flowline, profile: TaskProfile,
@@ -504,13 +482,15 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
                   table: PlanTable | None = None) -> list[SchedulePlan]:
     """``schedule`` at each of ``etas``, equal to it plan by plan, with the
     work that does not depend on eta done once. Every eta is checked
-    first; then the curve is fitted once, each eta's procurement is read
-    from the one ``table``, and each distinct procurement is placed,
-    qualified and costed once, by the first eta that buys it. A later eta
-    that buys it shares its assignment, makespan, corpus time and money,
-    none of which depends on eta, and weighs its own J from them. An error
-    is raised where ``schedule`` would raise it, at the first eta it
-    would."""
+    first. Then the curve is fitted once, here and nowhere else, from
+    ``fit``, ``observations`` or a synthesized warm-up as ``schedule``
+    says. Each eta's procurement is read from ``table`` when one is given
+    for the catalog and the flowline's demand, and each distinct
+    procurement is placed, qualified and costed once, by the first eta
+    that buys it. A later eta that buys it shares its assignment,
+    makespan, corpus time and money, none of which depends on eta, and
+    weighs its own J from them. An error is raised where ``schedule``
+    would raise it, at the first eta it would."""
     for eta in etas:
         Preference(eta)
     profile.check_covers(flowline)
@@ -526,9 +506,9 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
         chosen = min(adequate, key=lambda v: (v.unit_price, v.name))
         bought = ProcurementPlan(((chosen, 1),))
     elif fit is None:
-        fit = (fit_price_makespan(list(observations))
-               if observations is not None
-               else synthesized_fit(flowline, profile, types, net))
+        fit = fit_price_makespan(
+            list(observations) if observations is not None
+            else synthesize_observations(flowline, profile, types, net))
     plans: list[SchedulePlan] = []
     placed: dict[ProcurementPlan, SchedulePlan] = {}
     for eta in etas:

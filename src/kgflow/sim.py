@@ -82,7 +82,6 @@ from .scheduler import (
     predict_many,
     require_qualified,
     schedule_many,
-    synthesized_fit,
 )
 
 
@@ -393,13 +392,14 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     normalizes (cost_com, cost_mon) over the whole cell, and weights them
     into J. The random row reports medians over ``config.random_plans``
     seeded plans. What does not depend on eta is done once and shared by
-    every cell: the price-to-makespan curve; one ``PlanTable`` for the
-    catalog and the flowline's demand, which the list baseline and every
-    eta's procurement read; the baselines' costs, from one columnar
-    ``predict_many`` pass; and, through ``schedule_many``, the placement
-    and costs of each distinct procurement, made once for the first eta
-    that buys it, as its makespan, corpus time and money do not depend on
-    eta.
+    every cell: one ``PlanTable`` for the catalog and the flowline's
+    demand, which the list baseline and every eta's procurement read; the
+    baselines' costs, from one columnar ``predict_many`` pass, and the
+    random row's medians of them; and, through ``schedule_many``, the
+    price-to-makespan curve, fitted there from one synthesized warm-up,
+    and the placement and costs of each distinct procurement, made once
+    for the first eta that buys it, as its makespan, corpus time and
+    money do not depend on eta.
     """
     if not etas:
         raise CostModelError("empty eta list")
@@ -411,15 +411,16 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     baselines = [baseline_list(flowline, profile, catalog, net, plan_table)]
     baselines += [baseline_random(flowline, catalog, config.seed + i, net)
                   for i in range(config.random_plans)]
-    fit = synthesized_fit(flowline, profile, catalog, net)
 
     # The baselines place a task only where the Ledger has room and place
     # every task, so their plans are costed without qualifying them again.
     baseline_metrics = predict_many(baselines, flowline, profile,
                                     config.corpus_size, config.slice_size,
                                     net)
+    random_costs = [statistics.median(m[k] for m in baseline_metrics[1:])
+                    for k in ("makespan_s", "cost_com_s", "cost_mon")]
     # schedule_many qualified and costed its plans on this corpus and net.
-    plans = schedule_many(flowline, profile, catalog, etas, net, fit=fit,
+    plans = schedule_many(flowline, profile, catalog, etas, net,
                           corpus_size=config.corpus_size,
                           slice_size=config.slice_size, table=plan_table)
     rows: list[SweepRow] = []
@@ -428,11 +429,11 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
         js = normalized_objectives(
             [(m["cost_com_s"], m["cost_mon"]) for m in metrics], eta)
         table = [(m["makespan_s"], m["cost_com_s"], m["cost_mon"], j)
-                 for m, j in zip(metrics, js)]
+                 for m, j in zip(metrics[:2], js)]
         rows += [SweepRow(eta, "compound-greedy", *table[0]),
                  SweepRow(eta, "list", *table[1]),
-                 SweepRow(eta, "random",
-                          *map(statistics.median, zip(*table[2:])))]
+                 SweepRow(eta, "random", *random_costs,
+                          statistics.median(js[2:]))]
     return rows
 
 

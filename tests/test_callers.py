@@ -1,15 +1,18 @@
-"""Tooling guards: every public name in ``kgflow`` has a caller, and no
-kgflow module imports a private name from another.
+"""Tooling guards: every public name in ``kgflow`` has a caller, every
+parameter default of one is passed by some caller, and no kgflow module
+imports a private name from another.
 
 The scan parses ``src/kgflow/*.py`` and ``bench/*.py`` and collects every
 name the code references, as a bare name or as an attribute; an import
 alone is not a reference, and ``kgflow/__init__.py``'s re-exports are not
 scanned. A public top-level function or class of ``kgflow``, or a public
 method of such a class, that nothing references is callerless. Each
-callerless name must be listed below with the reason it stays.
+callerless name must be listed below with the reason it stays, and so
+must each parameter with a default that no scanned call passes.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,11 +26,47 @@ CALLERLESS = {
                                               "fitted curve (item 8)",
 }
 
+# Parameters with a default that no call in src/kgflow or bench passes.
+UNPASSED = {
+    "_fields.field.kind": "each module calls field through functools.partial "
+                          "as _field, which the scan does not follow",
+    "_fields.field.default": "as kind: called through functools.partial",
+    "flowline.Flowline.build.entry": "names the entry of a flowline whose "
+                                     "degrees leave it ambiguous",
+    "flowline.Flowline.build.exit": "as entry, for the exit",
+    "gfl.emit_dot.name": "the graph name of the CLI's dot command (item 8)",
+    "scheduler.schedule.fit": "bench passes it through **curve_kw",
+    "scheduler.schedule.observations": "bench passes it through **curve_kw",
+    "scheduler.schedule.corpus_size": "the corpus a single plan's "
+                                      "predictions are costed on, as "
+                                      "schedule_many's callers pass it",
+    "scheduler.schedule.slice_size": "as corpus_size, the slice it is cut in",
+    "sim.sweep_eta.config": "the network, corpus and random-plan count of "
+                            "a sweep other than the default one",
+    "synth.synthetic_flowline.seed": "varies the profile of one task mix",
+}
+
 
 def _sources() -> list[Path]:
     package = [p for p in sorted((ROOT / "src" / "kgflow").glob("*.py"))
                if p.name != "__init__.py"]
     return package + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _definitions(tree: ast.Module):
+    """The public top-level functions and classes of a module, and the
+    public methods of such a class: (name within the module, node, whether
+    it is a method)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member, True
 
 
 def scan() -> tuple[dict[str, str], set[str]]:
@@ -42,19 +81,9 @@ def scan() -> tuple[dict[str, str], set[str]]:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-        if path.parent.name != "kgflow":
-            continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
-                continue
-            public[f"{path.stem}.{node.name}"] = node.name
-            if isinstance(node, ast.ClassDef):
-                for member in node.body:
-                    if isinstance(member, ast.FunctionDef) \
-                            and not member.name.startswith("_"):
-                        public[f"{path.stem}.{node.name}.{member.name}"] = \
-                            member.name
+        if path.parent.name == "kgflow":
+            for name, node, _ in _definitions(tree):
+                public[f"{path.stem}.{name}"] = node.name
     return public, referenced
 
 
@@ -71,6 +100,65 @@ def test_every_public_name_has_a_caller_or_a_reason():
                   if called not in referenced}
     assert callerless == set(CALLERLESS)
     assert all(CALLERLESS.values())
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def unpassed_defaults() -> set[str]:
+    """Each parameter with a default of a public function or method of
+    ``kgflow`` that no call in the scanned code passes, by keyword or by
+    position, as "module.function.parameter". A call is matched by the
+    name it calls, as ``scan`` matches references; a ``*args`` passes
+    every position, and what a ``**kwargs`` passes is not seen."""
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, float] = {}
+    defaulted: dict[str, tuple[str, list[tuple[str, int | None]]]] = {}
+    for path in _sources():
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (name := _called_name(node)):
+                keywords.setdefault(name, set()).update(
+                    k.arg for k in node.keywords if k.arg)
+                given = (math.inf if any(isinstance(a, ast.Starred)
+                                         for a in node.args)
+                         else len(node.args))
+                positions[name] = max(positions.get(name, 0), given)
+        if path.parent.name != "kgflow":
+            continue
+        for name, node, method in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            ordered = args.posonlyargs + args.args
+            bound = method and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            params = [(a.arg, i - bound) for i, a in enumerate(ordered)
+                      ][len(ordered) - len(args.defaults):]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                      args.kw_defaults) if d]
+            defaulted[f"{path.stem}.{name}"] = node.name, params
+    return {f"{qualified}.{param}"
+            for qualified, (called, params) in defaulted.items()
+            for param, position in params
+            if param not in keywords.get(called, ())
+            and (position is None or positions.get(called, 0) <= position)}
+
+
+def test_knob_scan_sees_defaults_by_keyword_and_position():
+    found = unpassed_defaults()
+    assert "scheduler.schedule.corpus_size" in found
+    # sweep_eta passes baseline_list's table by position, procure's by name.
+    assert not {"sim.baseline_list.table", "costmodel.procure.table"} & found
+
+
+def test_every_default_is_passed_or_has_a_reason():
+    assert unpassed_defaults() == set(UNPASSED)
+    assert all(UNPASSED.values())
 
 
 def private_imports(path: Path) -> list[str]:

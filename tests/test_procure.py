@@ -8,6 +8,8 @@ agree with, plan for plan.
 
 import gc
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from kgflow.costmodel import (
     CostModelError,
+    MakespanPriceFit,
     PlanTable,
     ProcurementPlan,
     ResourceDemand,
@@ -26,6 +29,9 @@ from kgflow.costmodel import (
     procure,
 )
 from kgflow.costmodel import _price_floor, _reachable_prices
+from kgflow.flowline import NetParams
+from kgflow.scheduler import schedule
+from kgflow.synth import synthetic_flowline
 
 
 def oracle_procure(catalog, x0, demand):
@@ -405,6 +411,28 @@ def test_off_grid_price_rejected_by_name():
 def test_non_finite_target_rejected(x0):
     with pytest.raises(CostModelError, match="finite"):
         procure(bundled_qcloud_catalog(), x0, ResourceDemand(1, 1))
+
+
+@pytest.mark.parametrize("x0, message", [
+    (1e300, "outgrows 128 MB"),
+    (1e303, "target price x0 1e+303 is too large"),
+    (sys.float_info.max, "target price x0 1.79769e+308 is too large"),
+])
+@pytest.mark.parametrize("through", ["procure", "schedule"])
+def test_huge_target_raises_naming_x0(x0, message, through):
+    # Past ~1e302 the price bound in 10**-6 units overflows a float.
+    with pytest.raises(CostModelError, match=re.escape(message)):
+        if through == "procure":
+            procure(bundled_g4dn_catalog(), x0, ResourceDemand(1, 1))
+        else:  # x0 = sqrt(b / a) + c at eta 0.5
+            schedule(*synthetic_flowline(3, 6), bundled_g4dn_catalog(), 0.5,
+                     NetParams(), fit=MakespanPriceFit(1.0, 1.0, x0))
+
+
+def test_total_price_folds_left_to_right():
+    # A compensated sum, as Python 3.12's builtin sum makes, gives 1.0.
+    plan = ProcurementPlan(((VmType("tenth", 4, 1, 0.1), 10),))
+    assert plan.total_price == 0.9999999999999999
 
 
 def test_more_gpus_than_cores_rejected():

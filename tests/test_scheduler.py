@@ -958,8 +958,8 @@ class TestEveryCatalogEntryPointChecksTheCatalog:
 
     def test_known_entry_points_are_found(self):
         assert {"catalog_types", "procure", "synthesize_observations",
-                "synthesized_fit", "schedule", "baseline_random",
-                "baseline_list", "sweep_eta"} <= set(CATALOG_ENTRY_POINTS)
+                "schedule", "baseline_random", "baseline_list",
+                "sweep_eta"} <= set(CATALOG_ENTRY_POINTS)
 
     @pytest.mark.parametrize("name", sorted(CATALOG_ENTRY_POINTS))
     @pytest.mark.parametrize("shape", ["3m6o", "cpu-only"])

@@ -846,21 +846,26 @@ class TestSweep:
                              [((6, 29), "qcloud", 1), ((3, 11), "g4dn", 2)])
     def test_places_each_distinct_procurement_once(
             self, monkeypatch, shape, catalog_name, placements):
-        calls = 0
-        original = scheduler.greedy_partition
+        # ... and synthesizes the warm-up once, in schedule_many.
+        calls = {"greedy_partition": 0, "synthesize_observations": 0}
 
-        def counting_partition(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+        def counting(name):
+            original = getattr(scheduler, name)
 
-        monkeypatch.setattr(scheduler, "greedy_partition", counting_partition)
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(scheduler, name, counting(name))
         fl, profile = synthetic_flowline(*shape)
         catalog = {"qcloud": bundled_qcloud_catalog,
                    "g4dn": bundled_g4dn_catalog}[catalog_name]()
         csv = sweep_to_csv(sweep_eta(fl, profile, catalog,
                                      (0.1, 0.3, 0.5, 0.7, 0.9)))
-        assert calls == placements
+        assert calls == {"greedy_partition": placements,
+                         "synthesize_observations": 1}
         assert (hashlib.sha256(csv.encode()).hexdigest()
                 == PINNED[shape, catalog_name][0])
 
