@@ -38,7 +38,9 @@ every time; its transpose is scaled in place into the durations.
 
 Also here: the two comparison baselines (seeded random plans and an
 earliest-finish-time list scheduler) and the eta sweep that produces
-makespan/cost trade-off tables.
+makespan/cost trade-off tables. The sweep draws its random plans in one
+pass, ``baseline_random_many``, which checks the catalog and demand once
+and builds each distinct multiset's procurement once for all its seeds.
 """
 
 from __future__ import annotations
@@ -265,46 +267,107 @@ def baseline_random(flowline: Flowline, catalog: Sequence[VmType],
     until it has enough cores. A catalog in which no type supplies the
     demand raises ``ResourceDemand.check_supplied``'s CostModelError
     before any draw.
+
+    Every draw is read straight off ``getrandbits`` by the rule of
+    CPython 3.11's ``randint``, ``randrange`` and ``shuffle``: a draw
+    below n takes k = n.bit_length() bits, and takes them again while
+    they read n or more; the shuffle makes ``shuffle``'s swaps. So the
+    stream is theirs, draw for draw. A Python whose ``random`` draws
+    otherwise would part the two; the guard is the property in
+    ``tests/test_sim.py`` that compares ``baseline_random_many`` with
+    ``reference_baseline_random``, which calls those methods. This is
+    ``baseline_random_many`` of one seed.
+    """
+    return baseline_random_many(flowline, catalog, [seed], net)[0]
+
+
+def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
+                         seeds: Sequence[int],
+                         net: NetParams | None) -> list[SchedulePlan]:
+    """``baseline_random`` of each of ``seeds``, in order, from one pass.
+
+    Each seed draws from its own ``random.Random(seed)``. What does not
+    depend on the seed is done once: the catalog and demand checks,
+    k_cap, each type's (cards, headroom cores), and, for each distinct
+    multiset drawn, its ``ProcurementPlan`` and ``Ledger.stock`` lists,
+    which each plan that buys it gets fresh copies of.
     """
     types = catalog_types(catalog)
-    rng = random.Random(seed)
-    tasks = list(flowline.natural_order)
-    n_models, n_operators = need(flowline, tasks)
-    ResourceDemand(n_models, n_operators).check_supplied(types)
+    tasks = flowline.natural_order
+    demand = n_models, n_operators = need(flowline, tasks)
+    ResourceDemand(*demand).check_supplied(types)
     # Enough of the type with most GPUs plus of the one with most headroom.
     k_cap = max(2, n_models + 1, 1 + math.ceil(
         n_models / (max(vm.gpu_cards for vm in types) or 1)) + math.ceil(
         n_operators / (max(vm.cpu_headroom for vm in types) or 1)))
-
-    for _ in range(10000):
-        k = rng.randint(1, k_cap)
-        drawn = [types[rng.randrange(len(types))] for _ in range(k)]
-        if (sum(vm.gpu_cards for vm in drawn) >= n_models
-                and sum(vm.cpu_headroom for vm in drawn) >= n_operators):
-            break
-    else:  # top the last draw up; check_supplied found both supplies
-        gpus = [vm for vm in types if vm.gpu_cards]
-        while sum(vm.gpu_cards for vm in drawn) < n_models:
-            drawn.append(gpus[rng.randrange(len(gpus))])
-        cores = [vm for vm in types if vm.cpu_headroom]
-        while sum(vm.cpu_headroom for vm in drawn) < n_operators:
-            drawn.append(cores[rng.randrange(len(cores))])
-
-    procurement = ProcurementPlan.of(drawn)
-    ledger = Ledger(procurement.expand())
-    card, core = ledger.stock(Ledger.CARD), ledger.stock(Ledger.CORE)
+    supply = [(vm.gpu_cards, vm.cpu_headroom) for vm in types]
+    gpus = [i for i, vm in enumerate(types) if vm.gpu_cards]
+    cores = [i for i, vm in enumerate(types) if vm.cpu_headroom]
+    n_types, type_bits = len(types), len(types).bit_length()
+    k_bits = k_cap.bit_length()
+    swaps = [(i, (i + 1).bit_length()) for i in range(len(tasks) - 1, 0, -1)]
     models = flowline.models
-    assignment: dict[str, int] = {}
-    rng.shuffle(tasks)
-    for task in tasks:  # the draw covers the demand, so a VM has room
-        vms, left = card if task in models else core
-        pick = rng.randrange(len(vms))
-        assignment[task] = vms[pick]
-        left[pick] -= 1
-        if not left[pick]:
-            del vms[pick], left[pick]
-    return SchedulePlan(procurement, assignment, eta=0.5, net=net,
-                        scheduler="random")
+    bought: dict[tuple[int, ...], tuple] = {}
+    plans = []
+    for seed in seeds:
+        bits = random.Random(seed).getrandbits
+        for _ in range(10000):
+            k = bits(k_bits)
+            while k >= k_cap:
+                k = bits(k_bits)
+            drawn = []
+            cards = headroom = 0
+            for _ in range(k + 1):
+                i = bits(type_bits)
+                while i >= n_types:
+                    i = bits(type_bits)
+                drawn.append(i)
+                cards += supply[i][0]
+                headroom += supply[i][1]
+            if cards >= n_models and headroom >= n_operators:
+                break
+        else:  # top the last draw up; check_supplied found both supplies
+            have = [cards, headroom]
+            for pool, unit in ((gpus, 0), (cores, 1)):
+                n, n_bits = len(pool), len(pool).bit_length()
+                while have[unit] < demand[unit]:
+                    i = bits(n_bits)
+                    while i >= n:
+                        i = bits(n_bits)
+                    drawn.append(pool[i])
+                    have[0] += supply[pool[i]][0]
+                    have[1] += supply[pool[i]][1]
+
+        key = tuple(sorted(drawn))
+        if (stocked := bought.get(key)) is None:
+            procurement = ProcurementPlan.of([types[i] for i in key])
+            ledger = Ledger(procurement.expand())
+            stocked = bought[key] = (procurement, ledger.stock(Ledger.CARD),
+                                     ledger.stock(Ledger.CORE))
+        procurement, (card_vms, card_left), (core_vms, core_left) = stocked
+        card = card_vms[:], card_left[:]
+        core = core_vms[:], core_left[:]
+        order = list(tasks)
+        for i, i_bits in swaps:
+            j = bits(i_bits)
+            while j > i:
+                j = bits(i_bits)
+            order[i], order[j] = order[j], order[i]
+        assignment: dict[str, int] = {}
+        for task in order:  # the draw covers the demand, so a VM has room
+            vms, left = card if task in models else core
+            n = len(vms)
+            n_bits = n.bit_length()
+            pick = bits(n_bits)
+            while pick >= n:
+                pick = bits(n_bits)
+            assignment[task] = vms[pick]
+            left[pick] -= 1
+            if not left[pick]:
+                del vms[pick], left[pick]
+        plans.append(SchedulePlan(procurement, assignment, eta=0.5, net=net,
+                                  scheduler="random"))
+    return plans
 
 
 def _upward_ranks(flowline: Flowline, profile: TaskProfile,
@@ -391,10 +454,10 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     Each eta cell evaluates every candidate plan analytically, min-max
     normalizes (cost_com, cost_mon) over the whole cell, and weights them
     into J. The random row reports medians over ``config.random_plans``
-    seeded plans. What does not depend on eta is done once and shared by
-    every cell: one ``PlanTable`` for the catalog and the flowline's
-    demand, which the list baseline and every eta's procurement read; the
-    baselines' costs, from one columnar ``predict_many`` pass, and the
+    seeded plans, drawn in one ``baseline_random_many`` pass. What does
+    not depend on eta is done once and shared by every cell: one
+    ``PlanTable`` for the catalog and the flowline's demand, which the
+    list baseline and every eta's procurement read; the baselines' costs, from one columnar ``predict_many`` pass, and the
     random row's medians of them; and, through ``schedule_many``, the
     price-to-makespan curve, fitted there from one synthesized warm-up,
     and the placement and costs of each distinct procurement, made once
@@ -409,8 +472,9 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     plan_table = PlanTable(catalog, ResourceDemand(*need(flowline,
                                                          flowline.by_id)))
     baselines = [baseline_list(flowline, profile, catalog, net, plan_table)]
-    baselines += [baseline_random(flowline, catalog, config.seed + i, net)
-                  for i in range(config.random_plans)]
+    baselines += baseline_random_many(
+        flowline, catalog,
+        range(config.seed, config.seed + config.random_plans), net)
 
     # The baselines place a task only where the Ledger has room and place
     # every task, so their plans are costed without qualifying them again.

@@ -65,7 +65,11 @@ from kgflow.scheduler import (
     schedule_many,
     synthesize_observations,
 )
-from kgflow.sim import baseline_list, baseline_random
+from kgflow.sim import (
+    baseline_list,
+    baseline_random,
+    baseline_random_many,
+)
 from kgflow.synth import EXPERIMENT_SHAPES, synthetic_flowline
 
 PAPER_CURVE = MakespanPriceFit(4.17, 5.15, 23.96)
@@ -948,8 +952,8 @@ class TestEveryCatalogEntryPointChecksTheCatalog:
         fl, profile = (synthetic_flowline(3, 6) if shape == "3m6o"
                        else cpu_only_flowline())
         pool = {"flowline": fl, "profile": profile, "catalog": catalog,
-                "net": NET, "eta": 0.5, "etas": [0.5], "seed": 0, "x0": 5.0,
-                "demand": ResourceDemand(1, 1)}
+                "net": NET, "eta": 0.5, "etas": [0.5], "seed": 0,
+                "seeds": [0], "x0": 5.0, "demand": ResourceDemand(1, 1)}
         params = inspect.signature(fn).parameters.values()
         missing = [p.name for p in params
                    if p.default is p.empty and p.name not in pool]
@@ -958,8 +962,8 @@ class TestEveryCatalogEntryPointChecksTheCatalog:
 
     def test_known_entry_points_are_found(self):
         assert {"catalog_types", "procure", "synthesize_observations",
-                "schedule", "baseline_random", "baseline_list",
-                "sweep_eta"} <= set(CATALOG_ENTRY_POINTS)
+                "schedule", "baseline_random", "baseline_random_many",
+                "baseline_list", "sweep_eta"} <= set(CATALOG_ENTRY_POINTS)
 
     @pytest.mark.parametrize("name", sorted(CATALOG_ENTRY_POINTS))
     @pytest.mark.parametrize("shape", ["3m6o", "cpu-only"])
@@ -971,6 +975,16 @@ class TestEveryCatalogEntryPointChecksTheCatalog:
         fn = CATALOG_ENTRY_POINTS[name]
         with pytest.raises(CostModelError, match=re.escape(message)):
             fn(**self.arguments(fn, catalog, shape))
+
+    @pytest.mark.parametrize("catalog, message", [
+        ([], "empty catalog"),
+        (SAME_NAME, "catalog lists VM type 'a' twice"),
+    ], ids=["empty", "same-name"])
+    def test_random_baselines_check_the_catalog_without_seeds(
+            self, catalog, message):
+        fl, _ = synthetic_flowline(3, 6)
+        with pytest.raises(CostModelError, match=re.escape(message)):
+            baseline_random_many(fl, catalog, [], NET)
 
 
 def _public_loaders():

@@ -5,8 +5,9 @@ slice at once: a dict recurrence per slice, each slice admitted at the
 previous one's exit (or, overlapping, each task after its own previous
 slice). The columnar ``simulate`` must agree with it event by event.
 ``reference_baseline_random`` is the random baseline as it was before its
-assignment stopped calling the ``Ledger`` per task; every plan it returns
-must come out byte for byte the same.
+assignment stopped calling the ``Ledger`` per task and its draws were read
+off ``getrandbits``; every plan it returns must come out byte for byte the
+same, from ``baseline_random`` and, seed by seed, ``baseline_random_many``.
 """
 
 import functools
@@ -59,6 +60,7 @@ from kgflow.sim import (
     _upward_ranks,
     baseline_list,
     baseline_random,
+    baseline_random_many,
     simulate,
     sweep_eta,
     sweep_to_csv,
@@ -529,6 +531,15 @@ CPU_TYPES = [VmType(f"cpu{i:02d}", 32, 0, round(0.10 + 0.01 * i, 2))
 ONE_GPU = VmType("gpu1", 8, 1, 1.0)
 
 
+# sha256 of the plan JSON of the two topped-up draws below, taken before
+# the draws were read off getrandbits: the stream must not move.
+TOP_UP_PLANS = {
+    "gpu1": "3ef7443f7f82194b680ca074b5af2b4ec6cb35cf797c6e41d1a0cab0c514cc0f",
+    "two-core":
+        "03fbe50218c4312b7172963cd13fc248d75afb4acf90f883a749156dc8f207df",
+}
+
+
 class TestBaselineRandom:
     def test_seed_reproducibility(self):
         fl = nine_task_flowline()
@@ -575,6 +586,39 @@ class TestBaselineRandom:
         assert (plan_to_json(baseline_random(fl, catalog, seed, NET))
                 == plan_to_json(expected))
 
+    @settings(max_examples=120, deadline=None)
+    @given(unit_dags(), fuzz_catalogs(),
+           st.lists(st.integers(0, 30), min_size=1, max_size=10))
+    def test_many_equals_the_reference_per_seed(self, fl, catalog, seeds):
+        # Seeds from a short range, half of them repeated, so that plans
+        # often buy the same multiset; each must get its own room lists.
+        seeds += seeds[:len(seeds) // 2]
+        if not hostable(fl, catalog):
+            with pytest.raises(CostModelError,
+                               match="no VM type supplies it"):
+                baseline_random_many(fl, catalog, seeds, NET)
+            return
+        plans = baseline_random_many(fl, catalog, seeds, NET)
+        assert len(plans) == len(seeds)
+        for seed, plan in zip(seeds, plans):
+            try:
+                expected = reference_baseline_random(fl, catalog, seed, NET)
+            except CostModelError:  # no draw hosted it: the top-up's case
+                continue
+            assert plan_to_json(plan) == plan_to_json(expected)
+
+    def test_seeds_that_buy_one_multiset_keep_their_own_room(self):
+        # Only g4dn.xlarge: 3 to 6 of them, and 3 drain every card.
+        fl, _ = synthetic_flowline(3, 6)
+        catalog = [vm for vm in bundled_g4dn_catalog()
+                   if vm.name == "g4dn.xlarge"]
+        seeds = list(range(20)) + [5, 0, 5]
+        plans = baseline_random_many(fl, catalog, seeds, NET)
+        assert len({plan.procurement for plan in plans}) <= 4
+        for seed, plan in zip(seeds, plans):
+            assert plan_to_json(plan) == plan_to_json(
+                reference_baseline_random(fl, catalog, seed, NET))
+
     @pytest.mark.parametrize("shape", EXPERIMENT_SHAPES)
     @pytest.mark.parametrize("make_catalog", [bundled_qcloud_catalog,
                                               bundled_g4dn_catalog])
@@ -597,6 +641,8 @@ class TestBaselineRandom:
         plan = baseline_random(fl, catalog, 0)
         assert check_qualification(plan, fl).ok
         assert dict(plan.procurement.items)[ONE_GPU] == 6
+        assert (hashlib.sha256(plan_to_json(plan).encode()).hexdigest()
+                == TOP_UP_PLANS["gpu1"])
         assert plan_to_json(plan) == plan_to_json(
             baseline_random(fl, catalog, 0))
         assert plan_to_json(plan) != plan_to_json(
@@ -612,20 +658,17 @@ class TestBaselineRandom:
             reference_baseline_random(fl, catalog, 3)
         plan = baseline_random(fl, catalog, 3)
         assert check_qualification(plan, fl).ok
+        assert (hashlib.sha256(plan_to_json(plan).encode()).hexdigest()
+                == TOP_UP_PLANS["two-core"])
 
     def test_unhostable_catalog_raises_before_any_draw(self, monkeypatch):
         draws = 0
 
         class Counting(random.Random):
-            def randrange(self, *args):
+            def getrandbits(self, k):
                 nonlocal draws
                 draws += 1
-                return super().randrange(*args)
-
-            def shuffle(self, x):
-                nonlocal draws
-                draws += 1
-                return super().shuffle(x)
+                return super().getrandbits(k)
 
         fl, _ = synthetic_flowline(6, 18)
         monkeypatch.setattr(sim.random, "Random", Counting)
@@ -833,9 +876,9 @@ class TestSweep:
         def counting_random(*args):
             nonlocal calls
             calls += 1
-            return baseline_random(*args)
+            return baseline_random_many(*args)
 
-        monkeypatch.setattr(sim, "baseline_random", counting_random)
+        monkeypatch.setattr(sim, "baseline_random_many", counting_random)
         fl, profile = synthetic_flowline(3, 11)
         with pytest.raises(CostModelError, match="eta out of range"):
             sweep_eta(fl, profile, bundled_g4dn_catalog(),
