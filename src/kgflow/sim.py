@@ -305,6 +305,7 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
     cores = [i for i, vm in enumerate(types) if vm.cpu_headroom]
     n_types, type_bits = len(types), len(types).bit_length()
     k_bits = k_cap.bit_length()
+    # shuffle's swaps: from the end, position i with a draw below i + 1.
     swaps = [(i, (i + 1).bit_length()) for i in range(len(tasks) - 1, 0, -1)]
     models = flowline.models
     bought: dict[tuple[int, ...], tuple] = {}
@@ -312,7 +313,7 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
     for seed in seeds:
         bits = random.Random(seed).getrandbits
         for _ in range(10000):
-            k = bits(k_bits)
+            k = bits(k_bits)  # randint(1, k_cap) is 1 + a draw below k_cap
             while k >= k_cap:
                 k = bits(k_bits)
             drawn = []
