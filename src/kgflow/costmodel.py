@@ -19,7 +19,7 @@ O(rows * (gpus + 1) * (cpus + 1)) per VM type for a demand of that many
 GPU cards and cores, and stops with an error past a fixed memory budget.
 A ``PlanTable`` keeps that table for one catalog and demand, so that
 procuring at several targets, as an eta sweep does, fills it once and
-grows it only when a target needs a larger bound.
+fills it again only when a target needs a larger bound.
 
 Unit warning: processing time is in seconds and money in currency units, so
 the weighted objective mixes incommensurate quantities. ``objective`` applies
@@ -379,7 +379,7 @@ def procure(catalog: Sequence[VmType], x0: float, demand: ResourceDemand,
     bound doubled up from a price no feasible plan is below. Callers that
     procure for one catalog and demand at several targets pass one
     ``table`` to every call, so its dynamic program is filled once
-    and grown only when a target needs a larger bound; a table built for
+    and refilled only when a target needs a larger bound; a table built for
     another catalog or demand raises CostModelError. Without one, each call
     fills its own.
     """
@@ -409,8 +409,9 @@ class PlanTable:
     per VM type leads back from it. A row and its predecessors depend only
     on the prices below it, never on the bound, so a table filled to a
     bound holds, in its rows up to any smaller bound, exactly the table a
-    fresh fill to that bound makes, and growing the table computes only
-    its new rows. ``closest`` bounds the search by x0 plus the cheapest
+    fresh fill to that bound makes. A fill to a larger bound recomputes
+    every row, and the rows below the old bound keep their index and
+    entries. ``closest`` bounds the search by x0 plus the cheapest
     unit price where it can, so the table holds about that many price
     units, not 2 * x0; for x0 below that price, by a bound doubled up to
     the cheapest feasible plan from a price no feasible plan is below. A
@@ -438,8 +439,8 @@ class PlanTable:
 
     def closest(self, x0: float) -> ProcurementPlan:
         """``procure``'s plan for target x0, read from the rows up to a
-        price bound; the table is filled further only when a bound passes
-        what it holds.
+        price bound; the table is refilled only when a bound passes what
+        it holds.
 
         The first bound is x0 + cheapest, the cheapest unit price, when x0
         >= cheapest and that is below max(2*x0, dearest unit price). Adding
@@ -455,7 +456,11 @@ class PlanTable:
         max(2*x0, dearest unit price), f the ``_price_floor``. Only if none
         of these bounds holds a feasible plan does the search go on, as it
         does for any other x0: up to max(2*x0, dearest unit price), doubled
-        while nothing fits."""
+        while nothing fits. That ends with a plan or an error:
+        ``check_supplied`` found some finite multiset that meets the
+        demand, and the doubling reaches its price unless the table first
+        outgrows ``_MAX_TABLE_BYTES`` or the bound the 10**-6 price grid,
+        each of which raises."""
         if not math.isfinite(x0):
             raise CostModelError(f"target price x0 must be finite, got {x0}")
         types, unit = self.types, self._unit
@@ -492,14 +497,9 @@ class PlanTable:
             best = best_within(limit)
             if best is not None:
                 return best
-        for _ in range(16):
-            best = best_within(units(bound))
-            if best is not None:
-                return best
+        while (best := best_within(units(bound))) is None:
             bound *= 2.0
-        raise CostModelError(
-            f"demand {self.demand} infeasible with catalog "
-            f"{[v.name for v in types]} (searched up to price {bound:.2f})")
+        return best
 
     def _best(self, rows: int, x0: float) -> ProcurementPlan | None:
         """The best plan priced at one of the first ``rows`` rows; None when
@@ -536,7 +536,7 @@ class PlanTable:
                 f"{self._unit / 1e6:g} {self.types[0].currency}; lower x0 or "
                 "quote prices on a coarser grid")
         self._table, self._preds = _fewest_instances(
-            self.types, self._weights, self.demand, prices, self._table)
+            self.types, self._weights, self.demand, prices)
         self._prices, self._limit = prices, limit
 
 
@@ -603,25 +603,19 @@ def _reachable_prices(weights: Sequence[int], limit: int,
 
 
 def _fewest_instances(types: Sequence[VmType], weights: Sequence[int],
-                      demand: ResourceDemand, prices: np.ndarray,
-                      done: np.ndarray | None = None
+                      demand: ResourceDemand, prices: np.ndarray
                       ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The (rows + 1, gpus + 1, cpus + 1) fewest-instances table and, per
     VM type, the row of each price minus that type's price.
 
     The extra last row is never reached; it is the predecessor of a price
-    from which no multiset reaches back by that type. ``done``, a table
-    this returned for a prefix of ``prices``, is copied: its rows are
-    final, so only the rows past them are computed.
+    from which no multiset reaches back by that type. Every row is
+    computed, so a larger bound's table is a refill, not an extension.
     """
     rows = len(prices)
     table = np.full((rows + 1, demand.gpus + 1, demand.cpus + 1),
                     _UNREACHED, dtype=np.int32)
     table[0, 0, 0] = 0
-    start = 0
-    if done is not None:
-        start = len(done) - 1
-        table[:start] = done[:start]
     flat = table.reshape(rows + 1, -1)
     gpu_levels = np.arange(demand.gpus + 1)
     cpu_levels = np.arange(demand.cpus + 1)
@@ -636,9 +630,8 @@ def _fewest_instances(types: Sequence[VmType], weights: Sequence[int],
         need_c = np.maximum(cpu_levels - vm.cpu_headroom, 0)[None, :]
         need = (need_g * (demand.cpus + 1) + need_c).ravel()
         # Rows priced in [k*w, (k+1)*w) only read rows priced in
-        # [(k-1)*w, k*w), which are final. Rows before ``start`` are done.
-        edges = np.maximum(np.searchsorted(
-            prices, w * np.arange(1, prices[-1] // w + 2)), start)
+        # [(k-1)*w, k*w), which are final.
+        edges = np.searchsorted(prices, w * np.arange(1, prices[-1] // w + 2))
         for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
             if lo == hi:
                 continue

@@ -19,7 +19,7 @@ The pipeline:
    GPU card) for operators (``Ledger``). Compiled once, a unit's overlap
    with a VM is a weighted sum over the earlier units placed there.
 
-CPU-only flowlines skip all of this and buy one VM with adequate cores.
+CPU-only flowlines skip the curve and buy one VM with adequate cores.
 
 A ``SchedulePlan`` assigns tasks to the VMs of its procurement expanded;
 it keeps no VM list of its own that could disagree with the procurement.
@@ -497,7 +497,7 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
     types = catalog_types(catalog)
     cards, cores = need(flowline, flowline.by_id)
     if not cards:
-        # CPU-only corner case: keep the flowline whole on one adequate VM.
+        # CPU-only: every task is an orphan, and one adequate VM hosts all.
         adequate = [vm for vm in types if vm.cpu_headroom >= cores]
         if not adequate:
             raise SchedulingError(
@@ -518,9 +518,8 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
                              table=table)
         plan = placed.get(bought)
         if plan is None:
-            assignment = (greedy_partition(flowline, bought.expand())
-                          if cards else {v.id: 0 for v in flowline.vertices})
-            plan = SchedulePlan(bought, assignment, eta, net)
+            plan = SchedulePlan(bought, greedy_partition(
+                flowline, bought.expand()), eta, net)
             plan = placed[bought] = dataclasses.replace(
                 plan, predictions=evaluate_plan(plan, flowline, profile,
                                                 corpus_size, slice_size, eta,

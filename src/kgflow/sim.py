@@ -40,7 +40,7 @@ Also here: the two comparison baselines (seeded random plans and an
 earliest-finish-time list scheduler) and the eta sweep that produces
 makespan/cost trade-off tables. The sweep draws its random plans in one
 pass, ``baseline_random_many``, which checks the catalog and demand once
-and builds each distinct multiset's procurement once for all its seeds.
+for all its seeds.
 """
 
 from __future__ import annotations
@@ -288,9 +288,7 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
 
     Each seed draws from its own ``random.Random(seed)``. What does not
     depend on the seed is done once: the catalog and demand checks,
-    k_cap, each type's (cards, headroom cores), and, for each distinct
-    multiset drawn, its ``ProcurementPlan`` and ``Ledger.stock`` lists,
-    which each plan that buys it gets fresh copies of.
+    k_cap and each type's (cards, headroom cores).
     """
     types = catalog_types(catalog)
     tasks = flowline.natural_order
@@ -308,7 +306,6 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
     # shuffle's swaps: from the end, position i with a draw below i + 1.
     swaps = [(i, (i + 1).bit_length()) for i in range(len(tasks) - 1, 0, -1)]
     models = flowline.models
-    bought: dict[tuple[int, ...], tuple] = {}
     plans = []
     for seed in seeds:
         bits = random.Random(seed).getrandbits
@@ -339,15 +336,9 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
                     have[0] += supply[pool[i]][0]
                     have[1] += supply[pool[i]][1]
 
-        key = tuple(sorted(drawn))
-        if (stocked := bought.get(key)) is None:
-            procurement = ProcurementPlan.of([types[i] for i in key])
-            ledger = Ledger(procurement.expand())
-            stocked = bought[key] = (procurement, ledger.stock(Ledger.CARD),
-                                     ledger.stock(Ledger.CORE))
-        procurement, (card_vms, card_left), (core_vms, core_left) = stocked
-        card = card_vms[:], card_left[:]
-        core = core_vms[:], core_left[:]
+        procurement = ProcurementPlan.of([types[i] for i in drawn])
+        ledger = Ledger(procurement.expand())
+        card, core = ledger.stock(Ledger.CARD), ledger.stock(Ledger.CORE)
         order = list(tasks)
         for i, i_bits in swaps:
             j = bits(i_bits)
@@ -458,12 +449,12 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     seeded plans, drawn in one ``baseline_random_many`` pass. What does
     not depend on eta is done once and shared by every cell: one
     ``PlanTable`` for the catalog and the flowline's demand, which the
-    list baseline and every eta's procurement read; the baselines' costs, from one columnar ``predict_many`` pass, and the
-    random row's medians of them; and, through ``schedule_many``, the
-    price-to-makespan curve, fitted there from one synthesized warm-up,
-    and the placement and costs of each distinct procurement, made once
-    for the first eta that buys it, as its makespan, corpus time and
-    money do not depend on eta.
+    list baseline and every eta's procurement read; the baselines' costs,
+    from one columnar ``predict_many`` pass, and the random row's medians
+    of them; and, through ``schedule_many``, the price-to-makespan curve,
+    fitted there from one synthesized warm-up, and the placement and
+    costs of each distinct procurement, made once for the first eta that
+    buys it, as its makespan, corpus time and money do not depend on eta.
     """
     if not etas:
         raise CostModelError("empty eta list")

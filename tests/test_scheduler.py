@@ -401,6 +401,28 @@ def cpu_only_flowline():
                            {e: 1000.0 for e in fl.edges})
 
 
+@st.composite
+def cpu_only_dags(draw):
+    """A random DAG of 1-20 operators, edges from lower to higher index, so
+    tasks fan out and merge, with a profile that covers it."""
+    n = draw(st.integers(1, 20))
+    ids = [f"o{i}" for i in range(n)]
+    edges = {(ids[a], ids[b])
+             for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                 st.integers(0, n - 1)),
+                                       max_size=3 * n))
+             if a < b}
+    fl = Flowline(tuple(op(t) for t in ids), tuple(sorted(edges)),
+                  ids[0], ids[-1])
+    weights = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    return fl, TaskProfile({t: w / 8 for t, w in zip(ids, weights)},
+                           {e: 1000.0 for e in fl.edges})
+
+
+# CPU-only types, two of them alike but for the name; none has 17 cores.
+CPU_ONLY_CATALOG = [VmType("c2", 2, 0, 0.1), VmType("c8b", 8, 0, 0.4),
+                    VmType("c8a", 8, 0, 0.4), VmType("c16", 16, 0, 0.9)]
+
 # Two different types named "a"; a plan could hold only one of them.
 SAME_NAME = [VmType("a", 4, 1, 2.0), VmType("a", 16, 2, 4.0)]
 
@@ -420,6 +442,30 @@ class TestSchedule:
             schedule(fl, profile, catalog, 0.5, NET)
         assert str(err.value) == ("no catalog VM has 5 spare CPU cores for a "
                                   "CPU-only flowline")
+
+    @settings(max_examples=100, deadline=None)
+    @given(cpu_only_dags(),
+           st.sampled_from([bundled_qcloud_catalog, bundled_g4dn_catalog,
+                            lambda: CPU_ONLY_CATALOG]),
+           st.floats(0.0, 1.0, exclude_max=True))
+    def test_cpu_only_flowline_buys_one_cheapest_adequate_vm(
+            self, case, make_catalog, eta):
+        # Every task is an operator, so each is an orphan, and the one VM
+        # bought, the cheapest with a core of headroom per task (then by
+        # name), hosts them all.
+        fl, profile = case
+        catalog = make_catalog()
+        adequate = [vm for vm in catalog
+                    if vm.cpu_headroom >= len(fl.vertices)]
+        if not adequate:
+            with pytest.raises(SchedulingError, match="CPU-only flowline"):
+                schedule(fl, profile, catalog, eta, NET)
+            return
+        plan = schedule(fl, profile, catalog, eta, NET)
+        cheapest = min(adequate, key=lambda vm: (vm.unit_price, vm.name))
+        assert plan.procurement.items == ((cheapest, 1),)
+        assert plan.assignment == {v.id: 0 for v in fl.vertices}
+        assert check_qualification(plan, fl).ok
 
     @pytest.mark.parametrize("shape", ["3m6o", "cpu-only"])
     @pytest.mark.parametrize("catalog, message", [
