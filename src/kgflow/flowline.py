@@ -369,8 +369,7 @@ def _check_pipes(flowline: Flowline) -> list[Violation]:
 
 def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
                  duration: Any, delay: Mapping[tuple[str, str], Any],
-                 columns: bool = False, serial: bool = False
-                 ) -> tuple[Any, Any]:
+                 serial: bool = False) -> tuple[Any, Any]:
     """Start and finish times of the tasks in ``order``, a topological order
     of the graph ``preds`` describes, with no delay on a pair missing from
     ``delay``:
@@ -378,15 +377,14 @@ def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
         ST(v) = max(0, FT(u) + delay[u, v] for u in preds[v])
         FT(v) = ST(v) + duration[v]
 
-    Durations and times are dicts of floats keyed by task. With ``columns``
-    ``duration`` is instead a 2-D numpy array whose row j holds task
-    ``order[j]``'s durations, one column per slice (or per plan), and the
-    times come back as two arrays of its shape, row j again ``order[j]``,
-    so one pass over the tasks times every column at once; a delay may be
-    a float or a row. Each task's ready and finish times are written
-    straight into its rows. With ``serial`` as well, a task runs its
-    columns in order: column s also waits for FT(s - 1, v), and the finish
-    row solves
+    The mode follows ``duration``'s type. A dict of floats keyed by task
+    gives dicts of floats. A 2-D numpy array, row j holding task
+    ``order[j]``'s durations, one column per slice (or per plan), gives two
+    arrays of its shape, row j again ``order[j]``, so one pass over the
+    tasks times every column at once; a delay may then be a float or a
+    row. Each task's ready and finish times are written straight into its
+    rows. With ``serial``, which needs an array, a task runs its columns in
+    order: column s also waits for FT(s - 1, v), and the finish row solves
 
         FT(s, v) = max(R(s), FT(s - 1, v)) + D(s)
 
@@ -394,7 +392,7 @@ def finish_times(order: Iterable[str], preds: Mapping[str, Iterable[str]],
     FT = C + maximum.accumulate(R - (C - D)) with C the row's prefix sums,
     taken for every task by one ``cumsum`` over ``duration``.
     """
-    if not columns:
+    if not isinstance(duration, np.ndarray):
         st: dict[str, float] = {}
         ft: dict[str, float] = {}
         for v in order:

@@ -30,7 +30,6 @@ JSON.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
@@ -379,7 +378,7 @@ def predict_many(plans: Sequence[SchedulePlan], flowline: Flowline,
     weights = np.array([profile.weight(t) for t in order])[:, None]
     _, ft = finish_times(order, flowline.predecessors,
                          np.broadcast_to(weights, (len(order), len(plans))),
-                         delay, columns=True)
+                         delay)
     per_slice = ft[order.index(flowline.exit)].tolist()
     return [_costs(plan, slices, mk) for plan, mk in zip(plans, per_slice)]
 
@@ -487,10 +486,10 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
     says. Each eta's procurement is read from ``table`` when one is given
     for the catalog and the flowline's demand, and each distinct
     procurement is placed, qualified and costed once, by the first eta
-    that buys it. A later eta that buys it shares its assignment,
-    makespan, corpus time and money, none of which depends on eta, and
-    weighs its own J from them. An error is raised where ``schedule``
-    would raise it, at the first eta it would."""
+    that buys it. Every eta that buys it shares its assignment, makespan,
+    corpus time and money, none of which depends on eta, and weighs its
+    own J from them. An error is raised where ``schedule`` would raise it,
+    at the first eta it would."""
     for eta in etas:
         Preference(eta)
     profile.check_covers(flowline)
@@ -510,26 +509,23 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
             list(observations) if observations is not None
             else synthesize_observations(flowline, profile, types, net))
     plans: list[SchedulePlan] = []
-    placed: dict[ProcurementPlan, SchedulePlan] = {}
+    # Per distinct procurement, its assignment and costs; each eta weighs
+    # its own J from the eta-free ones.
+    placed: dict[ProcurementPlan, tuple[dict[str, int], dict[str, float]]] = {}
     for eta in etas:
         if cards:
             x0 = optimal_unit_price(fit, Preference(eta))
             bought = procure(types, x0, ResourceDemand(cards, cores),
                              table=table)
-        plan = placed.get(bought)
-        if plan is None:
-            plan = SchedulePlan(bought, greedy_partition(
-                flowline, bought.expand()), eta, net)
-            plan = placed[bought] = dataclasses.replace(
-                plan, predictions=evaluate_plan(plan, flowline, profile,
-                                                corpus_size, slice_size, eta,
-                                                net))
-        else:
-            costs = plan.predictions
-            plan = dataclasses.replace(plan, eta=eta, predictions={
-                **costs, "J": objective(costs["cost_com_s"],
-                                        costs["cost_mon"], eta)})
-        plans.append(plan)
+        if bought not in placed:
+            assignment = greedy_partition(flowline, bought.expand())
+            placed[bought] = assignment, evaluate_plan(
+                SchedulePlan(bought, assignment, eta, net), flowline, profile,
+                corpus_size, slice_size, eta, net)
+        assignment, costs = placed[bought]
+        J = objective(costs["cost_com_s"], costs["cost_mon"], eta)
+        plans.append(SchedulePlan(bought, assignment, eta, net,
+                                  predictions={**costs, "J": J}))
     return plans
 
 

@@ -18,18 +18,17 @@ Every slice is timed at once, in one (tasks, slices) pair of start and
 finish arrays, row j for task ``topological_order[j]``: ``finish_times``
 makes one pass over the tasks and writes each task's rows in place. The
 durations are one product of the tasks' weight column with the jitter
-draw; with zero jitter and no overlap every slice is alike, so they are a
-(tasks, 1) column, timed once. Without overlap each slice's times come out
+draw; with zero jitter they are that column broadcast to every slice, a
+view that allocates nothing. Without overlap each slice's times come out
 relative to its own admission; the admissions, the exclusive cumulative
-sum of the slices' exit finishes, are then added to the arrays in place,
-or broadcast against a (tasks, 1) column into fresh ones. With overlap, a
-task's slices form the max-plus scan FT(s) = max(R(s), FT(s - 1)) + D(s),
-R the slice's ready time and D the duration, which ``finish_times`` solves
-with a cumulative maximum over prefix sums taken by one ``cumsum`` over
-the durations. A run holds a few float64 arrays of that shape, so one that
-would outgrow ``_MAX_SIM_BYTES`` is refused before anything is allocated.
-The result's ``timeline`` keeps the start and finish arrays and builds a
-``TimelineEvent`` only when one is read.
+sum of the slices' exit finishes, are then added to the arrays in place.
+With overlap, a task's slices form the max-plus scan FT(s) = max(R(s),
+FT(s - 1)) + D(s), R the slice's ready time and D the duration, which
+``finish_times`` solves with a cumulative maximum over prefix sums taken
+by one ``cumsum`` over the durations. A run holds a few float64 arrays of
+that shape, so one that would outgrow ``_MAX_SIM_BYTES`` is refused before
+anything is allocated. The result's ``timeline`` keeps the start and
+finish arrays and builds a ``TimelineEvent`` only when one is read.
 
 Task durations can be jittered with a multiplicative log-normal factor
 (mean 1, fractional std-dev ``jitter``), drawn as one (slices, tasks) array
@@ -174,9 +173,11 @@ class SimResult:
     timeline: Timeline
 
 
-# A run's arrays hold at most 32 float64 bytes per event at their peak, with
-# overlap and jitter: the durations (the jitter draw, scaled in place), their
-# prefix sums, and the start and finish arrays the timeline keeps. A run is
+# A run's arrays peak at float64 bytes per event of: 16 with neither jitter
+# nor overlap, the start and finish arrays the timeline keeps (a zero-jitter
+# duration is a broadcast view); 24 with jitter, adding the draw scaled in
+# place into the durations; 24 with overlap, adding the durations' prefix
+# sums; 32 with both; each plus a few rows of one float per slice. A run is
 # charged 48, its peak before the arrays were filled in place, so the runs
 # refused, those charged more than the budget, stay the same.
 _EVENT_BYTES = 48
@@ -203,13 +204,11 @@ def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
         draw = np.random.Generator(np.random.PCG64(config.seed)).lognormal(
             -0.5 * sigma * sigma, sigma, (slices, len(order))).T  # mean 1
         duration = np.multiply(weights, draw, out=draw)
-    elif config.overlap:
+    else:
         duration = np.broadcast_to(weights, (len(order), slices))
-    else:  # every slice alike: time one and shift it to each admission
-        duration = weights
     start, end = finish_times(order, flowline.predecessors, duration, delay,
-                              columns=True, serial=config.overlap)
-    exit_finish = np.broadcast_to(end[order.index(flowline.exit)], (slices,))
+                              serial=config.overlap)
+    exit_finish = end[order.index(flowline.exit)]
     if config.overlap:  # a slice runs from its first start to its exit
         per_slice = exit_finish - start.min(axis=0)
         left = exit_finish
@@ -217,11 +216,8 @@ def simulate(plan: SchedulePlan, flowline: Flowline, profile: TaskProfile,
         per_slice = exit_finish.copy()  # a view of ``end``, shifted below
         left = np.cumsum(exit_finish)
         offsets = np.concatenate(([0.0], left))[:-1]
-        if sigma:  # a column per slice
-            start += offsets
-            end += offsets
-        else:  # one column, broadcast to every slice
-            start, end = start + offsets, end + offsets
+        start += offsets
+        end += offsets
     start.flags.writeable = end.flags.writeable = False
     total = float(left[-1]) if slices else 0.0
     cost = plan.procurement.total_price * total / 3600.0

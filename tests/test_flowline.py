@@ -296,7 +296,7 @@ class TestFinishTimes:
             slices = rng.randint(1, 6)
             duration = self.rows(fl, slices, rng)
             st, ft = finish_times(fl.topological_order, fl.predecessors,
-                                  duration, delay, columns=True)
+                                  duration, delay)
             assert st.shape == ft.shape == duration.shape
             for s in range(slices):
                 want_st, want_ft = finish_times(
@@ -316,7 +316,7 @@ class TestFinishTimes:
             weights = np.array([[duration[t]] for t in fl.topological_order])
             wide = np.broadcast_to(weights, (len(weights), plans))
             _, ft = finish_times(fl.topological_order, fl.predecessors, wide,
-                                 delay, columns=True)
+                                 delay)
             for p in range(plans):
                 one = {e: float(d[p]) for e, d in delay.items()}
                 _, want = finish_times(fl.topological_order, fl.predecessors,
@@ -330,7 +330,7 @@ class TestFinishTimes:
             slices = rng.randint(1, 8)
             duration = self.rows(fl, slices, rng)
             st, ft = finish_times(fl.topological_order, fl.predecessors,
-                                  duration, delay, columns=True, serial=True)
+                                  duration, delay, serial=True)
             before = None
             for s in range(slices):
                 one = self.column(fl, duration, s)
@@ -347,21 +347,20 @@ class TestFinishTimes:
             slices = rng.randint(1, 6)
             weights = np.array([[duration[t]] for t in fl.topological_order])
             st, ft = finish_times(fl.topological_order, fl.predecessors,
-                                  weights, delay, columns=True)
+                                  weights, delay)
             want_st, want_ft = finish_times(fl.topological_order,
                                             fl.predecessors, duration, delay)
             assert self.column(fl, st, 0) == want_st
             assert self.column(fl, ft, 0) == want_ft
             wide = np.broadcast_to(weights, (len(weights), slices))
             wide_st, wide_ft = finish_times(fl.topological_order,
-                                            fl.predecessors, wide, delay,
-                                            columns=True)
+                                            fl.predecessors, wide, delay)
             assert np.array_equal(wide_st, np.broadcast_to(st, wide.shape))
             assert np.array_equal(wide_ft, np.broadcast_to(ft, wide.shape))
             # Serially, each slice queues behind the one before.
             _, serial_ft = finish_times(fl.topological_order,
                                         fl.predecessors, wide, delay,
-                                        columns=True, serial=True)
+                                        serial=True)
             before = None
             for s in range(slices):
                 before = enumerate_paths_finish(fl, duration, delay, 0.0,
@@ -373,7 +372,7 @@ class TestFinishTimes:
         empty = np.zeros((len(duration), 0))
         for serial in (False, True):
             st, ft = finish_times(fl.topological_order, fl.predecessors,
-                                  empty, delay, columns=True, serial=serial)
+                                  empty, delay, serial=serial)
             assert st.shape == ft.shape == empty.shape
 
 
