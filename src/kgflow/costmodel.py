@@ -12,9 +12,8 @@ picks the instance multiset whose total unit price is closest to ``x0``:
 an unbounded knapsack with a target price, solved exactly by a dynamic
 program over integer price units (the gcd of the catalog prices on a 10**-6
 grid). Its table has a row per plan price that some multiset reaches under
-a bound of x0 plus the cheapest unit price, or for x0 below that price a
-bound doubled up to the cheapest feasible plan (``PlanTable.closest``): at
-most bound/unit rows, and never more than there are multisets. It costs
+a price bound that ``PlanTable.closest`` chooses: at most bound/unit rows,
+and never more than there are multisets. It costs
 O(rows * (gpus + 1) * (cpus + 1)) per VM type for a demand of that many
 GPU cards and cores, and stops with an error past a fixed memory budget.
 A ``PlanTable`` keeps that table for one catalog and demand, so that
@@ -329,7 +328,13 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
 
 
 def optimal_unit_price(fit: MakespanPriceFit, preference: Preference) -> float:
-    """Closed-form minimizer of J(x) = eta*g(x) + (1-eta)*x*g(x)."""
+    """Closed-form minimizer of J(x) = eta*g(x) + (1-eta)*(x-c)*g(x), whose
+    money term prices only the spend above the pole c.
+
+    ``objective`` and ``sweep_eta`` weigh a different J: a plan's predicted
+    seconds against its money, total price times the hours it runs, raw or
+    min-max normalised over a sweep cell.
+    """
     eta = preference.eta
     return math.sqrt((fit.b / fit.a) * (eta / (1.0 - eta))) + fit.c
 
@@ -372,13 +377,9 @@ def procure(catalog: Sequence[VmType], x0: float, demand: ResourceDemand,
     count (high-end instances beat stacks of divided low-end ones), then
     lexicographic names.
 
-    The search is ``PlanTable.closest``: plans priced up to x0 plus the
-    cheapest unit price first, since padding any feasible plan priced at
-    most x0 with the cheapest type leaves it less than that price below
-    x0; below the cheapest unit price, the cheapest feasible plan, under a
-    bound doubled up from a price no feasible plan is below. Callers that
-    procure for one catalog and demand at several targets pass one
-    ``table`` to every call, so its dynamic program is filled once
+    The search, and the price bounds it fills, are ``PlanTable.closest``'s.
+    Callers that procure for one catalog and demand at several targets pass
+    one ``table`` to every call, so its dynamic program is filled once
     and refilled only when a target needs a larger bound; a table built for
     another catalog or demand raises CostModelError. Without one, each call
     fills its own.
@@ -411,10 +412,7 @@ class PlanTable:
     bound holds, in its rows up to any smaller bound, exactly the table a
     fresh fill to that bound makes. A fill to a larger bound recomputes
     every row, and the rows below the old bound keep their index and
-    entries. ``closest`` bounds the search by x0 plus the cheapest
-    unit price where it can, so the table holds about that many price
-    units, not 2 * x0; for x0 below that price, by a bound doubled up to
-    the cheapest feasible plan from a price no feasible plan is below. A
+    entries. ``closest`` chooses the bounds a target fills. A
     fill costs O(rows * (demand.gpus + 1) * (demand.cpus + 1)) per VM type;
     one whose table would outgrow ``_MAX_TABLE_BYTES`` raises
     ``CostModelError``.
@@ -442,25 +440,30 @@ class PlanTable:
         price bound; the table is refilled only when a bound passes what
         it holds.
 
-        The first bound is x0 + cheapest, the cheapest unit price, when x0
-        >= cheapest and that is below max(2*x0, dearest unit price). Adding
-        an instance never makes a plan infeasible, so a feasible plan priced
-        at most x0, padded with cheapest instances until one more would
-        pass x0, is less than cheapest below it: the best gap is below
-        cheapest, and every plan that ties on it is inside the bound. With
-        no feasible plan priced at most x0 the best is the cheapest feasible
-        one, inside the bound whenever any feasible plan is. Below cheapest
-        every plan but the empty one costs more than x0, so the best is the
-        cheapest feasible plan (with nothing demanded, the empty plan or a
-        cheapest instance), and the bounds are f, 2f, 4f, ... up to half of
-        max(2*x0, dearest unit price), f the ``_price_floor``. Only if none
-        of these bounds holds a feasible plan does the search go on, as it
-        does for any other x0: up to max(2*x0, dearest unit price), doubled
-        while nothing fits. That ends with a plan or an error:
-        ``check_supplied`` found some finite multiset that meets the
-        demand, and the doubling reaches its price unless the table first
-        outgrows ``_MAX_TABLE_BYTES`` or the bound the 10**-6 price grid,
-        each of which raises."""
+        The bounds are tried in three steps, with cheapest and dearest the
+        catalog's extreme unit prices and B = max(2*x0, dearest):
+
+        1. For x0 >= cheapest, x0 + cheapest, if that is below B. Adding an
+           instance never makes a plan infeasible, so a feasible plan
+           priced at most x0, padded with cheapest instances until one more
+           would pass x0, is less than cheapest below it: the best gap is
+           below cheapest, and every plan that ties on it is inside the
+           bound. With no feasible plan priced at most x0 the best is the
+           cheapest feasible one, inside the bound whenever any feasible
+           plan is.
+        2. For x0 < cheapest, f, 2f, 4f, ... while at most half of B, f the
+           ``_price_floor``. Every plan but the empty one costs more than
+           x0, so the best is the cheapest feasible plan (with nothing
+           demanded, the empty plan or a cheapest instance), and the first
+           of these bounds that holds a feasible plan holds it. A bound is
+           worth a fill of its own only while it halves B: a fill costs
+           about as much at a few rows as at many.
+        3. If neither step found a feasible plan, B, doubled while nothing
+           fits. That ends with a plan or an error: ``check_supplied``
+           found some finite multiset that meets the demand, and the
+           doubling reaches its price unless the table first outgrows
+           ``_MAX_TABLE_BYTES`` or the bound the 10**-6 price grid, each
+           of which raises."""
         if not math.isfinite(x0):
             raise CostModelError(f"target price x0 must be finite, got {x0}")
         types, unit = self.types, self._unit
@@ -468,7 +471,7 @@ class PlanTable:
 
         def best_within(limit: int) -> ProcurementPlan | None:
             if limit > self._limit:
-                self._fill(limit, bound)
+                self._fill(limit)
             return self._best(int(np.searchsorted(self._prices, limit,
                                                   "right")), x0)
 
@@ -484,8 +487,6 @@ class PlanTable:
         # The short limit's extra unit covers the rounding of x0 in units.
         first, cheapest = units(bound), min(self._weights)
         if x0 < min(v.unit_price for v in types):
-            # A bound is worth a fill of its own only while it halves the
-            # first one: a fill costs about as much at a few rows as at many.
             floor = _price_floor(types, self._weights, self.demand)
             limits = [floor << k for k in range(first.bit_length())
                       if 2 * (floor << k) <= first]
@@ -526,15 +527,16 @@ class PlanTable:
         return ProcurementPlan(tuple((vm, n) for vm, n in
                                      zip(types, best_counts) if n > 0))
 
-    def _fill(self, limit: int, bound: float) -> None:
+    def _fill(self, limit: int) -> None:
         prices = _reachable_prices(self._weights, limit, self._max_rows)
         if prices is None:
             raise CostModelError(
                 f"procurement table for demand {self.demand} outgrows "
                 f"{_MAX_TABLE_BYTES >> 20} MB: more than {self._max_rows} "
-                f"distinct plan prices up to {bound:.2f} at a price unit of "
-                f"{self._unit / 1e6:g} {self.types[0].currency}; lower x0 or "
-                "quote prices on a coarser grid")
+                f"distinct plan prices up to {limit * self._unit / 1e6:g} "
+                f"at a price unit of {self._unit / 1e6:g} "
+                f"{self.types[0].currency}; lower x0 or quote prices on a "
+                "coarser grid")
         self._table, self._preds = _fewest_instances(
             self.types, self._weights, self.demand, prices)
         self._prices, self._limit = prices, limit

@@ -370,12 +370,11 @@ def _upward_ranks(flowline: Flowline, profile: TaskProfile,
 
 
 def baseline_list(flowline: Flowline, profile: TaskProfile,
-                  catalog: Sequence[VmType], net: NetParams | None = None,
+                  catalog: Sequence[VmType], net: NetParams,
                   table: PlanTable | None = None) -> SchedulePlan:
     """List scheduler: upward-rank order, earliest-finish-time placement,
     over the cheapest feasible procurement, searched in ``table`` when one
     is given for the catalog and the flowline's demand."""
-    net = net or NetParams()
     profile.check_covers(flowline)
     demand = ResourceDemand(*need(flowline, flowline.by_id))
     procurement = procure(catalog, 0.0, demand, table=table)

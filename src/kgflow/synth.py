@@ -45,40 +45,35 @@ def synthetic_flowline(n_models: int, n_operators: int,
     vertices: list[TaskNode] = []
     edges: list[tuple[str, str]] = []
 
-    def add_model(vid: str, function: str, kind: str) -> str:
+    def add(vid: str, function: str, kind: str = "operator") -> str:
         vertices.append(TaskNode(id=vid, kind=kind,
                                  config={"function": function}))
         return vid
 
-    def add_op(vid: str, function: str) -> str:
-        vertices.append(TaskNode(id=vid, kind="operator",
-                                 config={"function": function}))
-        return vid
-
-    entry = add_model("m0", "BertNER", "model-CE")
+    entry = add("m0", "BertNER", "model-CE")
     cc_functions = ("BERTRE", "LSTMRE")
     merge_inputs = []
     for b in range(branches):
         prev = entry
         for j in range(branch_filters[b]):
-            prev_new = add_op(f"b{b}f{j}", "filter")
+            prev_new = add(f"b{b}f{j}", "filter")
             edges.append((prev, prev_new))
             prev = prev_new
-        pair = add_op(f"b{b}p", "permutate")
+        pair = add(f"b{b}p", "permutate")
         edges.append((prev, pair))
-        model_id = add_model(f"m{b + 1}", cc_functions[b % 2], "model-CC")
+        model_id = add(f"m{b + 1}", cc_functions[b % 2], "model-CC")
         edges.append((pair, model_id))
         merge_inputs.append(model_id)
 
-    merge = add_op("merge", "merge")
+    merge = add("merge", "merge")
     for mid in merge_inputs:
         edges.append((mid, merge))
     prev = merge
     for j in range(tail_ops):
-        nxt = add_op(f"x{j}", "integrate")
+        nxt = add(f"x{j}", "integrate")
         edges.append((prev, nxt))
         prev = nxt
-    exit_id = add_op("triple", "triple")
+    exit_id = add("triple", "triple")
     edges.append((prev, exit_id))
 
     flowline = Flowline.build(vertices, edges)

@@ -270,7 +270,7 @@ def test_closest_below_the_cheapest_price_doubles_up_from_it(catalog, gpus,
     table = PlanTable(catalog, ResourceDemand(gpus, cpus))
     plan = table.closest(x0)
     fresh = PlanTable(catalog, table.demand)
-    fresh._fill(_first_bound_limit(fresh, x0), 0.0)
+    fresh._fill(_first_bound_limit(fresh, x0))
     assert plan == fresh._best(len(fresh._prices), x0)
     price = round(procure(catalog, 0.0, table.demand).total_price * 1e6
                   / table._unit)
@@ -306,8 +306,8 @@ def test_a_grown_table_equals_a_fresh_fill(catalog, gpus, cpus, steps):
     limits = [weight * s // 100 for s in sorted(steps)]
     assume(len(set(limits)) == len(limits))
     for limit in limits:
-        grown._fill(limit, 0.0)
-    fresh._fill(limits[-1], 0.0)
+        grown._fill(limit)
+    fresh._fill(limits[-1])
     assert np.array_equal(grown._prices, fresh._prices)
     assert np.array_equal(grown._table, fresh._table)
     assert len(grown._preds) == len(fresh._preds)
@@ -382,11 +382,13 @@ def test_micro_unit_catalog_matches_oracle(x0):
 
 
 def test_oversized_table_raises_naming_the_unit():
-    # ~10**8 distinct plan prices up to 200 USD at a 1e-6 USD unit: the
-    # search gives up once they outgrow its table budget.
+    # ~10**8 distinct plan prices up to x0 plus the cheapest unit price at
+    # a 1e-6 USD unit: the search gives up once they outgrow its table
+    # budget, and names that limit, not the outer bound 2 * x0.
     catalog = [VmType("a", 64, 8, 0.001), VmType("b", 64, 8, 0.001001)]
-    with pytest.raises(CostModelError, match="price unit of 1e-06 USD"):
+    with pytest.raises(CostModelError, match="price unit of 1e-06 USD") as err:
         procure(catalog, 100.0, ResourceDemand(3, 7))
+    assert "up to 100.001" in str(err.value)
 
 
 def test_unsupplied_demand_raises_before_searching():
@@ -415,6 +417,7 @@ def test_non_finite_target_rejected(x0):
 
 @pytest.mark.parametrize("x0, message", [
     (1e300, "outgrows 128 MB"),
+    (1e300, "up to 1e+300"),
     (1e303, "target price x0 1e+303 is too large"),
     (sys.float_info.max, "target price x0 1.79769e+308 is too large"),
 ])
