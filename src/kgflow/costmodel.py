@@ -87,9 +87,9 @@ class MakespanPriceFit:
     residuals: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
+        if not all(0 < v < math.inf for v in (self.a, self.b, self.c)):
             raise CostModelError(
-                f"curve coefficients must be positive, got "
+                f"curve coefficients must be finite and positive, got "
                 f"a={self.a}, b={self.b}, c={self.c}")
 
     def makespan_at(self, unit_price: float) -> float:

@@ -13,7 +13,7 @@ whole slices, the last one timed as a full slice even when it is short, so
 its total processing time is ``n_slices(corpus_size, slice_size)`` (that
 is, ceil(corpus_size / slice_size)) times the makespan; ``n_slices`` is the
 one place that rule is written. ``finish_times`` is the one implementation
-of the recurrence: ``makespan`` and the list baseline's upward ranks run it
+of the recurrence: ``makespan`` and the placement's upward ranks run it
 on floats, and the simulator and ``predict_many`` on (tasks, columns) numpy
 arrays, one column per slice or per plan, so that one pass over the tasks
 times every slice of a corpus.
@@ -97,19 +97,18 @@ class Flowline:
 
     @classmethod
     def build(cls, vertices: Iterable[TaskNode],
-              edges: Iterable[tuple[str, str]],
-              entry: str | None = None, exit: str | None = None) -> "Flowline":
-        """Construct a flowline, inferring entry/exit from degrees if omitted."""
+              edges: Iterable[tuple[str, str]]) -> "Flowline":
+        """Construct a flowline, inferring entry and exit from degrees; the
+        constructor takes them where the degrees leave them ambiguous."""
         verts = tuple(vertices)
         # Checked before the degrees are read, so a bad edge is named.
         eds = _edge_set(verts, edges)
         heads, tails = _ends(verts, eds)
-        if entry is None and len(heads) != 1:
+        if len(heads) != 1:
             raise FlowlineError(f"cannot infer entry, candidates: {heads}")
-        if exit is None and len(tails) != 1:
+        if len(tails) != 1:
             raise FlowlineError(f"cannot infer exit, candidates: {tails}")
-        return cls(verts, eds, heads[0] if entry is None else entry,
-                   tails[0] if exit is None else exit)
+        return cls(verts, eds, heads[0], tails[0])
 
     @cached_property
     def by_id(self) -> dict[str, TaskNode]:

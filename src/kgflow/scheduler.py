@@ -1,25 +1,25 @@
-"""Cost-aware flowline scheduling: compound, procure, partition, predict.
+"""Cost-aware flowline scheduling: procure, place, predict.
 
 The pipeline:
 
-1. *Compounding*: each GPU-intensive task anchors a compound that greedily
-   absorbs downstream CPU-only tasks whose precursors all lie inside the
-   compound. Cutting an edge inside a compound could only add communication
-   cost, so compounds are never split. Tasks captured by no compound
-   (aggregators fed by several models, and anything downstream of them) are
-   orphans. ``compound`` returns the *units* of placement in placement
-   order: the compounds by anchor, then each orphan, by id, as a one-task
-   ``Compound`` without an anchor.
-2. *Procurement*: fit (or accept) the price-to-makespan curve, derive the
+1. *Procurement*: fit (or accept) the price-to-makespan curve, derive the
    optimal unit price x0 for the preference eta, and buy the instance
    multiset closest to x0 that covers |V^m| GPUs and |V^o| CPU cores.
-3. *Greedy partition*: place the units in order, each whole onto the VM
-   (GPU capacity descending) with the largest neighbor overlap that still
-   has capacity: GPU cards for models, CPU headroom (cores minus one per
-   GPU card) for operators (``Ledger``). Compiled once, a unit's overlap
-   with a VM is a weighted sum over the earlier units placed there.
+2. *Placement*: HEFT's earliest-finish-time rule (Topcuoglu, Hariri & Wu,
+   IEEE TPDS 2002), ``greedy_partition``. The tasks go in upward-rank
+   order, each to the VM with room where it would finish earliest: a GPU
+   card for a model, a core of CPU headroom (cores minus one per GPU card)
+   for an operator (``Ledger``). The warm-up synthesis places every
+   candidate procurement by the same rule, all at once (``_place_many``),
+   and ``sim.baseline_list`` places the cheapest one with it.
 
 CPU-only flowlines skip the curve and buy one VM with adequate cores.
+
+The paper names only "self-adaptive task scheduling". This package once
+read that as compounding: each model absorbed the operators downstream of
+it, and each such compound went whole to the VM holding most of its
+neighbours. ``compound`` still gives those units, but nothing here places
+by them.
 
 A ``SchedulePlan`` assigns tasks to the VMs of its procurement expanded;
 it keeps no VM list of its own that could disagree with the procurement.
@@ -77,8 +77,8 @@ _field = functools.partial(_fields.field, SchedulingError)
 
 @dataclass(frozen=True)
 class Compound:
-    """A unit of placement, never split across VMs: a GPU ``anchor`` plus
-    its captive operators, or (``anchor`` None) one orphan task."""
+    """A GPU ``anchor`` plus its captive operators, or (``anchor`` None)
+    one orphan task."""
 
     members: tuple[str, ...]
     anchor: str | None
@@ -89,10 +89,11 @@ class Compound:
 
 
 def compound(flowline: Flowline) -> tuple[Compound, ...]:
-    """The placement units in order: the compounds by anchor, then one unit
-    per orphan by id. One pass in topological order gives each task its
-    head: a model heads its own compound, an operator joins the one all its
-    precursors share, and any other task is an orphan."""
+    """The compounds by anchor, then one unit per orphan by id. No
+    placement reads them; ``bench/tracer.py`` still times this layer by
+    name. One pass in topological order gives each task its head: a model
+    heads its own compound, an operator joins the one all its precursors
+    share, and any other task is an orphan."""
     models = flowline.models
     head: dict[str, str | None] = {}
     for task in flowline.topological_order:
@@ -155,68 +156,95 @@ class Ledger:
         return found, [self.room[i][k] for i in found]
 
 
-def _compile(flowline: Flowline) -> list:
-    """The units of ``compound`` in order, each with its (cards, cores)
-    demand and its neighbours as (earlier unit index, neighbour-task count)
-    pairs, from one pass over the edges."""
-    units = compound(flowline)
-    unit_of = {m: k for k, unit in enumerate(units) for m in unit.members}
-    near = set()
-    for a, b in flowline.edges:
-        ka, kb = unit_of[a], unit_of[b]
-        if ka != kb:
-            near.add((kb, a) if ka < kb else (ka, b))
-    counts: list[dict[int, int]] = [{} for _ in units]
-    for k, task in near:
-        counts[k][unit_of[task]] = counts[k].get(unit_of[task], 0) + 1
-    return [(unit, need(flowline, unit.members), tuple(c.items()))
-            for unit, c in zip(units, counts)]
+def _upward_ranks(flowline: Flowline, profile: TaskProfile,
+                  net: NetParams) -> dict[str, float]:
+    """HEFT upward ranks: the finish-time recurrence run from the exit back
+    over ``successors``, with every edge paying its transfer time."""
+    order = flowline.topological_order[::-1]
+    weights = {task: profile.weight(task) for task in order}
+    delay = {(b, a): net.transfer_time(profile.payload((a, b)))
+             for a in order for b in flowline.successors[a]}
+    return finish_times(order, flowline.successors, weights, delay)[1]
 
 
-def _place(compiled: Sequence, ledger: Ledger) -> list[int]:
-    """Each compiled unit's VM: of those with room, the one holding most of
-    its neighbours, lowest index first; stops at a unit that fits nowhere."""
-    placed: list[int] = []
-    for _, demand, neighbours in compiled:
-        if not (fitting := ledger.fitting(demand)):
-            break
-        overlap = [0] * len(ledger.room)
-        for j, count in neighbours:
-            overlap[placed[j]] += count
-        placed.append(max(fitting, key=overlap.__getitem__))
-        ledger.take(placed[-1], demand)
-    return placed
+def _rank_order(flowline: Flowline, profile: TaskProfile,
+                net: NetParams) -> list[str]:
+    """The tasks by upward rank, highest first, ties in topological order.
+    A task's rank is at least each successor's, so every task comes after
+    its precursors."""
+    ranks = _upward_ranks(flowline, profile, net)
+    return sorted(flowline.topological_order, key=lambda t: -ranks[t])
 
 
-def _place_many(compiled: Sequence, room: np.ndarray) -> np.ndarray:
-    """``_place`` of many VM lists at once. ``room`` is (lists, VMs, 2):
-    each list's (cards, cores) per VM, as a fresh ``Ledger`` holds them,
-    a shorter list padded with VMs that have no room. Row r of the result
-    is ``_place`` of list r, followed by -1 from the unit that fits nowhere
-    on. Per unit, each row takes the argmax of its VMs' scores: neighbour
-    overlap, plus a bonus above any overlap on the VMs with room, so the
-    lowest index wins ties. A row keeps placing after it stops, on VMs
-    without room, and its later entries are masked at the end."""
+def greedy_partition(flowline: Flowline, profile: TaskProfile,
+                     vms: Sequence[VmType], net: NetParams) -> dict[str, int]:
+    """Assign every task to a VM index by earliest finish time.
+
+    Tasks go in ``_rank_order``. Each goes to the VM with room for it
+    (``Ledger``) where it would finish earliest, the lowest index on a tie:
+    its precursors' finishes, each plus its transfer time unless the
+    precursor is on that VM, then its own weight. Raises SchedulingError
+    naming the task when no VM has room for it.
+    """
+    ledger = Ledger(vms)
+    assignment: dict[str, int] = {}
+    finish: dict[str, float] = {}
+    for task in _rank_order(flowline, profile, net):
+        unit = Ledger.CARD if task in flowline.models else Ledger.CORE
+        arrivals = [(assignment[p], finish[p], finish[p] + net.transfer_time(
+            profile.payload((p, task)))) for p in flowline.predecessors[task]]
+        best: tuple[float, int] | None = None
+        for i in ledger.fitting(unit):
+            ready = 0.0
+            for vm, bare, moved in arrivals:
+                ready = max(ready, bare if vm == i else moved)
+            eft = ready + profile.weight(task)
+            if best is None or eft < best[0]:
+                best = eft, i
+        if best is None:
+            raise SchedulingError(
+                f"no VM can host task {task!r} (needs {unit[0]} GPU card(s), "
+                f"{unit[1]} CPU core(s); capacities "
+                f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
+        finish[task], assignment[task] = best
+        ledger.take(best[1], unit)
+    return assignment
+
+
+def _place_many(flowline: Flowline, profile: TaskProfile, room: np.ndarray,
+                net: NetParams) -> np.ndarray:
+    """The exit finish of ``greedy_partition`` on each of many VM lists,
+    equal to the ``makespan`` of its placement bit for bit, or +inf where
+    the list cannot host the flowline. ``room`` is (lists, VMs, 2): each
+    list's (cards, cores) per VM, as a fresh ``Ledger`` holds them, a
+    shorter list padded with VMs that have no room.
+
+    Per task, one (lists, VMs) array of finish times: each precursor's
+    arrival, its finish plus its transfer time on every VM but its own,
+    maxed in place, plus the weight; +inf where the VM has no room, then
+    the argmin. A list keeps placing after a task found no room, and is
+    masked at the end."""
     cards, cores = room[..., 0].copy(), room[..., 1].copy()
-    first = np.arange(0, cards.size, cards.shape[1])  # each row's VM 0, flat
-    bonus = 1 + sum(count for _, _, near in compiled for _, count in near)
-    placed = np.empty((len(room), len(compiled)), dtype=np.intp)
-    hosted = np.empty(placed.shape, dtype=bool)
-    for k, (_, (need_cards, need_cores), neighbours) in enumerate(compiled):
-        fits = cores >= need_cores  # cards >= 0 wherever a row still places
-        if need_cards:
-            fits &= cards >= need_cards
-        score = (fits * bonus).ravel()
-        for j, count in neighbours:
-            score[first + placed[:, j]] += count
-        placed[:, k] = choice = score.reshape(fits.shape).argmax(axis=1)
-        at = first + choice
-        hosted[:, k] = score[at] >= bonus
-        if need_cards:
-            cards.ravel()[at] -= need_cards
-        if need_cores:
-            cores.ravel()[at] -= need_cores
-    return np.where(np.logical_and.accumulate(hosted, axis=1), placed, -1)
+    width = cards.shape[1]
+    first = np.arange(0, cards.size, width)  # each list's VM 0, flat
+    hosted = np.ones(len(room), dtype=bool)
+    at: dict[str, np.ndarray] = {}  # each placed task's VM, flat
+    finish: dict[str, np.ndarray] = {}
+    for task in _rank_order(flowline, profile, net):
+        eft = np.zeros(cards.shape)
+        for p in flowline.predecessors[task]:
+            arrival = np.repeat((finish[p] + net.transfer_time(
+                profile.payload((p, task))))[:, None], width, axis=1)
+            arrival.ravel()[at[p]] = finish[p]
+            np.maximum(eft, arrival, out=eft)
+        eft += profile.weight(task)
+        left = (cards if task in flowline.models else cores).ravel()
+        eft.ravel()[left < 1] = np.inf
+        at[task] = here = first + eft.argmin(axis=1)
+        finish[task] = eft.ravel()[here]
+        hosted &= left[here] > 0
+        left[here] -= 1
+    return np.where(hosted, finish[flowline.exit], np.inf)
 
 
 @functools.lru_cache(maxsize=16)
@@ -230,35 +258,6 @@ def _multisets(n: int, most: int) -> np.ndarray:
     multisets = np.array([row + (-1,) * (most - len(row)) for row in rows])
     multisets.flags.writeable = False
     return multisets
-
-
-def _assignment(compiled: Sequence, placed: Sequence[int]) -> dict[str, int]:
-    """The task-to-VM map of a placement: each unit's members on its VM."""
-    return {m: i for (unit, _, _), i in zip(compiled, placed)
-            for m in unit.members}
-
-
-def greedy_partition(flowline: Flowline,
-                     vms: Sequence[VmType]) -> dict[str, int]:
-    """Assign every task to a VM index, maximizing neighbor overlap.
-
-    The units of ``compound`` are placed in their order, each whole.
-    ``vms`` must be sorted by GPU capacity descending
-    (``ProcurementPlan.expand()`` does this). Candidate VMs go by
-    descending overlap with lowest index breaking ties. Raises
-    SchedulingError naming the unit when capacity runs out.
-    """
-    compiled = _compile(flowline)
-    placed = _place(compiled, Ledger(vms))
-    if len(placed) < len(compiled):
-        unit, (cards, cores), _ = compiled[len(placed)]
-        name = (f"task {unit.members[0]!r}" if unit.anchor is None
-                else f"compound[{unit.anchor}]")
-        raise SchedulingError(
-            f"no VM can host {name} (needs {cards} GPU card(s), "
-            f"{cores} CPU core(s); capacities "
-            f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
-    return _assignment(compiled, placed)
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ class SchedulePlan:
     eta: float
     net: NetParams | None = None
     predictions: Mapping[str, float] = field(default_factory=dict)
-    scheduler: str = "compound-greedy"
+    scheduler: str = "eft"
 
     @property
     def vms(self) -> tuple[VmType, ...]:
@@ -406,23 +405,21 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     """Warm-up-style (price, per-slice makespan) table.
 
     Enumerates procurement multisets of up to max(3, min(models, 4)) + 1
-    instances, partitions the flowline onto each, and records the analytic
-    per-slice makespan; combinations that cannot host the flowline become
-    infeasible observations (they cap the fitted curve's pole).
+    instances, places the flowline on each by ``greedy_partition``'s
+    earliest-finish-time rule, and records the analytic per-slice makespan;
+    combinations that cannot host the flowline become infeasible
+    observations (they cap the fitted curve's pole).
 
-    The units compile once, and one ``_place_many`` pass places every
-    multiset, a row of its VMs in expand order each. A multiset's price
-    adds its unit prices left to right in name order, one column of all
-    multisets at a time, as ``costmodel._fold`` does on any Python
-    version. The makespan depends only on the edges a placement cuts, so
-    it is computed once per distinct placement. The multisets go in
-    lexicographic order of their type indices in name order, and each
-    (price, makespan) key keeps the observation of the first multiset that
-    reaches it, the only one built.
+    One ``_place_many`` pass places every multiset, a row of its VMs in
+    expand order each, and its exit finishes are the makespans. A
+    multiset's price adds its unit prices left to right in name order, one
+    column of all multisets at a time, as ``costmodel._fold`` does on any
+    Python version. The multisets go in lexicographic order of their type
+    indices in name order, and each (price, makespan) key keeps the
+    observation of the first multiset that reaches it, the only one built.
     """
     max_instances = max(3, min(len(flowline.models), 4)) + 1
     types = catalog_types(catalog)
-    compiled = _compile(flowline)
     multisets = _multisets(len(types), max_instances)
     unit_prices = np.array([vm.unit_price for vm in types] + [0.0])
     prices = np.zeros(len(multisets))
@@ -433,20 +430,11 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
     room = np.array([(vm.gpu_cards, vm.cpu_headroom) for vm in expand]
                     + [(0, 0)])[np.sort(rank[multisets], axis=1)]
     observations: dict[tuple[float, float | None], Observation] = {}
-    # Per placement, its makespan and that rounded; (None, None) where the
-    # multiset does not host the flowline.
-    makespans: dict[tuple[int, ...], tuple[float | None, float | None]] = {}
-    for price, placed in zip(prices.tolist(),
-                             map(tuple, _place_many(compiled, room).tolist())):
-        if placed not in makespans:
-            if placed[-1] < 0:
-                makespans[placed] = None, None
-            else:
-                mk = makespan(flowline, profile, apply_partition(
-                    flowline, profile, _assignment(compiled, placed), net))
-                makespans[placed] = mk, round(mk, 12)
-        mk, rounded = makespans[placed]
-        key = (round(price, 9), rounded)
+    for price, mk in zip(prices.tolist(),
+                         _place_many(flowline, profile, room, net).tolist()):
+        if mk == np.inf:  # the multiset does not host the flowline
+            mk = None
+        key = (round(price, 9), None if mk is None else round(mk, 12))
         if key not in observations:
             observations[key] = Observation(price, mk)
     return [observations[k] for k in sorted(observations,
@@ -496,7 +484,7 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
     types = catalog_types(catalog)
     cards, cores = need(flowline, flowline.by_id)
     if not cards:
-        # CPU-only: every task is an orphan, and one adequate VM hosts all.
+        # CPU-only: one VM with a headroom core per task hosts them all.
         adequate = [vm for vm in types if vm.cpu_headroom >= cores]
         if not adequate:
             raise SchedulingError(
@@ -518,7 +506,8 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
             bought = procure(types, x0, ResourceDemand(cards, cores),
                              table=table)
         if bought not in placed:
-            assignment = greedy_partition(flowline, bought.expand())
+            assignment = greedy_partition(flowline, profile, bought.expand(),
+                                          net)
             placed[bought] = assignment, evaluate_plan(
                 SchedulePlan(bought, assignment, eta, net), flowline, profile,
                 corpus_size, slice_size, eta, net)
@@ -595,7 +584,7 @@ def plan_from_dict(doc: Mapping[str, Any]) -> SchedulePlan:
         procurement, assignment, eta, net,
         {k: _field(predictions, k, "plan predictions", float)
          for k in predictions},
-        _field(doc, "scheduler", "plan", str, "compound-greedy"))
+        _field(doc, "scheduler", "plan", str, "eft"))
 
 
 def plan_to_json(plan: SchedulePlan) -> str:

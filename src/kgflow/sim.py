@@ -35,11 +35,12 @@ Task durations can be jittered with a multiplicative log-normal factor
 from ``numpy.random.Generator(PCG64(seed))``, so a seed gives the same run
 every time; its transpose is scaled in place into the durations.
 
-Also here: the two comparison baselines (seeded random plans and an
-earliest-finish-time list scheduler) and the eta sweep that produces
-makespan/cost trade-off tables. The sweep draws its random plans in one
-pass, ``baseline_random_many``, which checks the catalog and demand once
-for all its seeds.
+Also here: the two comparison baselines (seeded random plans, and the
+cheapest procurement placed by ``scheduler.greedy_partition``, the
+earliest-finish-time rule ``schedule`` places by too) and the eta sweep
+that produces makespan/cost trade-off tables. The sweep draws its random
+plans in one pass, ``baseline_random_many``, which checks the catalog and
+demand once for all its seeds.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .flowline import (
 from .scheduler import (
     Ledger,
     SchedulePlan,
-    SchedulingError,
+    greedy_partition,
     need,
     predict_many,
     require_qualified,
@@ -358,54 +359,16 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
     return plans
 
 
-def _upward_ranks(flowline: Flowline, profile: TaskProfile,
-                  net: NetParams) -> dict[str, float]:
-    """HEFT upward ranks: the finish-time recurrence run from the exit back
-    over ``successors``, with every edge paying its transfer time."""
-    order = flowline.topological_order[::-1]
-    weights = {task: profile.weight(task) for task in order}
-    delay = {(b, a): net.transfer_time(profile.payload((a, b)))
-             for a in order for b in flowline.successors[a]}
-    return finish_times(order, flowline.successors, weights, delay)[1]
-
-
 def baseline_list(flowline: Flowline, profile: TaskProfile,
                   catalog: Sequence[VmType], net: NetParams,
                   table: PlanTable | None = None) -> SchedulePlan:
-    """List scheduler: upward-rank order, earliest-finish-time placement,
+    """List scheduler: ``greedy_partition``'s earliest-finish-time placement
     over the cheapest feasible procurement, searched in ``table`` when one
     is given for the catalog and the flowline's demand."""
     profile.check_covers(flowline)
     demand = ResourceDemand(*need(flowline, flowline.by_id))
     procurement = procure(catalog, 0.0, demand, table=table)
-    vms = procurement.expand()
-
-    ranks = _upward_ranks(flowline, profile, net)
-    tasks = sorted((v.id for v in flowline.vertices),
-                   key=lambda t: (-ranks[t], natural_key(t)))
-    ledger = Ledger(vms)
-    assignment: dict[str, int] = {}
-    finish: dict[str, float] = {}
-    for task in tasks:
-        unit = Ledger.CARD if task in flowline.models else Ledger.CORE
-        best: tuple[float, int] | None = None
-        for i in ledger.fitting(unit):
-            ready = 0.0
-            for pred in flowline.predecessors[task]:
-                if pred not in assignment:  # rank order is not topological
-                    continue
-                delay = 0.0 if assignment[pred] == i else net.transfer_time(
-                    profile.payload((pred, task)))
-                ready = max(ready, finish[pred] + delay)
-            eft = ready + profile.weight(task)
-            if best is None or (eft, i) < best:
-                best = (eft, i)
-        if best is None:
-            raise SchedulingError(f"list baseline cannot place {task!r}")
-        eft, idx = best
-        assignment[task] = idx
-        finish[task] = eft
-        ledger.take(idx, unit)
+    assignment = greedy_partition(flowline, profile, procurement.expand(), net)
     return SchedulePlan(procurement, assignment, eta=0.5, net=net,
                         scheduler="list")
 
@@ -436,7 +399,7 @@ class SweepRow:
 def sweep_eta(flowline: Flowline, profile: TaskProfile,
               catalog: Sequence[VmType], etas: Sequence[float],
               config: SweepConfig = SweepConfig()) -> list[SweepRow]:
-    """Trade-off table: heuristic vs list vs random baselines per eta.
+    """Trade-off table: ``schedule`` vs list vs random baselines per eta.
 
     Each eta cell evaluates every candidate plan analytically, min-max
     normalizes (cost_com, cost_mon) over the whole cell, and weights them
@@ -481,6 +444,7 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
             [(m["cost_com_s"], m["cost_mon"]) for m in metrics], eta)
         table = [(m["makespan_s"], m["cost_com_s"], m["cost_mon"], j)
                  for m, j in zip(metrics[:2], js)]
+        # bench/workloads.py finds schedule's row by this label.
         rows += [SweepRow(eta, "compound-greedy", *table[0]),
                  SweepRow(eta, "list", *table[1]),
                  SweepRow(eta, "random", *random_costs,

@@ -24,6 +24,8 @@ CALLERLESS = {
     "sim.timeline_to_chrome_trace": "the CLI's simulate --trace (item 8)",
     "costmodel.MakespanPriceFit.makespan_at": "the plan diagnostics show the "
                                               "fitted curve (item 8)",
+    "scheduler.compound": "bench/tracer.py's LAYERS reads it with getattr; "
+                          "a missing name fails every traced run",
 }
 
 # Parameters with a default that no call in src/kgflow or bench passes.
@@ -31,9 +33,6 @@ UNPASSED = {
     "_fields.field.kind": "each module calls field through functools.partial "
                           "as _field, which the scan does not follow",
     "_fields.field.default": "as kind: called through functools.partial",
-    "flowline.Flowline.build.entry": "names the entry of a flowline whose "
-                                     "degrees leave it ambiguous",
-    "flowline.Flowline.build.exit": "as entry, for the exit",
     "gfl.emit_dot.name": "the graph name of the CLI's dot command (item 8)",
     "scheduler.schedule.fit": "bench passes it through **curve_kw",
     "scheduler.schedule.observations": "bench passes it through **curve_kw",

@@ -110,6 +110,19 @@ class TestFitPriceMakespan:
         assert all(s >= -1e-12 for s in second)
 
 
+class TestMakespanPriceFit:
+    @pytest.mark.parametrize("slot", range(3), ids=["a", "b", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_each_coefficient_must_be_finite_and_positive(self, slot, bad):
+        coefficients = [4.17, 5.15, 23.96]
+        coefficients[slot] = bad
+        with pytest.raises(CostModelError) as err:
+            MakespanPriceFit(*coefficients)
+        a, b, c = coefficients
+        assert str(err.value) == ("curve coefficients must be finite and "
+                                  f"positive, got a={a}, b={b}, c={c}")
+
+
 class TestOptimalUnitPrice:
     def test_reference_curve_balanced_eta(self):
         fit = MakespanPriceFit(*PAPER_CURVE)

@@ -619,10 +619,11 @@ class TestInvariant:
 
     @staticmethod
     def build(edges, entry, exit):
-        return Flowline.build([op("a"), op("b")], edges, entry, exit)
+        assert entry is exit is None  # build infers both ends
+        return Flowline.build([op("a"), op("b")], edges)
 
-    @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("make", ["direct", "build"])
+    @pytest.mark.parametrize("make, case", [("direct", case) for case in CASES]
+                             + [("build", "dangling-edge")])
     def test_rejected_naming_the_offender(self, make, case):
         fields, offender = self.CASES[case]
         args = {"edges": [("a", "b")], "entry": None, "exit": None, **fields}

@@ -669,11 +669,11 @@ class TestFormat:
         assert_round_trip(fl, {i: i for i in ids})
 
     def test_a_task_the_entry_does_not_reach_is_refused(self):
-        fl = Flowline.build(
-            [TaskNode("data"), TaskNode("start"), TaskNode("merge[m]"),
-             TaskNode("triple")],
-            [("data", "merge[m]"), ("start", "merge[m]"),
-             ("merge[m]", "triple")], entry="data")
+        fl = Flowline(
+            (TaskNode("data"), TaskNode("start"), TaskNode("merge[m]"),
+             TaskNode("triple")),
+            (("data", "merge[m]"), ("start", "merge[m]"),
+             ("merge[m]", "triple")), "data", "triple")
         with pytest.raises(gfl.GflError) as err:
             gfl.format_flowline(fl)
         assert err.value.message == ("tasks ['start'] are not reached from "

@@ -47,6 +47,8 @@ from kgflow.scheduler import (
     MakespanPriceFit,
     SchedulePlan,
     SchedulingError,
+    _rank_order,
+    _upward_ranks,
     check_qualification,
     evaluate_plan,
     need,
@@ -57,7 +59,6 @@ from kgflow import scheduler, sim
 from kgflow.sim import (
     SimConfig,
     SweepConfig,
-    _upward_ranks,
     baseline_list,
     baseline_random,
     baseline_random_many,
@@ -775,16 +776,16 @@ class TestBaselineList:
         plan = baseline_list(fl, profile, bundled_qcloud_catalog(), NET)
         assert check_qualification(plan, fl).ok
 
-    def test_rank_order_that_is_not_topological(self):
-        # a ties b's rank and sorts first, so a is placed before its
-        # precursor b, which its ready time then leaves out.
+    def test_rank_ties_go_in_topological_order(self):
+        # a ties b's rank and sorts first by id, but b is a's precursor, so
+        # b is placed first.
         fl = Flowline.build([model("m0"), op("b", "filter"), op("a", "merge")],
                             [("m0", "b"), ("b", "a")])
         profile = TaskProfile({"m0": 1.0, "b": 0.0, "a": 0.0})
         net = NetParams(0.0, 1e9)
         ranks = _upward_ranks(fl, profile, net)
-        assert sorted(ranks, key=lambda t: (-ranks[t], natural_key(t))) == [
-            "m0", "a", "b"]
+        assert ranks["a"] == ranks["b"]
+        assert _rank_order(fl, profile, net) == ["m0", "b", "a"]
         plan = baseline_list(fl, profile, bundled_qcloud_catalog(), net)
         assert check_qualification(plan, fl).ok
 
@@ -891,7 +892,7 @@ class TestSweep:
         assert calls == 0
 
     @pytest.mark.parametrize("shape, catalog_name, placements",
-                             [((6, 29), "qcloud", 1), ((3, 11), "g4dn", 2)])
+                             [((6, 29), "qcloud", 1), ((3, 11), "g4dn", 1)])
     def test_places_each_distinct_procurement_once(
             self, monkeypatch, shape, catalog_name, placements):
         # ... and synthesizes the warm-up once, in schedule_many.
@@ -918,8 +919,8 @@ class TestSweep:
                 == PINNED[shape, catalog_name][0])
 
     def test_a_procurement_bought_again_after_another(self, monkeypatch):
-        # 0.1 and 0.3 buy g4dn.2xlarge + 2 g4dn.xlarge, 0.9 three 2xlarge.
-        fl, profile = synthetic_flowline(3, 11)
+        # 0.1 and 0.3 buy four g4dn.xlarge, 0.9 g4dn.2xlarge + 3 xlarge.
+        fl, profile = synthetic_flowline(4, 8)
         catalog = bundled_g4dn_catalog()
         config = SweepConfig(random_plans=6)
         alone = [sweep_eta(fl, profile, catalog, [eta], config)
@@ -927,14 +928,14 @@ class TestSweep:
         calls = []
         original = scheduler.greedy_partition
 
-        def counting_partition(flowline, vms):
+        def counting_partition(flowline, profile, vms, net):
             calls.append(ProcurementPlan.of(vms).describe())
-            return original(flowline, vms)
+            return original(flowline, profile, vms, net)
 
         monkeypatch.setattr(scheduler, "greedy_partition", counting_partition)
         rows = sweep_eta(fl, profile, catalog, (0.1, 0.9, 0.3), config)
-        assert calls == ["g4dn.2xlarge x1 + g4dn.xlarge x2",
-                         "g4dn.2xlarge x3"]
+        assert calls == ["g4dn.xlarge x4",
+                         "g4dn.2xlarge x1 + g4dn.xlarge x3"]
         assert rows == [row for cell in alone for row in cell]
 
     def test_csv_shape(self):
@@ -1006,14 +1007,15 @@ class TestSimulatorAgreementSuite:
             assert result.total_time == pytest.approx(expected, rel=1e-9)
 
 
-# sha256 of each sweep pair's outputs, taken before the placement units were
-# compiled: a faster placement must leave them byte-identical.
+# sha256 of each sweep pair's outputs: the sweep CSV, taken when schedule's
+# placement became earliest-finish-time, and 50 random plans' JSON, which
+# that change left byte-identical.
 PINNED = {
     ((6, 29), "qcloud"): (
-        "35af3a4c0bd46788737a635d70ad8aab272bbab0b259ff9f3e356a0039732e36",
+        "a91e4d3983262c5941669a6f49838f2fd6f196c5baa88854e0ff642536dcac5a",
         "b2f31fbb259fabec58f6543250c430c56f71361e4ee705f2975099aa0d9c15fb"),
     ((3, 11), "g4dn"): (
-        "4e8e767bb7863a1faaffb0f2eb6a18f6fb2a436f1d26607defea10087de8f6f0",
+        "92be66bfe291fa10e0b8c39e564519db96a3b4f367a9898135778ad95111c96b",
         "b3d3f437bd30d0e178b291f4dd45f8a772a18709496222d50e0052f262a4fb61"),
 }
 
@@ -1044,31 +1046,32 @@ class TestPinnedOutputs:
 # sha256 of each sweep pair's eta-0.5 plan simulated in each mode over
 # corpora of 0, 200 and 80000 rows (total time, per-slice makespans, cost
 # and the timeline's start and end bytes), taken before the simulator timed
-# its slices in one start/finish array pair: a faster simulator must leave
-# them byte-identical.
+# its slices in one start/finish array pair and re-taken when schedule's
+# placement became earliest-finish-time: a faster simulator must leave them
+# byte-identical.
 SIM_MODES = {"zero-jitter": {}, "jitter-0.1": {"jitter": 0.1},
              "overlap": {"overlap": True},
              "overlap-jitter-0.3": {"overlap": True, "jitter": 0.3}}
 PINNED_SIM = {
     ((3, 11), "g4dn"): {
         "jitter-0.1":
-            "cfb8cdf91b5a71da2180624262fbec643f09f3964c036a1fe6c37ed3c4ef1b37",
+            "df6c3701c501d5ab77aa1adecad0a37e2ee0e9568a4405457947d3028042e272",
         "overlap":
-            "345ab214d066e88ac6fb75de2096dad136dd87b1ef7171747123ef0c04d8ba85",
+            "40ba3c1495b33b57afcf30715ce46a8933ee1b1572ba3f68d15f9b1b542696e7",
         "overlap-jitter-0.3":
-            "f0520d9b9c850780bfe3953e3c76de78c100cbb89b2508b92055f83433ff49d7",
+            "76b06b4cb1a02c6999b6b06cf003b867381fc7a1033b6c3aeb18063b64020182",
         "zero-jitter":
-            "803523aa886b2e65148d56abc1ec8d8a6a1f183337d9c67f890449133b28fecf",
+            "a7541de1a18a9814eac9451a908c0a5b858c86101bf6bbab032f78c794163885",
     },
     ((6, 29), "qcloud"): {
         "jitter-0.1":
-            "f976ad03c0b3669d2e330cd51bbe76cf6789cb2dbb7fcc4ae2450c533f71f407",
+            "2ea6ad81192bc7941be19692085125c37a354bcd370a77775627cfccddfb36c6",
         "overlap":
-            "4de4fa1d3ed1ba3d83d638c72dd1c92b1eee4558f919458c44a1dd4dac78ece9",
+            "ded383659e3c77dc8751bf74d38a525d9a4f4017d557ed4b4ce45b19dd672813",
         "overlap-jitter-0.3":
-            "a15272b96a4865b2186c416722e87043875508dd32807fc1e6692d61c7bd14ef",
+            "c99365dd17ed20cd343aaafea481445a37abc787f92f64d705430cdede101332",
         "zero-jitter":
-            "da6d7075e1c1a0ad8371f88b280d6587c5f9e27aeddc93685400db194dc2cec7",
+            "07988fe72bc6ee983a6fcdc09c211b80e06285fa24c57c2dab0445c943bec4f3",
     },
 }
 
