@@ -34,7 +34,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
-from typing import Any, Collection, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -111,17 +111,11 @@ def compound(flowline: Flowline) -> tuple[Compound, ...]:
             *(Compound((t,), None) for t in sorted(orphans, key=natural_key)))
 
 
-def need(flowline: Flowline, tasks: Collection[str]) -> tuple[int, int]:
-    """(GPU cards, headroom cores) that ``tasks`` take on a VM: a model task
-    takes one GPU card, an operator one core of CPU headroom."""
-    models = flowline.models
-    cards = 0
-    for task in tasks:
-        if task in models:
-            cards += 1
-        elif task not in flowline.by_id:
-            raise FlowlineError(f"no such task: {task!r}")
-    return cards, len(tasks) - cards
+def need(flowline: Flowline) -> ResourceDemand:
+    """What the flowline's tasks take on the VMs bought for it: a GPU card
+    per model task, a core of CPU headroom per operator."""
+    cards = len(flowline.models)
+    return ResourceDemand(cards, len(flowline.by_id) - cards)
 
 
 class Ledger:
@@ -204,8 +198,7 @@ def greedy_partition(flowline: Flowline, profile: TaskProfile,
         if best is None:
             raise SchedulingError(
                 f"no VM can host task {task!r} (needs {unit[0]} GPU card(s), "
-                f"{unit[1]} CPU core(s); capacities "
-                f"{[(vm.gpu_cards, vm.cpu_headroom) for vm in vms]})")
+                f"{unit[1]} CPU core(s); capacities {Ledger(vms).room})")
         finish[task], assignment[task] = best
         ledger.take(best[1], unit)
     return assignment
@@ -427,8 +420,8 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
         prices += unit_prices[column]
     expand = ProcurementPlan.of(types).expand()
     rank = np.array([expand.index(vm) for vm in types] + [len(types)])
-    room = np.array([(vm.gpu_cards, vm.cpu_headroom) for vm in expand]
-                    + [(0, 0)])[np.sort(rank[multisets], axis=1)]
+    room = np.array(Ledger(expand).room + [(0, 0)])[
+        np.sort(rank[multisets], axis=1)]
     observations: dict[tuple[float, float | None], Observation] = {}
     for price, mk in zip(prices.tolist(),
                          _place_many(flowline, profile, room, net).tolist()):
@@ -445,20 +438,19 @@ def synthesize_observations(flowline: Flowline, profile: TaskProfile,
 def schedule(flowline: Flowline, profile: TaskProfile,
              catalog: Sequence[VmType], eta: float, net: NetParams, *,
              fit: MakespanPriceFit | None = None,
-             observations: Sequence[Observation] | None = None,
-             corpus_size: float = 8000, slice_size: float = 200
+             observations: Sequence[Observation] | None = None
              ) -> SchedulePlan:
     """Full scheduling pipeline; returns a qualified plan with predictions.
 
     The price-to-makespan curve comes from, in order of preference: an
     explicit ``fit``, explicit warm-up ``observations``, or observations
     synthesized from the profile by enumerating candidate procurements.
+    The predictions are costed on ``schedule_many``'s default corpus.
     ``schedule_many`` schedules at several etas, sharing the work that does
     not depend on eta.
     """
     return schedule_many(flowline, profile, catalog, (eta,), net, fit=fit,
-                         observations=observations, corpus_size=corpus_size,
-                         slice_size=slice_size)[0]
+                         observations=observations)[0]
 
 
 def schedule_many(flowline: Flowline, profile: TaskProfile,
@@ -477,19 +469,22 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
     that buys it. Every eta that buys it shares its assignment, makespan,
     corpus time and money, none of which depends on eta, and weighs its
     own J from them. An error is raised where ``schedule`` would raise it,
-    at the first eta it would."""
+    at the first eta it would; empty ``etas`` ask for no plan, so they
+    give ``[]`` at once, with nothing fitted."""
+    if not etas:
+        return []
     for eta in etas:
         Preference(eta)
     profile.check_covers(flowline)
     types = catalog_types(catalog)
-    cards, cores = need(flowline, flowline.by_id)
-    if not cards:
+    demand = need(flowline)
+    if not demand.gpus:
         # CPU-only: one VM with a headroom core per task hosts them all.
-        adequate = [vm for vm in types if vm.cpu_headroom >= cores]
+        adequate = [vm for vm in types if vm.cpu_headroom >= demand.cpus]
         if not adequate:
             raise SchedulingError(
-                f"no catalog VM has {cores} spare CPU cores for a CPU-only "
-                "flowline")
+                f"no catalog VM has {demand.cpus} spare CPU cores for a "
+                "CPU-only flowline")
         chosen = min(adequate, key=lambda v: (v.unit_price, v.name))
         bought = ProcurementPlan(((chosen, 1),))
     elif fit is None:
@@ -501,10 +496,9 @@ def schedule_many(flowline: Flowline, profile: TaskProfile,
     # its own J from the eta-free ones.
     placed: dict[ProcurementPlan, tuple[dict[str, int], dict[str, float]]] = {}
     for eta in etas:
-        if cards:
+        if demand.gpus:
             x0 = optimal_unit_price(fit, Preference(eta))
-            bought = procure(types, x0, ResourceDemand(cards, cores),
-                             table=table)
+            bought = procure(types, x0, demand, table=table)
         if bought not in placed:
             assignment = greedy_partition(flowline, profile, bought.expand(),
                                           net)

@@ -60,7 +60,6 @@ from .costmodel import (
     PlanTable,
     Preference,
     ProcurementPlan,
-    ResourceDemand,
     VmType,
     catalog_types,
     normalized_objectives,
@@ -289,13 +288,14 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
     """
     types = catalog_types(catalog)
     tasks = flowline.natural_order
-    demand = n_models, n_operators = need(flowline, tasks)
-    ResourceDemand(*demand).check_supplied(types)
+    demand = need(flowline)
+    demand.check_supplied(types)
+    n_models, n_operators = demand.gpus, demand.cpus
     # Enough of the type with most GPUs plus of the one with most headroom.
     k_cap = max(2, n_models + 1, 1 + math.ceil(
         n_models / (max(vm.gpu_cards for vm in types) or 1)) + math.ceil(
         n_operators / (max(vm.cpu_headroom for vm in types) or 1)))
-    supply = [(vm.gpu_cards, vm.cpu_headroom) for vm in types]
+    supply = Ledger(types).room
     gpus = [i for i, vm in enumerate(types) if vm.gpu_cards]
     cores = [i for i, vm in enumerate(types) if vm.cpu_headroom]
     n_types, type_bits = len(types), len(types).bit_length()
@@ -323,9 +323,10 @@ def baseline_random_many(flowline: Flowline, catalog: Sequence[VmType],
                 break
         else:  # top the last draw up; check_supplied found both supplies
             have = [cards, headroom]
-            for pool, unit in ((gpus, 0), (cores, 1)):
+            for pool, unit, want in ((gpus, 0, n_models),
+                                     (cores, 1, n_operators)):
                 n, n_bits = len(pool), len(pool).bit_length()
-                while have[unit] < demand[unit]:
+                while have[unit] < want:
                     i = bits(n_bits)
                     while i >= n:
                         i = bits(n_bits)
@@ -366,8 +367,7 @@ def baseline_list(flowline: Flowline, profile: TaskProfile,
     over the cheapest feasible procurement, searched in ``table`` when one
     is given for the catalog and the flowline's demand."""
     profile.check_covers(flowline)
-    demand = ResourceDemand(*need(flowline, flowline.by_id))
-    procurement = procure(catalog, 0.0, demand, table=table)
+    procurement = procure(catalog, 0.0, need(flowline), table=table)
     assignment = greedy_partition(flowline, profile, procurement.expand(), net)
     return SchedulePlan(procurement, assignment, eta=0.5, net=net,
                         scheduler="list")
@@ -419,8 +419,7 @@ def sweep_eta(flowline: Flowline, profile: TaskProfile,
     for eta in etas:  # before any warm-up work
         Preference(eta)
     net = config.net
-    plan_table = PlanTable(catalog, ResourceDemand(*need(flowline,
-                                                         flowline.by_id)))
+    plan_table = PlanTable(catalog, need(flowline))
     baselines = [baseline_list(flowline, profile, catalog, net, plan_table)]
     baselines += baseline_random_many(
         flowline, catalog,

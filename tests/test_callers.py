@@ -36,10 +36,6 @@ UNPASSED = {
     "gfl.emit_dot.name": "the graph name of the CLI's dot command (item 8)",
     "scheduler.schedule.fit": "bench passes it through **curve_kw",
     "scheduler.schedule.observations": "bench passes it through **curve_kw",
-    "scheduler.schedule.corpus_size": "the corpus a single plan's "
-                                      "predictions are costed on, as "
-                                      "schedule_many's callers pass it",
-    "scheduler.schedule.slice_size": "as corpus_size, the slice it is cut in",
     "sim.sweep_eta.config": "the network, corpus and random-plan count of "
                             "a sweep other than the default one",
     "synth.synthetic_flowline.seed": "varies the profile of one task mix",
@@ -150,7 +146,7 @@ def unpassed_defaults() -> set[str]:
 
 def test_knob_scan_sees_defaults_by_keyword_and_position():
     found = unpassed_defaults()
-    assert "scheduler.schedule.corpus_size" in found
+    assert "synth.synthetic_flowline.seed" in found
     # sweep_eta passes baseline_list's table by position, procure's by name.
     assert not {"sim.baseline_list.table", "costmodel.procure.table"} & found
 

@@ -176,9 +176,9 @@ class TestGreedyPartition:
     def test_qualifies_exactly_when_the_list_covers_the_demand(self, fl, vms,
                                                                data):
         profile, net = data.draw(profiles(fl))
-        cards, cores = need(fl, fl.by_id)
-        covers = (sum(vm.gpu_cards for vm in vms) >= cards
-                  and sum(vm.cpu_headroom for vm in vms) >= cores)
+        demand = need(fl)
+        covers = (sum(vm.gpu_cards for vm in vms) >= demand.gpus
+                  and sum(vm.cpu_headroom for vm in vms) >= demand.cpus)
         kind, assignment = outcome(greedy_partition, fl, profile, vms, net)
         assert (kind == "ok") == covers
         if covers:

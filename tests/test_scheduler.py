@@ -641,6 +641,9 @@ class TestScheduleMany:
         fl, profile = synthetic_flowline(3, 6)
         assert schedule_many(fl, profile, bundled_qcloud_catalog(), (), NET,
                              fit=PAPER_CURVE) == []
+        # No eta asks for a plan, so no warm-up is synthesized or fitted.
+        assert schedule_many(fl, profile, bundled_qcloud_catalog(), (),
+                             NET) == []
 
 
 class TestPredictMany:

@@ -24,7 +24,6 @@ from hypothesis import example, given, settings, strategies as st
 from kgflow.costmodel import (
     CostModelError,
     ProcurementPlan,
-    ResourceDemand,
     VmType,
     bundled_g4dn_catalog,
     bundled_qcloud_catalog,
@@ -496,7 +495,8 @@ def reference_baseline_random(flowline, catalog, seed, net=None):
     types = catalog_types(catalog)
     rng = random.Random(seed)
     tasks = list(flowline.natural_order)
-    n_models, n_operators = need(flowline, tasks)
+    demand = need(flowline)
+    n_models, n_operators = demand.gpus, demand.cpus
     k_cap = max(2, n_models + 1, 1 + math.ceil(
         n_models / (max(vm.gpu_cards for vm in types) or 1)) + math.ceil(
         n_operators / (max(vm.cpu_headroom for vm in types) or 1)))
@@ -526,9 +526,9 @@ def reference_baseline_random(flowline, catalog, seed, net=None):
 
 
 def hostable(flowline, catalog):
-    cards, cores = need(flowline, flowline.by_id)
-    return ((not cards or any(vm.gpu_cards for vm in catalog))
-            and (not cores or any(vm.cpu_headroom for vm in catalog)))
+    demand = need(flowline)
+    return ((not demand.gpus or any(vm.gpu_cards for vm in catalog))
+            and (not demand.cpus or any(vm.cpu_headroom for vm in catalog)))
 
 
 # 20 CPU-only types and one GPU type, which only some sampled plans hold.
@@ -640,8 +640,7 @@ class TestBaselineRandom:
         # from 21 types: no draw does, and the last one is topped up.
         fl, _ = synthetic_flowline(6, 18)
         catalog = CPU_TYPES + [ONE_GPU]
-        demand = ResourceDemand(*need(fl, fl.by_id))
-        assert procure(catalog, 0.0, demand).describe() == "gpu1 x6"
+        assert procure(catalog, 0.0, need(fl)).describe() == "gpu1 x6"
         with pytest.raises(CostModelError, match="could not sample"):
             reference_baseline_random(fl, catalog, 0)
         plan = baseline_random(fl, catalog, 0)
@@ -978,10 +977,13 @@ class TestSimulatorAgreementSuite:
         config = SimConfig(latency_s=NET.latency_s,
                            bandwidth_Bps=NET.bandwidth_Bps,
                            slice_size=slice_size, corpus_size=corpus)
-        total = simulate(plan, fl, profile, config).total_time
+        result = simulate(plan, fl, profile, config)
         analytic = evaluate_plan(plan, fl, profile, corpus, slice_size, 0.5,
-                                 NET)["cost_com_s"]
-        assert math.isclose(total, analytic, rel_tol=1e-12, abs_tol=0.0)
+                                 NET)
+        assert math.isclose(result.total_time, analytic["cost_com_s"],
+                            rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(result.monetary_cost, analytic["cost_mon"],
+                            rel_tol=1e-12, abs_tol=0.0)
 
     def test_ten_plans_match_analytic(self):
         catalog = bundled_qcloud_catalog()
