@@ -17,8 +17,10 @@ and never more than there are multisets. It costs
 O(rows * (gpus + 1) * (cpus + 1)) per VM type for a demand of that many
 GPU cards and cores, and stops with an error past a fixed memory budget.
 A ``PlanTable`` keeps that table for one catalog and demand, so that
-procuring at several targets, as an eta sweep does, fills it once and
-fills it again only when a target needs a larger bound.
+procuring at several targets, as an eta sweep does, fills it once, reads
+a target from the rows already filled whenever they hold a feasible plan
+priced at the target or more, and fills it again only when they do not
+and the target needs a larger bound.
 
 Unit warning: processing time is in seconds and money in currency units, so
 the weighted objective mixes incommensurate quantities. ``objective`` applies
@@ -243,26 +245,43 @@ class Observation:
 
 
 def pareto_frontier(observations: Iterable[Observation]) -> list[Observation]:
-    """Minimum-makespan frontier: per-price minima, dominated points dropped.
+    """Minimum-makespan frontier: per-price minima, dominated points dropped,
+    in ascending price.
 
     A point is dominated when a cheaper (or equally cheap) point achieves a
-    strictly smaller makespan.
+    strictly smaller makespan. Prices are compared exactly, as floats, not
+    at the 9 decimals that ``synthesize_observations`` rounds them to, so
+    two prices one ulp apart are two points.
     """
-    by_price: dict[float, float] = {}
-    for obs in observations:
-        if not obs.feasible:
-            continue
-        prev = by_price.get(obs.unit_price)
-        if prev is None or obs.makespan_s < prev:
-            by_price[obs.unit_price] = obs.makespan_s
-    frontier: list[Observation] = []
-    best = math.inf
-    for price in sorted(by_price):
-        mk = by_price[price]
-        if not best < mk:
-            frontier.append(Observation(price, mk))
-        best = min(best, mk)
-    return frontier
+    x, y = _frontier(*_columns(observations))
+    return [Observation(p, m) for p, m in zip(x.tolist(), y.tolist())]
+
+
+def _columns(observations: Iterable[Observation]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The unit prices and makespans of ``observations`` as float columns;
+    an absent makespan reads as NaN, so only feasible points are finite."""
+    observations = list(observations)
+    return (np.array([o.unit_price for o in observations], dtype=float),
+            np.array([o.makespan_s for o in observations], dtype=float))
+
+
+def _frontier(price: np.ndarray, makespan: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """``pareto_frontier`` of the feasible points of two columns, as
+    sorted price and makespan arrays."""
+    feasible = np.isfinite(makespan)
+    price, makespan = price[feasible], makespan[feasible]
+    order = np.lexsort((makespan, price))
+    price, makespan = price[order], makespan[order]
+    # The first point at each price has its least makespan.
+    first = np.ones(len(price), dtype=bool)
+    first[1:] = price[1:] != price[:-1]
+    price, makespan = price[first], makespan[first]
+    # Kept unless a cheaper point's makespan is strictly smaller.
+    kept = np.ones(len(price), dtype=bool)
+    kept[1:] = makespan[1:] <= np.minimum.accumulate(makespan)[:-1]
+    return price[kept], makespan[kept]
 
 
 def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
@@ -277,18 +296,17 @@ def fit_price_makespan(observations: Sequence[Observation]) -> MakespanPriceFit:
     1e-13 * c_cap. c_cap lies just under the cheapest feasible price, and
     at most at the largest infeasible one: the curve must blow up there.
     """
-    frontier = pareto_frontier(observations)
-    if len(frontier) < 3:
+    price, makespan = _columns(observations)
+    x, y = _frontier(price, makespan)
+    if len(x) < 3:
         raise CostModelError(
             f"need >= 3 Pareto-frontier points to fit the curve, "
-            f"got {len(frontier)}")
-    x = np.array([o.unit_price for o in frontier])
-    y = np.array([o.makespan_s for o in frontier])
+            f"got {len(x)}")
 
-    c_cap = float(x.min()) * (1.0 - 1e-9)
-    infeasible = [o.unit_price for o in observations if not o.feasible]
-    if infeasible and max(infeasible) < x.min():
-        c_cap = min(c_cap, max(infeasible))
+    c_cap = float(x[0]) * (1.0 - 1e-9)
+    infeasible = price[~np.isfinite(makespan)]
+    if len(infeasible) and infeasible.max() < x[0]:
+        c_cap = min(c_cap, float(infeasible.max()))
 
     tiny = 1e-12
 
@@ -379,10 +397,11 @@ def procure(catalog: Sequence[VmType], x0: float, demand: ResourceDemand,
 
     The search, and the price bounds it fills, are ``PlanTable.closest``'s.
     Callers that procure for one catalog and demand at several targets pass
-    one ``table`` to every call, so its dynamic program is filled once
-    and refilled only when a target needs a larger bound; a table built for
-    another catalog or demand raises CostModelError. Without one, each call
-    fills its own.
+    one ``table`` to every call, so its dynamic program is filled once, a
+    target that the rows already filled answer is read from them, and the
+    table is refilled only when a target needs a larger bound; a table
+    built for another catalog or demand raises CostModelError. Without
+    one, each call fills its own.
     """
     if table is None:
         return PlanTable(catalog, demand).closest(x0)
@@ -412,10 +431,11 @@ class PlanTable:
     bound holds, in its rows up to any smaller bound, exactly the table a
     fresh fill to that bound makes. A fill to a larger bound recomputes
     every row, and the rows below the old bound keep their index and
-    entries. ``closest`` chooses the bounds a target fills. A
-    fill costs O(rows * (demand.gpus + 1) * (demand.cpus + 1)) per VM type;
-    one whose table would outgrow ``_MAX_TABLE_BYTES`` raises
-    ``CostModelError``.
+    entries. ``closest`` reads a target from the rows filled so far when
+    they hold a feasible row priced at the target or more, and otherwise
+    chooses the bounds the target fills. A fill costs
+    O(rows * (demand.gpus + 1) * (demand.cpus + 1)) per VM type; one whose
+    table would outgrow ``_MAX_TABLE_BYTES`` raises ``CostModelError``.
     """
 
     def __init__(self, catalog: Iterable[VmType], demand: ResourceDemand):
@@ -431,6 +451,8 @@ class PlanTable:
         self._limit = -1  # the bound filled so far, in price units
         self._prices = np.zeros(0, dtype=np.int64)
         self._table = self._preds = None
+        # The price of the dearest feasible row filled so far, or -inf.
+        self._top = -math.inf
         # Per row, the optimal multisets priced there; a fill to a larger
         # bound keeps every row's index and entries, so they stay valid.
         self._multisets: dict[int, list[tuple[int, ...]]] = {}
@@ -440,8 +462,16 @@ class PlanTable:
         price bound; the table is refilled only when a bound passes what
         it holds.
 
-        The bounds are tried in three steps, with cheapest and dearest the
-        catalog's extreme unit prices and B = max(2*x0, dearest):
+        First, if the rows filled so far hold a feasible row priced at x0
+        or more, every filled row is read and nothing is filled. A plan
+        that beats or ties that row on the price gap is priced no higher,
+        so its row is in the table already. This spares a sweep its
+        refills: the list baseline's fill for x0 = 0 often reaches past
+        the targets of the etas read after it.
+
+        Otherwise the bounds are tried in three steps, with cheapest and
+        dearest the catalog's extreme unit prices and B = max(2*x0,
+        dearest):
 
         1. For x0 >= cheapest, x0 + cheapest, if that is below B. Adding an
            instance never makes a plan infeasible, so a feasible plan
@@ -466,6 +496,8 @@ class PlanTable:
            of which raises."""
         if not math.isfinite(x0):
             raise CostModelError(f"target price x0 must be finite, got {x0}")
+        if x0 <= self._top:
+            return self._best(len(self._prices), x0)
         types, unit = self.types, self._unit
         bound = max(2.0 * x0, max(v.unit_price for v in types))
 
@@ -540,6 +572,11 @@ class PlanTable:
         self._table, self._preds = _fewest_instances(
             self.types, self._weights, self.demand, prices)
         self._prices, self._limit = prices, limit
+        feasible = np.flatnonzero(
+            self._table[:len(prices), self.demand.gpus, self.demand.cpus]
+            < _UNREACHED)
+        if len(feasible):
+            self._top = float(prices[feasible[-1]] * (self._unit / 1e6))
 
 
 def _price_floor(types: Sequence[VmType], weights: Sequence[int],

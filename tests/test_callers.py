@@ -24,6 +24,10 @@ CALLERLESS = {
     "sim.timeline_to_chrome_trace": "the CLI's simulate --trace (item 8)",
     "costmodel.MakespanPriceFit.makespan_at": "the plan diagnostics show the "
                                               "fitted curve (item 8)",
+    "costmodel.pareto_frontier": "the warm-up frontier as Observations, "
+                                 "which tests compare; the fit reads it as "
+                                 "columns, and items 18 and 22 pick and "
+                                 "score its points",
     "scheduler.compound": "bench/tracer.py's LAYERS reads it with getattr; "
                           "a missing name fails every traced run",
 }
