@@ -451,8 +451,6 @@ class PlanTable:
         self._limit = -1  # the bound filled so far, in price units
         self._prices = np.zeros(0, dtype=np.int64)
         self._table = self._preds = None
-        # The price of the dearest feasible row filled so far, or -inf.
-        self._top = -math.inf
         # Per row, the optimal multisets priced there; a fill to a larger
         # bound keeps every row's index and entries, so they stay valid.
         self._multisets: dict[int, list[tuple[int, ...]]] = {}
@@ -496,7 +494,7 @@ class PlanTable:
            of which raises."""
         if not math.isfinite(x0):
             raise CostModelError(f"target price x0 must be finite, got {x0}")
-        if x0 <= self._top:
+        if self._table is not None and x0 <= self._dearest_feasible():
             return self._best(len(self._prices), x0)
         types, unit = self.types, self._unit
         bound = max(2.0 * x0, max(v.unit_price for v in types))
@@ -533,6 +531,17 @@ class PlanTable:
         while (best := best_within(units(bound))) is None:
             bound *= 2.0
         return best
+
+    def _dearest_feasible(self) -> float:
+        """The price, as ``_best`` reads it, of the dearest filled row that
+        meets the demand; -inf when none does."""
+        demand = self.demand
+        feasible = np.flatnonzero(
+            self._table[:len(self._prices), demand.gpus, demand.cpus]
+            < _UNREACHED)
+        if not len(feasible):
+            return -math.inf
+        return float(self._prices[feasible[-1]] * (self._unit / 1e6))
 
     def _best(self, rows: int, x0: float) -> ProcurementPlan | None:
         """The best plan priced at one of the first ``rows`` rows; None when
@@ -572,11 +581,6 @@ class PlanTable:
         self._table, self._preds = _fewest_instances(
             self.types, self._weights, self.demand, prices)
         self._prices, self._limit = prices, limit
-        feasible = np.flatnonzero(
-            self._table[:len(prices), self.demand.gpus, self.demand.cpus]
-            < _UNREACHED)
-        if len(feasible):
-            self._top = float(prices[feasible[-1]] * (self._unit / 1e6))
 
 
 def _price_floor(types: Sequence[VmType], weights: Sequence[int],

@@ -1,11 +1,17 @@
-"""The numpy curve fit: the bounded solve for a + b * u, the
-variable-projection fit of g(x) = a + b/(x - c), and the plans it leads to.
+"""The numpy curve fit: the Pareto frontier it fits, the bounded solve for
+a + b * u, the variable-projection fit of g(x) = a + b/(x - c), and the
+plans it leads to.
+
+``reference_frontier`` is the frontier as a loop over observations, as it
+was before the fit read them as columns; ``pareto_frontier`` must agree with
+it point for point.
 
 The pinned plans below come from warm-up tables placed by the
 earliest-finish-time rule; a change to the fit must buy the same instances.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -32,6 +38,66 @@ from kgflow.flowline import NetParams, TaskProfile
 
 NET = NetParams(0.05, 1.0e7)
 CATALOGS = {"qcloud": bundled_qcloud_catalog, "g4dn": bundled_g4dn_catalog}
+
+
+def reference_frontier(observations):
+    """Per exact price the least feasible makespan, then every point that
+    no cheaper point strictly beats, in ascending price."""
+    by_price = {}
+    for obs in observations:
+        if not obs.feasible:
+            continue
+        prev = by_price.get(obs.unit_price)
+        if prev is None or obs.makespan_s < prev:
+            by_price[obs.unit_price] = obs.makespan_s
+    frontier = []
+    best = math.inf
+    for price in sorted(by_price):
+        mk = by_price[price]
+        if not best < mk:
+            frontier.append(Observation(price, mk))
+        best = min(best, mk)
+    return frontier
+
+
+def _points(observations):
+    return [(o.unit_price, o.makespan_s) for o in observations]
+
+
+@st.composite
+def observation_lists(draw):
+    """Observations on a few prices, each also one ulp up, and a few
+    makespans plus None and inf: repeated prices, ties, infeasible points
+    and frontiers of any size from zero up."""
+    base = draw(st.lists(st.floats(0.01, 500), min_size=1, max_size=4))
+    prices = base + [math.nextafter(p, math.inf) for p in base]
+    makespans = draw(st.lists(st.floats(0, 100), min_size=1, max_size=4))
+    makespans += [None, math.inf]
+    return [Observation(draw(st.sampled_from(prices)),
+                        draw(st.sampled_from(makespans)))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+class TestParetoFrontier:
+    @settings(max_examples=300, deadline=None)
+    @given(observation_lists())
+    def test_equals_the_reference_loop(self, observations):
+        want = reference_frontier(observations)
+        assert _points(pareto_frontier(observations)) == _points(want)
+        if len(want) < 3:
+            with pytest.raises(CostModelError,
+                               match=f"points to fit the curve, got "
+                                     f"{len(want)}$"):
+                fit_price_makespan(observations)
+
+    @pytest.mark.parametrize("m,o", synth.EXPERIMENT_SHAPES)
+    @pytest.mark.parametrize("cat_name", CATALOGS)
+    @pytest.mark.parametrize("seed", [None, 1, 32])
+    def test_warm_up_tables_equal_the_reference_loop(self, m, o, cat_name,
+                                                     seed):
+        observations = _shape_observations(m, o, cat_name, seed)
+        assert (_points(pareto_frontier(observations))
+                == _points(reference_frontier(observations)))
 
 
 def _brute_force(design, y, lo):

@@ -353,6 +353,69 @@ def test_shared_table_matches_fresh_procure_on_random_catalogs(
         procure(catalog, x0, demand) for x0 in targets]
 
 
+def _count_fills(table):
+    """The row count after each fill ``table`` makes from here on."""
+    fills = []
+    fill = table._fill
+
+    def counted(limit):
+        fill(limit)
+        fills.append(len(table._prices))
+    table._fill = counted
+    return fills
+
+
+def _dearest_feasible_price(table):
+    """The price of the dearest filled row that meets the demand, or -inf
+    before any fill."""
+    if table._table is None:
+        return -math.inf
+    demand = table.demand
+    counts = table._table[:len(table._prices), demand.gpus, demand.cpus]
+    feasible = table._prices[counts < 2 ** 30]
+    return feasible.max() * table._unit / 1e6 if len(feasible) else -math.inf
+
+
+def test_targets_the_filled_rows_answer_fill_nothing():
+    # The 3m11o sweep cell on g4dn: the list baseline's x0 = 0 fills to
+    # 3.156 USD (29 rows), and the fitted targets of eta 0.1-0.5 lie below
+    # its 1.804 USD plan, so they read those rows. Their short bounds,
+    # x0 + 0.526, hold no feasible row, and the search from max(2 * x0,
+    # dearest) would fill 268 rows up to 7.824 USD.
+    catalog = bundled_g4dn_catalog()
+    demand = ResourceDemand(3, 11)
+    table = PlanTable(catalog, demand)
+    fills = _count_fills(table)
+    targets = (0.0, 0.89, 0.997, 1.112, 1.288, 1.778)
+    plans = [table.closest(x0) for x0 in targets]
+    assert fills == [8, 29]
+    assert plans == [procure(catalog, x0, demand) for x0 in targets]
+    assert {plan.total_price for plan in plans} == {1.804}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(catalog=small_catalogs(), gpus=st.integers(0, 4),
+       cpus=st.integers(0, 8),
+       x0_steps=st.lists(st.integers(-200, 1200), min_size=2, max_size=6))
+def test_targets_the_filled_rows_answer_fill_nothing_on_random_catalogs(
+        catalog, gpus, cpus, x0_steps):
+    assume(gpus == 0 or any(v.gpu_cards for v in catalog))
+    assume(cpus == 0 or any(v.cpu_headroom for v in catalog))
+    cheapest = min(v.unit_price for v in catalog)
+    targets = [round(cheapest * steps / 200, 4) for steps in x0_steps]
+    demand = ResourceDemand(gpus, cpus)
+    table = PlanTable(catalog, demand)
+    fills = _count_fills(table)
+    for x0 in targets:
+        # A row priced within 1e-9 of x0 may read as either side of it.
+        answered = x0 + 1e-9 <= _dearest_feasible_price(table)
+        made = len(fills)
+        assert table.closest(x0) == procure(catalog, x0, demand)
+        if answered:
+            assert len(fills) == made, x0
+
+
 def test_table_for_another_catalog_or_demand_is_refused():
     catalog = bundled_g4dn_catalog()
     table = PlanTable(catalog, ResourceDemand(3, 7))

@@ -13,9 +13,13 @@ same, from ``baseline_random`` and, seed by seed, ``baseline_random_many``.
 import functools
 import hashlib
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,7 @@ from kgflow.scheduler import (
     plan_to_json,
     schedule,
 )
+import kgflow
 from kgflow import scheduler, sim
 from kgflow.sim import (
     SimConfig,
@@ -1106,3 +1111,48 @@ def simulate_digest(shape, catalog_name, mode):
 def test_pinned_simulate(shape, catalog_name, mode):
     assert (simulate_digest(shape, catalog_name, mode)
             == PINNED_SIM[shape, catalog_name][mode])
+
+
+# Prints the sha256 of schedule's plan JSON, the sweep CSV and a jittered
+# simulate of the list plan, per sweep shape and bundled catalog.
+DIGEST_SCRIPT = """
+import hashlib
+from kgflow.costmodel import bundled_g4dn_catalog, bundled_qcloud_catalog
+from kgflow.flowline import NetParams
+from kgflow.scheduler import plan_to_json, schedule
+from kgflow.sim import (SimConfig, baseline_list, simulate, sweep_eta,
+                        sweep_to_csv)
+from kgflow.synth import synthetic_flowline
+
+net = NetParams(0.05, 1e7)
+config = SimConfig(latency_s=0.05, bandwidth_Bps=1e7, jitter=0.1, seed=7)
+for shape in ((3, 11), (6, 29)):
+    for catalog in (bundled_qcloud_catalog(), bundled_g4dn_catalog()):
+        fl, profile = synthetic_flowline(*shape)
+        run = simulate(baseline_list(fl, profile, catalog, net), fl, profile,
+                       config)
+        outputs = [
+            plan_to_json(schedule(fl, profile, catalog, 0.5, net)).encode(),
+            sweep_to_csv(sweep_eta(fl, profile, catalog,
+                                   (0.1, 0.3, 0.5, 0.7, 0.9))).encode(),
+            repr((run.total_time, run.per_slice_makespan,
+                  run.monetary_cost)).encode() + run.timeline.start.tobytes()
+            + run.timeline.end.tobytes()]
+        print(shape, catalog[0].currency,
+              *(hashlib.sha256(out).hexdigest() for out in outputs))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # Set and dict orders of strings follow the hash seed, which is fixed
+    # for a process, so only two processes can show an output that
+    # depends on it.
+    src = Path(kgflow.__file__).resolve().parents[1]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", DIGEST_SCRIPT], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
