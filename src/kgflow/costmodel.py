@@ -250,8 +250,8 @@ def pareto_frontier(observations: Iterable[Observation]) -> list[Observation]:
 
     A point is dominated when a cheaper (or equally cheap) point achieves a
     strictly smaller makespan. Prices are compared exactly, as floats, not
-    at the 9 decimals that ``synthesize_observations`` rounds them to, so
-    two prices one ulp apart are two points.
+    at the 9 decimals at which ``synthesize_observations`` merges its
+    observations, so two prices one ulp apart are two points.
     """
     x, y = _frontier(*_columns(observations))
     return [Observation(p, m) for p, m in zip(x.tolist(), y.tolist())]
